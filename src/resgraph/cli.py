@@ -19,9 +19,8 @@ import warnings
 from fractions import Fraction
 
 from . import oracle
-from .core import (Cycle, ResolutionGraph, canonical_cycle, chi, dual_cycle,
-                   estar_coordinates, intersection_form,
-                   is_numerically_gorenstein)
+from .core import (Cycle, ResolutionGraph, canonical_cycle, dual_cycle,
+                   intersection_form, is_numerically_gorenstein)
 from .criteria import extension_criterion, monomial_condition
 from .ellseq import elliptic_sequence, partial_sums, pg_table
 from .errors import InvariantViolation, ResourceCapExceeded, UserError

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import GraphValidationError, UserError
@@ -53,38 +54,6 @@ def bareiss_leading_minors(matrix: list[list[int]]) -> list[int]:
     return minors
 
 
-def _solve_posdef(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve matrix * x = rhs for a positive-definite integer matrix.
-
-    Forward elimination is fraction-free (Bareiss) on the integer part with
-    the right-hand side carried along exactly; back substitution is done in
-    Fractions. Positive definiteness guarantees nonzero pivots without
-    pivoting."""
-    n = len(matrix)
-    den = 1
-    for x in rhs:
-        q = Fraction(x).denominator
-        den = den * q // math.gcd(den, q)
-    b = [int(Fraction(x) * den) for x in rhs]
-    m = [[int(x) for x in row] for row in matrix]
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k]
-            for j in range(k, n):
-                m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev
-            b[i] = (b[i] * pivot - factor * b[k]) // prev
-        prev = pivot
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(b[i], den)
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
-
-
 class ResolutionGraph:
     """Immutable weighted tree with a negative-definite intersection form.
 
@@ -100,25 +69,74 @@ class ResolutionGraph:
         self.vertices = vertices
         self.euler = dict(euler)
         self.edges = edges
-        self._index = {v: i for i, v in enumerate(vertices)}
+        self._index = index = {v: i for i, v in enumerate(vertices)}
         adj: dict[str, list[str]] = {v: [] for v in vertices}
-        for e in edges:
-            u, v = sorted(e)
+        for u, v in map(sorted, edges):
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-        n = len(vertices)
-        self.matrix = [[0] * n for _ in range(n)]
-        for i, v in enumerate(vertices):
-            self.matrix[i][i] = euler[v]
-            for w in self.adjacency[v]:
-                self.matrix[i][self._index[w]] = 1
-        neg = [[-x for x in row] for row in self.matrix]
-        self.neg_matrix = neg
-        self.minors = tuple(bareiss_leading_minors(neg))
-        self.det = self.minors[-1] if n else 1
+        self._neighbours = [[index[w] for w in self.adjacency[v]]
+                            for v in vertices]
+        # root the tree at vertices[0]; breadth-first order puts every
+        # parent before its children (a shorter order means disconnected)
+        self._parent = parent = [-1] * len(vertices)
+        self._order = order = [0]
+        for i in order:
+            for j in self._neighbours[i]:
+                if j and parent[j] < 0:
+                    parent[j] = i
+                    order.append(j)
+        self._eliminate()
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
+
+    def _eliminate(self) -> None:
+        """Leaf elimination of -A up the rooted tree, in integers.
+
+        Once the children c of v are eliminated, v has the pivot
+        d_v = -e_v - sum_c 1/d_c = D_v / P_v, where D_v is the determinant
+        of -A on the subtree below v and P_v the product of the D_c.
+        -A is positive definite iff every pivot is positive; det = D_root,
+        or 0 from the first pivot that is not positive."""
+        self._subdet = sub = [-self.euler[v] for v in self.vertices]
+        self._childdet = kids = [1] * len(self.vertices)
+        self.det = 0
+        for i in reversed(self._order):
+            if sub[i] <= 0:
+                return
+            p = self._parent[i]
+            if p >= 0:  # d_p -= 1/d_i on the fraction sub[p] / kids[p]
+                sub[p] = sub[p] * sub[i] - kids[i] * kids[p]
+                kids[p] *= sub[i]
+        self.det = sub[0]
+
+    def _tree_solve(self, rhs: list[int]) -> "Cycle":
+        """x with -A x = rhs (integer rhs): eliminate up the tree as in
+        _eliminate, then substitute back down; det * x is integral."""
+        parent, sub, kids = self._parent, self._subdet, self._childdet
+        acc, den = list(rhs), [1] * len(rhs)
+        for i in reversed(self._order[1:]):
+            p = parent[i]
+            acc[p] = acc[p] * sub[i] + acc[i] * den[p]
+            den[p] *= sub[i]
+        for i in self._order[1:]:  # back substitution, parents first
+            acc[i] = (acc[i] * self.det + kids[i] * acc[parent[i]]) // sub[i]
+        return Cycle(self, tuple(Fraction(c, self.det) for c in acc))
+
+    @cached_property
+    def matrix(self) -> list[list[int]]:
+        """The intersection matrix A in vertex order."""
+        return [[self.euler[v] if v == w else int(w in self.adjacency[v])
+                 for w in self.vertices] for v in self.vertices]
+
+    @cached_property
+    def neg_matrix(self) -> list[list[int]]:
+        return [[-x for x in row] for row in self.matrix]
+
+    @cached_property
+    def minors(self) -> tuple[int, ...]:
+        """Leading principal minors of -A, by Bareiss elimination."""
+        return tuple(bareiss_leading_minors(self.neg_matrix))
 
     # -- cycle constructors -------------------------------------------------
 
@@ -261,8 +279,7 @@ class Cycle:
         return self <= other and self != other
 
     def floor(self) -> "Cycle":
-        from math import floor
-        return Cycle(self.graph, tuple(Fraction(floor(c)) for c in self.coeffs))
+        return Cycle(self.graph, tuple(Fraction(math.floor(c)) for c in self.coeffs))
 
     def __repr__(self):
         inner = ", ".join(f"{v}: {c}" for v, c in self.items() if c != 0)
@@ -293,10 +310,12 @@ def build_graph(spec) -> ResolutionGraph:
                     "genus-not-supported",
                     "genus decorations are not modeled (links are assumed "
                     "rational homology spheres)")
-            vid, e = entry.get("id"), entry.get("euler")
-        else:
-            vid, e = entry
-        vid = str(vid)
+            entry = entry.get("id"), entry.get("euler")
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise GraphValidationError(
+                "malformed-description",
+                f"a vertex must be an (id, euler) pair or a record, got {entry!r}")
+        vid, e = str(entry[0]), entry[1]
         if vid in euler:
             raise GraphValidationError("duplicate-vertex", f"vertex {vid!r} repeated")
         if not isinstance(e, int) or isinstance(e, bool) or e > -1:
@@ -309,8 +328,9 @@ def build_graph(spec) -> ResolutionGraph:
     vertices = tuple(sorted(order))
     edge_set: set[frozenset[str]] = set()
     for pair in raw_edges:
-        u, v = pair
-        u, v = str(u), str(v)
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise GraphValidationError("bad-edge", f"an edge must be a pair of ids, got {pair!r}")
+        u, v = str(pair[0]), str(pair[1])
         if u not in euler or v not in euler:
             raise GraphValidationError("bad-edge", f"edge ({u!r}, {v!r}) references unknown vertex")
         if u == v:
@@ -323,52 +343,52 @@ def build_graph(spec) -> ResolutionGraph:
         raise GraphValidationError(
             "not-a-tree", f"{len(vertices)} vertices need {len(vertices) - 1} edges, "
             f"got {len(edge_set)}")
-    # connectivity (together with the edge count this certifies a tree)
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edge_set:
-        u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(vertices):
-        raise GraphValidationError("not-connected", "graph is not connected")
     graph = ResolutionGraph(vertices, euler, frozenset(edge_set), _token=_BUILD_TOKEN)
-    if any(mu <= 0 for mu in graph.minors):
+    # connectivity (together with the edge count this certifies a tree)
+    if len(graph._order) != len(vertices):
+        raise GraphValidationError("not-connected", "graph is not connected")
+    if graph.det <= 0:
         raise GraphValidationError(
             "not-negative-definite",
             f"leading principal minors of -A must all be positive, got {graph.minors}")
     return graph
 
 
+def _numerators(l: Cycle) -> tuple[list[int], int]:
+    """(z, s) with l = z / s: integer numerators over the lcm s of the
+    denominators, so that sums and products below stay in integers."""
+    s = math.lcm(*(c.denominator for c in l.coeffs))
+    return [c.numerator * (s // c.denominator) for c in l.coeffs], s
+
+
+def _times_a(graph: ResolutionGraph, z: list[int]) -> list[int]:
+    """A z for an integer vector z, in vertex order."""
+    return [graph.euler[v] * z[i] + sum(z[j] for j in graph._neighbours[i])
+            for i, v in enumerate(graph.vertices)]
+
+
 def _pairing_with_basis(l: Cycle) -> list[Fraction]:
     """[(l, E_v)] for all v, in vertex order."""
-    g = l.graph
-    out = []
-    for i, v in enumerate(g.vertices):
-        acc = l.coeffs[i] * g.euler[v]
-        for w in g.adjacency[v]:
-            acc += l.coeffs[g._index[w]]
-        out.append(acc)
-    return out
+    z, s = _numerators(l)
+    return [Fraction(p, s) for p in _times_a(l.graph, z)]
 
 
 def intersection_form(l1: Cycle, l2: Cycle) -> Fraction:
     """(l1, l2) = l1^T A l2 in the E_v basis."""
     l1._check(l2)
-    return sum((p * c for p, c in zip(_pairing_with_basis(l1), l2.coeffs)),
-               Fraction(0))
+    (z1, s1), (z2, s2) = _numerators(l1), _numerators(l2)
+    return Fraction(sum(p * c for p, c in zip(_times_a(l1.graph, z1), z2)),
+                    s1 * s2)
 
 
 def chi(l: Cycle) -> Fraction:
-    """Riemann-Roch value chi(l) = -(l, l - Z_K) / 2."""
-    zk = canonical_cycle(l.graph)
-    return -intersection_form(l, l - zk) / 2
+    """Riemann-Roch value chi(l) = -(l, l - Z_K) / 2, evaluated by
+    adjunction as (sum_v l_v (e_v + 2) - (l, l)) / 2, so without Z_K."""
+    g = l.graph
+    z, s = _numerators(l)
+    linear = sum(c * (g.euler[v] + 2) for v, c in zip(g.vertices, z))
+    square = sum(p * c for p, c in zip(_times_a(g, z), z))
+    return Fraction(s * linear - square, 2 * s * s)
 
 
 def dual_cycle(graph: ResolutionGraph, v: str) -> Cycle:
@@ -378,17 +398,16 @@ def dual_cycle(graph: ResolutionGraph, v: str) -> Cycle:
         raise UserError(f"unknown vertex: {v!r}")
     cached = graph._dual_cache.get(v)
     if cached is None:
-        rhs = [Fraction(1 if w == v else 0) for w in graph.vertices]
-        cached = graph.from_vector(_solve_posdef(graph.neg_matrix, rhs))
-        graph._dual_cache[v] = cached
+        cached = graph._dual_cache[v] = graph._tree_solve(
+            [int(w == v) for w in graph.vertices])
     return cached
 
 
 def canonical_cycle(graph: ResolutionGraph) -> Cycle:
     """The unique Z_K with (Z_K, E_v) = e_v + 2 for all v (adjunction)."""
     if graph._canonical is None:
-        rhs = [Fraction(-(graph.euler[v] + 2)) for v in graph.vertices]
-        graph._canonical = graph.from_vector(_solve_posdef(graph.neg_matrix, rhs))
+        graph._canonical = graph._tree_solve(
+            [-(graph.euler[v] + 2) for v in graph.vertices])
     return graph._canonical
 
 
@@ -405,7 +424,7 @@ def estar_support(l: Cycle) -> frozenset[str]:
 
 def is_antinef(l: Cycle) -> bool:
     """Membership in the Lipman cone S': (l, E_v) <= 0 for all v."""
-    return all(p <= 0 for p in _pairing_with_basis(l))
+    return all(p <= 0 for p in _times_a(l.graph, _numerators(l)[0]))
 
 
 def same_class(l1: Cycle, l2: Cycle) -> bool:

@@ -109,9 +109,7 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str,
     # integer rescaling keeps the simplex walk and the integrality sieve
     # out of Fraction arithmetic: scale = lcm of weight denominators (so
     # sum a_w m_w = 1 becomes sum a_w iw_w = scale), det clears the duals
-    scale = 1
-    for m in weights:
-        scale = scale * m.denominator // math.gcd(scale, m.denominator)
+    scale = math.lcm(*(m.denominator for m in weights))
     det = abs(sub.det)
     triples = sorted(
         ((int(m * scale), w, [int(c * det) for c in dual_cycle(sub, w).coeffs])

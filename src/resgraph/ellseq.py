@@ -17,7 +17,7 @@ from fractions import Fraction
 from .core import (Cycle, ResolutionGraph, canonical_cycle, chi,
                    intersection_form, is_numerically_gorenstein)
 from .errors import InvariantViolation, ResourceCapExceeded, UserError
-from .laufer import (antinef_lift, cube_representative, fundamental_cycle,
+from .laufer import (cube_representative, fundamental_cycle,
                      minimal_class_representative, require_elliptic_minimal)
 
 __all__ = [
@@ -162,9 +162,8 @@ def _enumerate_below(graph: ResolutionGraph, upper: Cycle, base: Cycle,
     bounds the number of visited search nodes, not the raw box volume."""
     g = graph.vertices
     n = len(g)
-    index = graph._index
     euler = [graph.euler[v] for v in g]
-    adj = [[index[w] for w in graph.adjacency[v]] for v in g]
+    adj = graph._neighbours
     earlier = [[j for j in adj[i] if j < i] for i in range(n)]
     lows = [base.coefficient(v) for v in g]
     steps = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, _pairing_with_basis, chi,
+from .core import (Cycle, ResolutionGraph, _numerators, _times_a, chi,
                    intersection_form)
 from .errors import InvariantViolation, UserError
 
@@ -57,24 +57,20 @@ class Classification:
     zmin: Cycle
 
 
-def _max_steps(l: Cycle) -> int:
-    # Defensive guard only; unreachable for valid negative-definite input.
-    g = l.graph
-    biggest = max((abs(c) for c in l.coeffs), default=Fraction(0))
-    per_vertex = 2 * abs(g.det) * max(1, int(biggest) + 1) + 1
-    return per_vertex * len(g.vertices)
-
-
 def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
     """s(l): unique minimal element of (l + L_{>=0}) cap S'.
 
     Ties are broken by picking the lexicographically smallest eligible
-    vertex; the endpoint does not depend on this choice."""
+    vertex; the endpoint does not depend on this choice. The steps run on
+    integer numerators over the lcm of the denominators of l, and
+    Fractions are built only for the result."""
     g = l.graph
-    pair = _pairing_with_basis(l)
-    z = list(l.coeffs)
+    z, scale = _numerators(l)
+    pair = _times_a(g, z)
+    euler = [g.euler[v] * scale for v in g.vertices]
     steps: list[str] = []
-    guard = _max_steps(l)
+    # defensive guard only; unreachable for valid negative-definite input
+    guard = (2 * g.det * (max(map(abs, z)) // scale + 1) + 1) * len(z)
     while True:
         chosen = -1
         for i, p in enumerate(pair):
@@ -87,13 +83,12 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
             raise InvariantViolation(
                 "computation sequence exceeded its termination guard; "
                 "the graph data violates negative definiteness")
-        v = g.vertices[chosen]
-        steps.append(v)
-        z[chosen] += 1
-        pair[chosen] += g.euler[v]
-        for w in g.adjacency[v]:
-            pair[g._index[w]] += 1
-    result = g.from_vector(z)
+        steps.append(g.vertices[chosen])
+        z[chosen] += scale
+        pair[chosen] += euler[chosen]
+        for j in g._neighbours[chosen]:
+            pair[j] += scale
+    result = Cycle(g, tuple(Fraction(c, scale) for c in z))
     return result, ComputationTrace(start=l, steps=tuple(steps), result=result)
 
 

@@ -78,9 +78,8 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
     inside the current box, so the enumeration stays exhaustive; branches
     whose intervals empty out die immediately."""
     n = len(graph.vertices)
-    index = graph._index
     euler = [graph.euler[v] for v in graph.vertices]
-    adj = [[index[w] for w in graph.adjacency[v]] for v in graph.vertices]
+    adj = graph._neighbours
     base_pairing = _pairing_with_basis(base)
     visited = 0
 

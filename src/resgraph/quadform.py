@@ -66,18 +66,11 @@ def enumerate_ellipsoid_points(
     if radius2 < 0:
         return
     # clear matrix denominators: scaling M scales the radius bound alike
-    mden = 1
-    for row in matrix:
-        for x in row:
-            q = Fraction(x).denominator
-            mden = mden * q // math.gcd(mden, q)
+    mden = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
     upper, p = bareiss_orthogonalize(
         [[int(Fraction(x) * mden) for x in row] for row in matrix])
     # integer center coordinates: w_j = s*x_j - cn_j
-    s = 1
-    for c in center:
-        q = Fraction(c).denominator
-        s = s * q // math.gcd(s, q)
+    s = math.lcm(*(Fraction(c).denominator for c in center))
     cn = [int(Fraction(c) * s) for c in center]
     # global scale: sum_k m_k T_k^2 <= budget0, all integers
     bound = Fraction(radius2) * mden * s * s

@@ -16,13 +16,13 @@ The analytic inputs are exactly alpha (the minimal Gorenstein index) and T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (Cycle, ResolutionGraph, canonical_cycle, chi,
                    estar_support, intersection_form, is_antinef,
                    is_numerically_gorenstein)
-from .ellseq import EllipticSequence, elliptic_sequence, partial_sums
+from .ellseq import EllipticSequence, partial_sums
 from .errors import InvariantViolation, UserError
 from .laufer import fundamental_cycle
 from .quadform import enumerate_ellipsoid_points
@@ -271,9 +271,7 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
                for a in range(n)]
     offsets = [lprime.coeffs[sigma[a]] for a in range(n)]
     # integer-scaled copies keep the hot pruning filter free of Fractions
-    den = 1
-    for o in offsets:
-        den = den * o.denominator // math.gcd(den, o.denominator)
+    den = math.lcm(*(o.denominator for o in offsets))
     ioff = [int(o * den) for o in offsets]
     ready: list[list[int]] = [[] for _ in range(n)]
     for j in range(n):

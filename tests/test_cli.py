@@ -148,3 +148,19 @@ def test_cap_env_resource_exit(capsys, monkeypatch):
 def test_bad_subcommand(capsys):
     code, out, err = invoke(capsys, "frobnicate", "g_app")
     assert code == 1
+
+
+@pytest.mark.parametrize("vertices, edges, diagnostic", [
+    ([{"id": "a", "euler": -2}], [["a"]], "bad-edge"),
+    ([{"id": "a", "euler": -2}], [["a", "b", "c"]], "bad-edge"),
+    ([{"id": "a", "euler": -2}], [5], "bad-edge"),
+    ([["a"]], [], "malformed-description"),
+    ([5], [], "malformed-description"),
+])
+def test_malformed_graph_file_is_a_user_error(capsys, tmp_path, vertices,
+                                              edges, diagnostic):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"format": 1, "vertices": vertices,
+                                "edges": edges}))
+    code, out, err = invoke(capsys, "classify", str(path))
+    assert code == 1 and f"error: {diagnostic}:" in err

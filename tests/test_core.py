@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from resgraph.core import (Cycle, bareiss_leading_minors, build_graph,
                            intersection_form, is_antinef,
                            is_numerically_gorenstein, same_class)
 from resgraph.errors import GraphValidationError, UserError
-from resgraph.laufer import fundamental_cycle
+from resgraph.laufer import classify, fundamental_cycle
+from resgraph.oracle import _own_ldl
 
 
 # -- validation -------------------------------------------------------------
@@ -213,3 +215,103 @@ def test_graph_helpers(g_app):
     assert g_app.degree("a3") == 3
     assert set(g_app.nodes()) == {"a3"}
     assert set(g_app.end_vertices()) == {"a1", "a9", "u"}
+
+
+# -- the tree kernel against an independent dense computation ---------------
+#
+# The oracle shares core with the fast path, so the kernel is pinned here
+# against data rebuilt from the edge list: Bareiss minors and the oracle's
+# dense LDL of -A, and the products A*x.
+
+def _lattice(spec):
+    """Sorted vertex ids, euler numbers and neighbour lists of a spec."""
+    euler = dict(spec["vertices"])
+    neighbours = {v: [] for v in euler}
+    for u, w in spec["edges"]:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    return sorted(euler), euler, neighbours
+
+
+def _a_times_x(spec, cycle):
+    """A * x from the edge list, as a dict over the vertices."""
+    _, euler, neighbours = _lattice(spec)
+    x = dict(cycle.items())
+    return {v: e * x[v] + sum(x[w] for w in neighbours[v])
+            for v, e in euler.items()}
+
+
+def _check_kernel(spec, coeffs):
+    names, euler, neighbours = _lattice(spec)
+    neg = [[-euler[v] if v == w else -(w in neighbours[v]) for w in names]
+           for v in names]
+    definite = all(m > 0 for m in bareiss_leading_minors(neg))
+    try:
+        g = build_graph(spec)
+    except GraphValidationError as exc:
+        assert exc.diagnostic == "not-negative-definite" and not definite
+        return
+    assert definite
+    assert g.det == g.minors[-1] == math.prod(_own_ldl(neg)[0])
+    zk = canonical_cycle(g)
+    assert _a_times_x(spec, zk) == {v: e + 2 for v, e in euler.items()}
+    for v in names:
+        assert _a_times_x(spec, dual_cycle(g, v)) == {
+            w: -1 if w == v else 0 for w in names}
+    l = g.from_vector(coeffs[:len(names)])
+    al = _a_times_x(spec, l)
+    assert intersection_form(l, zk) == sum(al[v] * zk.coefficient(v)
+                                           for v in names)
+    assert chi(l) == -sum(al[v] * (l - zk).coefficient(v) for v in names) / 2
+
+
+@st.composite
+def tree_specs(draw, max_vertices=30):
+    """Random trees, Euler numbers -1..-6, labels in random order; many
+    draws are not negative definite."""
+    n = draw(st.integers(1, max_vertices))
+    labels = draw(st.permutations([f"v{i:02d}" for i in range(n)]))
+    eulers = draw(st.lists(st.integers(-6, -1), min_size=n, max_size=n))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    return {"vertices": list(zip(labels, eulers)),
+            "edges": [(labels[i], labels[p])
+                      for i, p in enumerate(parents, start=1)]}
+
+
+cycle_coefficients = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    min_size=30, max_size=30)
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_pole",
+                                  "g_left", "g_right"])
+def test_kernel_cross_check_fixtures(name, request):
+    g = request.getfixturevalue(name)
+    spec = {"vertices": list(g.euler.items()),
+            "edges": [tuple(e) for e in g.edges]}
+    _check_kernel(spec, [Fraction(i % 5, 3) - 1 for i in range(30)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_specs(), cycle_coefficients)
+def test_kernel_cross_check_random_trees(spec, coeffs):
+    _check_kernel(spec, coeffs)
+
+
+def test_long_chain_closed_forms():
+    """A_n with n = 2000: det = n+1, Z_K = 0, Z_min = sum E_v (rational),
+    E*_end has coefficient (n+1-i)/(n+1) at the i-th vertex from that end.
+    The tree kernel does this in milliseconds; a dense solve does not."""
+    n = 2000
+    names = [f"c{i:04d}" for i in range(1, n + 1)]
+    g = build_graph({"vertices": [(v, -2) for v in names],
+                     "edges": list(zip(names, names[1:]))})
+    assert g.det == n + 1
+    assert canonical_cycle(g).is_zero()
+    cls = classify(g)
+    assert cls.kind == "rational" and cls.zmin == g.from_vector([1] * n)
+    first = dual_cycle(g, names[0])
+    last = dual_cycle(g, names[-1])
+    for i in range(1, n + 1):
+        assert first.coefficient(names[i - 1]) == Fraction(n + 1 - i, n + 1)
+        assert last.coefficient(names[-i]) == Fraction(n + 1 - i, n + 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,39 @@ def test_oracle_module_is_independent():
         for name in names:
             assert not (set(name.split(".")) & forbidden), (
                 f"oracle must not import fast module: {name}")
+
+
+def _unused_top_level_imports(source: str) -> list[str]:
+    """Names bound by a top-level import that the module never reads and
+    does not list in __all__ (string annotations count as reads)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            used.add(node.value)  # "Cycle" annotations and __all__ entries
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_top_level_imports():
+    """A linter-free check: every top-level import in the package is used."""
+    package = Path(oracle_module.__file__).parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if (names := _unused_top_level_imports(path.read_text()))}
+    assert not unused, f"unused imports: {unused}"
+    assert _unused_top_level_imports("import os\nimport sys\nsys.exit()\n") \
+        == ["os (line 1)"]
 
 
 def test_search_box_validation():
