@@ -21,12 +21,13 @@ from fractions import Fraction
 from . import oracle
 from .core import (Cycle, ResolutionGraph, canonical_cycle, dual_cycle,
                    intersection_form, is_numerically_gorenstein)
-from .criteria import extension_criterion, monomial_condition
+from .criteria import criteria_reports
 from .ellseq import elliptic_sequence, partial_sums, pg_table
 from .errors import InvariantViolation, ResourceCapExceeded, UserError
 from .fixtures import is_fixture_name, load_fixture
 from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
-                      format_fraction, parse_fraction, parse_graph)
+                      format_fraction, parse_fraction, parse_graph,
+                      read_json_file)
 from .laufer import classify, fundamental_cycle
 from .strata import (AnalyticParams, depth, fixed_component_candidates,
                      h1_on_image, pg, reduction_index, strata_index_sets,
@@ -105,12 +106,7 @@ def _parse_trivializable(path: str | None, graph: ResolutionGraph) -> tuple:
     """File format: a JSON list of coefficient objects {vertex: "p/q"}."""
     if path is None:
         return ()
-    try:
-        data = json.loads(open(path).read())
-    except OSError as exc:
-        raise UserError(f"cannot read trivializable file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UserError(f"trivializable file {path} is not valid JSON: {exc}")
+    data = read_json_file(path, "trivializable file")
     if not isinstance(data, list):
         raise UserError("trivializable file must hold a JSON list of cycles")
     out = []
@@ -192,12 +188,12 @@ def _criterion_out(report) -> dict:
 
 def _cmd_criteria(args) -> dict:
     graph = _load(args.graph).graph
-    from .criteria import supports_ecc, supports_wecc
+    ext, mono = criteria_reports(graph)
     return {
-        "extension_criterion": _criterion_out(extension_criterion(graph)),
-        "monomial_condition": _criterion_out(monomial_condition(graph)),
-        "supports_wecc": supports_wecc(graph),
-        "supports_ecc": supports_ecc(graph),
+        "extension_criterion": _criterion_out(ext),
+        "monomial_condition": _criterion_out(mono),
+        "supports_wecc": ext.verdict,
+        "supports_ecc": mono.verdict,
     }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphValidationError, UserError
 
@@ -27,17 +27,22 @@ __all__ = [
     "is_antinef",
     "same_class",
     "is_numerically_gorenstein",
-    "bareiss_leading_minors",
+    "bareiss_elimination",
 ]
 
 
-def bareiss_leading_minors(matrix: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix by fraction-free
-    (Bareiss) elimination. Stops early (padding with zeros) if a pivot
-    vanishes, which for a symmetric candidate-positive-definite matrix
-    already certifies failure."""
+def bareiss_elimination(matrix: Sequence[Sequence[int]]
+                        ) -> tuple[list[list[int]], list[int]]:
+    """(U, p): fraction-free (Bareiss) elimination of an integer matrix.
+
+    U is the integer upper-triangular result and p the leading principal
+    minors, p[k] = U[k][k]. For a positive-definite symmetric M, with
+    p_{-1} = 1 and T_k = sum_{j>=k} U_kj x_j,
+    x^T M x = sum_k T_k^2 / (p_{k-1} p_k). Stops early (padding p with
+    zeros and leaving U partly eliminated) if a pivot vanishes, which for a
+    symmetric candidate-positive-definite matrix already certifies failure."""
     n = len(matrix)
-    m = [row[:] for row in matrix]
+    m = [list(row) for row in matrix]
     minors: list[int] = []
     prev_pivot = 1
     for k in range(n):
@@ -47,11 +52,12 @@ def bareiss_leading_minors(matrix: list[list[int]]) -> list[int]:
             minors.extend([0] * (n - k - 1))
             break
         for i in range(k + 1, n):
+            factor = m[i][k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev_pivot
+                m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev_pivot
             m[i][k] = 0
         prev_pivot = pivot
-    return minors
+    return m, minors
 
 
 class ResolutionGraph:
@@ -136,7 +142,7 @@ class ResolutionGraph:
     @cached_property
     def minors(self) -> tuple[int, ...]:
         """Leading principal minors of -A, by Bareiss elimination."""
-        return tuple(bareiss_leading_minors(self.neg_matrix))
+        return tuple(bareiss_elimination(self.neg_matrix)[1])
 
     # -- cycle constructors -------------------------------------------------
 

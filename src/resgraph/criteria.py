@@ -23,6 +23,7 @@ __all__ = [
     "CriterionReport",
     "extension_criterion",
     "monomial_condition",
+    "criteria_reports",
     "supports_wecc",
     "supports_ecc",
     "glue_classify",
@@ -175,26 +176,29 @@ def monomial_condition(graph: ResolutionGraph) -> CriterionReport:
                            witnesses=tuple(witnesses))
 
 
-def _agreeing_verdicts(graph: ResolutionGraph) -> tuple[bool, bool]:
-    wecc = extension_criterion(graph).verdict
-    ecc = monomial_condition(graph).verdict
-    if wecc != ecc:
+def criteria_reports(graph: ResolutionGraph
+                     ) -> tuple[CriterionReport, CriterionReport]:
+    """(extension criterion, monomial condition) on an elliptic minimal
+    graph, each evaluated once; their verdicts must agree."""
+    require_elliptic_minimal(graph)
+    ext = extension_criterion(graph)
+    mono = monomial_condition(graph)
+    if ext.verdict != mono.verdict:
         raise InvariantViolation(
             "extension criterion and monomial condition disagree on an "
-            "elliptic graph", payload={"extension": wecc, "monomial": ecc})
-    return wecc, ecc
+            "elliptic graph",
+            payload={"extension": ext.verdict, "monomial": mono.verdict})
+    return ext, mono
 
 
 def supports_wecc(graph: ResolutionGraph) -> bool:
     """Existence of a weak-end-curve analytic structure (elliptic graphs)."""
-    require_elliptic_minimal(graph)
-    return _agreeing_verdicts(graph)[0]
+    return criteria_reports(graph)[0].verdict
 
 
 def supports_ecc(graph: ResolutionGraph) -> bool:
     """Existence of an end-curve analytic structure (elliptic graphs)."""
-    require_elliptic_minimal(graph)
-    return _agreeing_verdicts(graph)[1]
+    return criteria_reports(graph)[1].verdict
 
 
 @dataclass(frozen=True)

@@ -3,22 +3,23 @@
 The sequence is built uniformly: the pre-term is s_{[Z_K]} (zero exactly in
 the numerically Gorenstein case), and the supports B_0 ⊋ ... ⊋ B_m are the
 supports of the successive residuals of Z_K, each carrying the fundamental
-cycle of its full subgraph. Enumerative consequences (the antinef cycles in
-[Z_K] below Z_K, and the numerically Gorenstein connected subsupports) are
-computed by direct bounded search and cross-asserted against the sequence.
+cycle of its full subgraph. The sequence also fixes two enumerative sets,
+which are read off it rather than searched for: the antinef cycles in [Z_K]
+below Z_K are the partial sums C_{-1}, ..., C_m, and the numerically
+Gorenstein connected subsupports are B_0, ..., B_m. The brute-force oracles
+`oracle.brute_lemci` and `oracle.brute_subsupports` recompute both sets
+independently, and `oracle.verify` checks them against these.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (Cycle, ResolutionGraph, canonical_cycle, chi,
                    intersection_form, is_numerically_gorenstein)
-from .errors import InvariantViolation, ResourceCapExceeded, UserError
-from .laufer import (cube_representative, fundamental_cycle,
-                     minimal_class_representative, require_elliptic_minimal)
+from .errors import InvariantViolation, UserError
+from .laufer import (fundamental_cycle, minimal_class_representative,
+                     require_elliptic_minimal)
 
 __all__ = [
     "EllipticSequence",
@@ -29,9 +30,6 @@ __all__ = [
     "numerically_gorenstein_subsupports",
     "pg_table",
 ]
-
-SUBSUPPORT_VERTEX_CAP = 14
-
 
 @dataclass(frozen=True)
 class EllipticSequence:
@@ -149,138 +147,28 @@ def partial_sums(seq: EllipticSequence, t: int) -> tuple[Cycle, Cycle]:
     return c, cp
 
 
-def _enumerate_below(graph: ResolutionGraph, upper: Cycle, base: Cycle,
-                     cap: int) -> list[Cycle]:
-    """All antinef cycles of the form base + z (z integral >= 0) lying below
-    `upper`, by depth-first search with early antinef pruning.
-
-    Vertices are assigned in graph order. Pruning uses partial pairings:
-    once the coefficient at a vertex is assigned, the antinef inequality
-    there is monotone increasing in every still-unassigned neighbour, so the
-    running partial sum caps each later neighbour directly; the inequality
-    at the vertex being assigned yields a lower bound the same way. `cap`
-    bounds the number of visited search nodes, not the raw box volume."""
-    g = graph.vertices
-    n = len(g)
-    euler = [graph.euler[v] for v in g]
-    adj = graph._neighbours
-    earlier = [[j for j in adj[i] if j < i] for i in range(n)]
-    lows = [base.coefficient(v) for v in g]
-    steps = []
-    for v, lo in zip(g, lows):
-        hi = upper.coefficient(v)
-        span = hi - lo
-        if span < 0:
-            return []
-        steps.append(int(span))
-    # partial[j] = pairing of the assignment with E_j, unassigned
-    # coordinates counted at their lower bound
-    partial = [euler[j] * lows[j] + sum(lows[w] for w in adj[j])
-               for j in range(n)]
-    coeffs: list[Fraction] = list(lows)
-    found: list[Cycle] = []
-    visited = 0
-
-    def rec(i: int):
-        nonlocal visited
-        visited += 1
-        if visited > cap:
-            raise ResourceCapExceeded(
-                f"bounded antinef enumeration exceeded its budget ({cap})")
-        if i == n:
-            found.append(graph.from_vector(coeffs))
-            return
-        # need euler[i] * (lows[i] + step) + rest <= 0
-        rest = partial[i] - euler[i] * lows[i]
-        lo_step = 0
-        need = (rest / (-euler[i])) - lows[i]
-        if need > 0:
-            lo_step = math.ceil(need)
-        hi_step = steps[i]
-        for j in earlier[i]:
-            room = -partial[j]
-            if room < hi_step:
-                hi_step = math.floor(room)
-        for step in range(lo_step, hi_step + 1):
-            coeffs[i] = lows[i] + step
-            partial[i] += euler[i] * step
-            for j in adj[i]:
-                partial[j] += step
-            rec(i + 1)
-            partial[i] -= euler[i] * step
-            for j in adj[i]:
-                partial[j] -= step
-        coeffs[i] = lows[i]
-
-    rec(0)
-    return found
-
-
-def antinef_in_class_below_ZK(graph: ResolutionGraph,
-                              cap: int = 10 ** 7) -> list[Cycle]:
-    """{l' in S' : [l'] = [Z_K], 0 <= l' <= Z_K}, by direct bounded search;
-    asserts the result is exactly {C_{-1}, ..., C_m}."""
+def antinef_in_class_below_ZK(graph: ResolutionGraph) -> list[Cycle]:
+    """{l' in S' : [l'] = [Z_K], 0 <= l' <= Z_K}, read off the sequence as
+    the partial sums [C_{-1}, ..., C_m] (increasing, so also sorted by
+    coefficients). `oracle.brute_lemci` recomputes this set by box search,
+    and `oracle.verify` compares the two."""
     seq = elliptic_sequence(graph)
-    zk = canonical_cycle(graph)
-    base = cube_representative(zk)
-    found = _enumerate_below(graph, zk, base, cap)
-    expected = {partial_sums(seq, t)[0] for t in range(-1, seq.m + 1)}
-    if set(found) != expected:
-        raise InvariantViolation(
-            "antinef cycles in [Z_K] below Z_K differ from {C_t}",
-            payload={"found": found, "expected": sorted_cycles(expected)})
-    return sorted_cycles(found)
-
-
-def sorted_cycles(cycles) -> list[Cycle]:
-    return sorted(cycles, key=lambda c: c.coeffs)
-
-
-def _connected_subsets(graph: ResolutionGraph) -> list[frozenset[str]]:
-    n = len(graph.vertices)
-    index = graph._index
-    out: list[frozenset[str]] = []
-    for mask in range(1, 1 << n):
-        members = [graph.vertices[i] for i in range(n) if mask >> i & 1]
-        seen = {members[0]}
-        stack = [members[0]]
-        member_set = set(members)
-        while stack:
-            for w in graph.adjacency[stack.pop()]:
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == len(members):
-            out.append(frozenset(members))
-    return out
+    return [partial_sums(seq, t)[0] for t in range(-1, seq.m + 1)]
 
 
 def numerically_gorenstein_subsupports(
-        graph: ResolutionGraph,
-        vertex_cap: int = SUBSUPPORT_VERTEX_CAP) -> list[frozenset[str]]:
+        graph: ResolutionGraph) -> list[frozenset[str]]:
     """All nonempty connected full subgraphs whose own canonical cycle is
-    integral with full support; asserts the result equals {B_0, ..., B_m}.
+    integral with full support, read off the sequence as its supports
+    [B_0, ..., B_m] (largest first). `oracle.brute_subsupports` recomputes
+    this set over all connected vertex subsets, and `oracle.verify`
+    compares the two.
 
     The full-support requirement excludes subgraphs with vanishing or
     partially supported canonical cycle (e.g. ADE configurations, where
     Z_K = 0 is trivially integral): the universal property is about
     subgraphs genuinely carrying their canonical cycle."""
-    seq = elliptic_sequence(graph)
-    if len(graph.vertices) > vertex_cap:
-        raise ResourceCapExceeded(
-            f"subsupport enumeration refuses graphs over {vertex_cap} vertices")
-
-    def qualifies(s: frozenset[str]) -> bool:
-        sub = graph.subgraph(s)
-        zk = canonical_cycle(sub)
-        return zk.is_integral() and zk.support() == s
-
-    hits = [s for s in _connected_subsets(graph) if qualifies(s)]
-    if set(hits) != set(seq.supports):
-        raise InvariantViolation(
-            "numerically Gorenstein subsupports differ from the sequence "
-            "supports", payload={"found": hits, "expected": seq.supports})
-    return sorted(hits, key=lambda s: (-len(s), sorted(s)))
+    return list(elliptic_sequence(graph).supports)
 
 
 def pg_table(seq: EllipticSequence, alpha: int) -> list[dict]:

@@ -30,6 +30,7 @@ __all__ = [
     "MinimalResolutionWarning",
     "parse_fraction",
     "format_fraction",
+    "read_json_file",
     "parse_graph_data",
     "parse_graph",
     "graph_to_data",
@@ -78,8 +79,11 @@ def parse_graph_data(data) -> GraphFile:
             "graph has euler numbers above -2; it is not a minimal "
             "resolution, and minimal-resolution-only operations will refuse it",
             MinimalResolutionWarning, stacklevel=2)
+    section = data.get("cycles", {})
+    if not isinstance(section, dict):
+        raise UserError("the cycles section must map names to cycles")
     cycles: dict[str, Cycle] = {}
-    for name, coeffs in (data.get("cycles") or {}).items():
+    for name, coeffs in section.items():
         if not isinstance(coeffs, dict):
             raise UserError(f"cycle {name!r} must map vertex ids to rationals")
         cycles[str(name)] = graph.cycle(
@@ -87,17 +91,21 @@ def parse_graph_data(data) -> GraphFile:
     return GraphFile(graph=graph, cycles=cycles)
 
 
-def parse_graph(path) -> GraphFile:
-    p = Path(path)
+def read_json_file(path, what: str):
+    """Decoded JSON content of a UTF-8 file; every way the file can fail to
+    read or decode becomes a UserError naming `what`. ValueError covers bad
+    bytes, bad JSON and integers past the interpreter's digit limit;
+    RecursionError covers nesting too deep for the decoder."""
     try:
-        text = p.read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise UserError(f"cannot read graph file {p}: {exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UserError(f"graph file {p} is not valid JSON: {exc}")
-    return parse_graph_data(data)
+        raise UserError(f"cannot read {what} {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise UserError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def parse_graph(path) -> GraphFile:
+    return parse_graph_data(read_json_file(path, "graph file"))
 
 
 def cycle_to_data(cycle: Cycle) -> dict[str, str]:

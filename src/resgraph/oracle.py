@@ -470,7 +470,7 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
               lambda: minimally_elliptic_cycle(graph),
               lambda: brute_minimally_elliptic(graph, cap))
         check("antinef-below-canonical",
-              lambda: antinef_in_class_below_ZK(graph, cap),
+              lambda: antinef_in_class_below_ZK(graph),
               lambda: brute_lemci(graph, cap))
         check("gorenstein-subsupports",
               lambda: numerically_gorenstein_subsupports(graph),

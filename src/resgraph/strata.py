@@ -46,7 +46,6 @@ __all__ = [
 MODES = ("generic", "wecc", "custom")
 
 # Open problems stated in the source material; surfaced, never asserted.
-NOTE_WANDERING = "open question: whether the wandering points are all distinct"
 NOTE_SUPERSET = ("generic mode assumes no subspace coincidences; the output "
                  "is a superset of the true strata ledger")
 NOTE_F0 = ("open question: whether the F-stratum equals the Abel-image "
@@ -259,8 +258,8 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     for rank, orig in enumerate(preorder):
         sigma[n - 1 - rank] = orig
         pos[orig] = n - 1 - rank
-    m = [[Fraction(graph.neg_matrix[sigma[a]][sigma[b]]) for b in range(n)]
-         for a in range(n)]
+    neg = graph.neg_matrix
+    m = [[neg[sigma[a]][sigma[b]] for b in range(n)] for a in range(n)]
     b_orig = [zkc / 2 + lpc for zkc, lpc in zip(zk.coeffs, lprime.coeffs)]
     b = [b_orig[sigma[a]] for a in range(n)]
     btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))

@@ -164,3 +164,36 @@ def test_malformed_graph_file_is_a_user_error(capsys, tmp_path, vertices,
                                 "edges": edges}))
     code, out, err = invoke(capsys, "classify", str(path))
     assert code == 1 and f"error: {diagnostic}:" in err
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_LONG = b"1" * 5000
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    _DEEP,
+    b'{"format": 1, "vertices": [{"id": "a", "euler": -' + _LONG
+    + b'}], "edges": []}',
+    b'{"format": 1, "vertices": [{"id": "a", "euler": -2}], "edges": [], '
+    b'"cycles": [1]}',
+], ids=["not-utf8", "too-deep", "int-too-long", "cycles-not-an-object"])
+def test_undecodable_graph_file_is_a_user_error(capsys, tmp_path, content):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    code, out, err = invoke(capsys, "classify", str(path))
+    assert code == 1 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe[]",
+    _DEEP,
+    b'[{"a1": ' + _LONG + b'}]',
+], ids=["not-utf8", "too-deep", "int-too-long"])
+def test_undecodable_trivializable_file_is_a_user_error(capsys, tmp_path,
+                                                        content):
+    path = tmp_path / "triv.json"
+    path.write_bytes(content)
+    code, out, err = invoke(capsys, "strata", "g_app", "--mode", "custom",
+                            "--trivializable", str(path))
+    assert code == 1 and err.startswith("error: ") and out == ""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph.core import (Cycle, bareiss_leading_minors, build_graph,
+from resgraph.core import (Cycle, bareiss_elimination, build_graph,
                            canonical_cycle, chi, dual_cycle,
                            estar_coordinates, estar_support,
                            intersection_form, is_antinef,
@@ -221,7 +221,8 @@ def test_graph_helpers(g_app):
 #
 # The oracle shares core with the fast path, so the kernel is pinned here
 # against data rebuilt from the edge list: Bareiss minors and the oracle's
-# dense LDL of -A, and the products A*x.
+# dense LDL of -A, and the products A*x. The same Bareiss elimination is
+# checked as the orthogonalization of -A that the ellipsoid walker uses.
 
 def _lattice(spec):
     """Sorted vertex ids, euler numbers and neighbour lists of a spec."""
@@ -245,13 +246,22 @@ def _check_kernel(spec, coeffs):
     names, euler, neighbours = _lattice(spec)
     neg = [[-euler[v] if v == w else -(w in neighbours[v]) for w in names]
            for v in names]
-    definite = all(m > 0 for m in bareiss_leading_minors(neg))
+    upper, minors = bareiss_elimination(neg)
+    definite = all(m > 0 for m in minors)
     try:
         g = build_graph(spec)
     except GraphValidationError as exc:
         assert exc.diagnostic == "not-negative-definite" and not definite
         return
     assert definite
+    # the orthogonalization the ellipsoid walker relies on:
+    # x^T (-A) x = sum_k T_k^2 / (p_{k-1} p_k), T_k = sum_{j>=k} U_kj x_j
+    x = coeffs[:len(names)]
+    p = [1, *minors]
+    assert sum(x[i] * neg[i][j] * x[j] for i in range(len(x))
+               for j in range(len(x))) == sum(
+        sum(upper[k][j] * x[j] for j in range(k, len(x))) ** 2
+        / (p[k] * p[k + 1]) for k in range(len(x)))
     assert g.det == g.minors[-1] == math.prod(_own_ldl(neg)[0])
     zk = canonical_cycle(g)
     assert _a_times_x(spec, zk) == {v: e + 2 for v, e in euler.items()}

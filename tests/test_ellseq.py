@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from resgraph.core import canonical_cycle, chi, intersection_form
+from resgraph.core import (canonical_cycle, chi, intersection_form,
+                           is_antinef, same_class)
 from resgraph.ellseq import (antinef_in_class_below_ZK, elliptic_sequence,
                              minimally_elliptic_cycle,
                              numerically_gorenstein_subsupports, partial_sums,
                              pg_table)
-from resgraph.errors import ResourceCapExceeded, UserError
+from resgraph.errors import UserError
 from resgraph.laufer import fundamental_cycle
 
 
@@ -77,9 +78,25 @@ def test_subsupports_match_sequence(g_app, g_new):
         assert set(numerically_gorenstein_subsupports(g)) == set(seq.supports)
 
 
-def test_subsupports_vertex_cap(g_left):
-    with pytest.raises(ResourceCapExceeded):
-        numerically_gorenstein_subsupports(g_left)
+def test_sequence_sets_on_large_fixtures(g_left, g_right):
+    """On graphs too large for the brute oracles, both sets are the
+    sequence's {C_t} and {B_j}, and each member has its defining property:
+    C_t is antinef, in [Z_K] and between 0 and Z_K; the full subgraph on
+    B_j has an integral canonical cycle with support B_j."""
+    for g in (g_left, g_right):
+        seq = elliptic_sequence(g)
+        zk = canonical_cycle(g)
+        found = antinef_in_class_below_ZK(g)
+        assert found == [partial_sums(seq, t)[0]
+                         for t in range(-1, seq.m + 1)]
+        for c in found:
+            assert is_antinef(c) and same_class(c, zk)
+            assert g.zero_cycle() <= c <= zk
+        supports = numerically_gorenstein_subsupports(g)
+        assert supports == list(seq.supports)
+        for b in supports:
+            sub_zk = canonical_cycle(g.subgraph(b))
+            assert sub_zk.is_integral() and sub_zk.support() == b
 
 
 def test_pg_table(g_app):

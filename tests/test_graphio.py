@@ -7,6 +7,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resgraph.errors import InvariantViolation, UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
@@ -67,6 +69,57 @@ def test_parse_graph_missing_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(UserError):
         parse_graph(bad)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def graph_like(draw):
+    """An arbitrary JSON value, or a valid three-vertex graph file with one
+    part replaced by one, so that the fuzz reaches every parsing stage."""
+    data = {"format": FORMAT_VERSION,
+            "vertices": [{"id": v, "euler": draw(st.integers(-4, -1))}
+                         for v in "abc"],
+            "edges": [["a", "b"], ["b", "c"]],
+            "cycles": {"z": {"a": "1/2", "c": 3}}}
+    junk = draw(json_values)
+    part = draw(st.sampled_from(["document", "format", "vertices", "vertex",
+                                 "id", "euler", "edges", "edge", "end",
+                                 "cycles", "cycle", "coefficient"]))
+    if part == "document":
+        return junk
+    if part in ("format", "vertices", "edges", "cycles"):
+        data[part] = junk
+    elif part == "vertex":
+        data["vertices"][1] = junk
+    elif part in ("id", "euler"):
+        data["vertices"][1][part] = junk
+    elif part == "edge":
+        data["edges"][1] = junk
+    elif part == "end":
+        data["edges"][1][1] = junk
+    elif part == "cycle":
+        data["cycles"]["z"] = junk
+    else:
+        data["cycles"]["z"]["a"] = junk
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_like())
+def test_parse_graph_data_fuzz_only_user_errors(data):
+    """Any decoded JSON value either parses or raises UserError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MinimalResolutionWarning)
+        try:
+            parse_graph_data(data)
+        except UserError:
+            pass
 
 
 def test_cycle_to_data_drops_zeros(g_app):

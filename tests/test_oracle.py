@@ -69,6 +69,56 @@ def test_no_unused_top_level_imports():
         == ["os (line 1)"]
 
 
+def _unused_module_names(sources: dict[str, str]) -> list[str]:
+    """Private (_x) and UPPER_CASE names defined at the top level of some
+    module that no module reads: by name, as an attribute, through an
+    import, or as an __all__ entry."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names
+                        if not name.startswith("__")
+                        and (name.startswith("_") or name.isupper())]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                read.add(node.value)
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, name, line in defined if name not in read)
+
+
+def test_no_unused_module_level_names():
+    """A linter-free check: every private or UPPER_CASE top-level name in
+    the package is read somewhere in the package."""
+    package = Path(oracle_module.__file__).parent
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    unused = _unused_module_names(sources)
+    assert not unused, f"unused module-level names: {unused}"
+    assert _unused_module_names({
+        "a.py": "LIMIT = 3\nNOTE = 'x'\n_TOKEN = object()\n"
+                "def _helper(): return _TOKEN\n",
+        "b.py": "from a import LIMIT\nimport a\nprint(a._helper())\n",
+    }) == ["a.py: NOTE (line 2)"]
+
+
 def test_search_box_validation():
     with pytest.raises(UserError):
         SearchBox(lower=(0, 0), upper=(1,))
@@ -95,17 +145,23 @@ def test_a2_hand_values(a2_chain):
     assert is_antinef(lifted) and lifted >= g.cycle({"v1": 1})
 
 
-def test_brute_against_elliptic_fixture(g_app):
-    from resgraph.core import canonical_cycle
-    from resgraph.ellseq import elliptic_sequence, partial_sums
-    seq = elliptic_sequence(g_app)
-    c = brute_minimally_elliptic(g_app)
-    assert c == seq.fundamental_cycles[-1]
-    found = brute_lemci(g_app)
-    expected = sorted((partial_sums(seq, t)[0] for t in range(-1, seq.m + 1)),
-                      key=lambda x: x.coeffs)
-    assert found == expected
-    assert set(brute_subsupports(g_app)) == set(seq.supports)
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc"])
+def test_brute_against_elliptic_fixture(name, request):
+    """The brute oracles pin the sets the fast path reads off the elliptic
+    sequence, in order; g_new is not numerically Gorenstein."""
+    from resgraph.ellseq import (antinef_in_class_below_ZK,
+                                 elliptic_sequence,
+                                 numerically_gorenstein_subsupports,
+                                 partial_sums)
+    g = request.getfixturevalue(name)
+    seq = elliptic_sequence(g)
+    assert brute_minimally_elliptic(g) == seq.fundamental_cycles[-1]
+    found = brute_lemci(g)
+    assert found == [partial_sums(seq, t)[0] for t in range(-1, seq.m + 1)]
+    assert found == antinef_in_class_below_ZK(g)
+    subsupports = brute_subsupports(g)
+    assert subsupports == list(seq.supports)
+    assert subsupports == numerically_gorenstein_subsupports(g)
 
 
 def test_resource_caps(g_app, g_left):
