@@ -31,16 +31,11 @@ __all__ = [
 ]
 
 
-def bareiss_elimination(matrix: Sequence[Sequence[int]]
-                        ) -> tuple[list[list[int]], list[int]]:
-    """(U, p): fraction-free (Bareiss) elimination of an integer matrix.
-
-    U is the integer upper-triangular result and p the leading principal
-    minors, p[k] = U[k][k]. For a positive-definite symmetric M, with
-    p_{-1} = 1 and T_k = sum_{j>=k} U_kj x_j,
-    x^T M x = sum_k T_k^2 / (p_{k-1} p_k). Stops early (padding p with
-    zeros and leaving U partly eliminated) if a pivot vanishes, which for a
-    symmetric candidate-positive-definite matrix already certifies failure."""
+def bareiss_elimination(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Leading principal minors of an integer matrix, by fraction-free
+    (Bareiss) elimination. Stops early (padding with zeros) if a pivot
+    vanishes, which for a symmetric candidate-positive-definite matrix
+    already certifies failure. The dense reference behind `minors`."""
     n = len(matrix)
     m = [list(row) for row in matrix]
     minors: list[int] = []
@@ -55,9 +50,8 @@ def bareiss_elimination(matrix: Sequence[Sequence[int]]
             factor = m[i][k]
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev_pivot
-            m[i][k] = 0
         prev_pivot = pivot
-    return m, minors
+    return minors
 
 
 class ResolutionGraph:
@@ -83,15 +77,21 @@ class ResolutionGraph:
         self.adjacency = {v: tuple(sorted(ws)) for v, ws in adj.items()}
         self._neighbours = [[index[w] for w in self.adjacency[v]]
                             for v in vertices]
-        # root the tree at vertices[0]; breadth-first order puts every
-        # parent before its children (a shorter order means disconnected)
+        # root the tree at its first vertex of least degree; depth-first
+        # preorder, children by id, puts every parent before its children
+        # (a shorter order means disconnected)
+        degrees = [len(ws) for ws in self._neighbours]
+        root = degrees.index(min(degrees))
         self._parent = parent = [-1] * len(vertices)
-        self._order = order = [0]
-        for i in order:
-            for j in self._neighbours[i]:
-                if j and parent[j] < 0:
+        self._order = order = []
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for j in reversed(self._neighbours[i]):
+                if j != root and parent[j] < 0:
                     parent[j] = i
-                    order.append(j)
+                    stack.append(j)
         self._eliminate()
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
@@ -114,7 +114,7 @@ class ResolutionGraph:
             if p >= 0:  # d_p -= 1/d_i on the fraction sub[p] / kids[p]
                 sub[p] = sub[p] * sub[i] - kids[i] * kids[p]
                 kids[p] *= sub[i]
-        self.det = sub[0]
+        self.det = sub[self._order[0]]
 
     def _tree_solve(self, rhs: list[int]) -> "Cycle":
         """x with -A x = rhs (integer rhs): eliminate up the tree as in
@@ -142,7 +142,7 @@ class ResolutionGraph:
     @cached_property
     def minors(self) -> tuple[int, ...]:
         """Leading principal minors of -A, by Bareiss elimination."""
-        return tuple(bareiss_elimination(self.neg_matrix)[1])
+        return tuple(bareiss_elimination(self.neg_matrix))
 
     # -- cycle constructors -------------------------------------------------
 
@@ -296,7 +296,8 @@ def build_graph(spec) -> ResolutionGraph:
     """Validate a graph description and build the ResolutionGraph.
 
     Accepts a mapping with "vertices" (list of (id, euler) pairs or of
-    {"id": ..., "euler": ...} records) and "edges" (list of id pairs).
+    {"id": ..., "euler": ...} records) and "edges" (list of id pairs); ids
+    are strings.
     Rejections carry a named diagnostic: duplicate-vertex, bad-euler,
     genus-not-supported, bad-edge, not-a-tree, not-connected,
     not-negative-definite.
@@ -321,7 +322,10 @@ def build_graph(spec) -> ResolutionGraph:
             raise GraphValidationError(
                 "malformed-description",
                 f"a vertex must be an (id, euler) pair or a record, got {entry!r}")
-        vid, e = str(entry[0]), entry[1]
+        vid, e = entry
+        if not isinstance(vid, str):
+            raise GraphValidationError("malformed-description",
+                                       f"a vertex id must be a string, got {vid!r}")
         if vid in euler:
             raise GraphValidationError("duplicate-vertex", f"vertex {vid!r} repeated")
         if not isinstance(e, int) or isinstance(e, bool) or e > -1:
@@ -334,9 +338,10 @@ def build_graph(spec) -> ResolutionGraph:
     vertices = tuple(sorted(order))
     edge_set: set[frozenset[str]] = set()
     for pair in raw_edges:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not isinstance(pair[0], str) or not isinstance(pair[1], str)):
             raise GraphValidationError("bad-edge", f"an edge must be a pair of ids, got {pair!r}")
-        u, v = str(pair[0]), str(pair[1])
+        u, v = pair
         if u not in euler or v not in euler:
             raise GraphValidationError("bad-edge", f"edge ({u!r}, {v!r}) references unknown vertex")
         if u == v:

@@ -16,6 +16,7 @@ and in every report this package emits.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,13 +51,22 @@ class GraphFile:
     cycles: dict[str, Cycle] = field(default_factory=dict)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(value) -> Fraction:
-    """Exact rational from "p/q" / integer strings or ints; floats refused."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise UserError(f"rationals must be strings or integers, got {value!r}")
+    """Exact rational from an int or a "p/q" / "p" string of decimal digits
+    with an optional sign. Everything else is refused: floats, and strings
+    with exponents or decimal points ("1e999999999" would otherwise build
+    10**999999999 in full)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        raise UserError(f"rationals must be integers or strings p/q, "
+                        f"got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UserError(f"cannot parse rational {value!r}: {exc}")
 
 

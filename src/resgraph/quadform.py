@@ -1,19 +1,20 @@
-"""Exact integer-point enumeration in ellipsoids of a positive-definite form.
+"""Exact integer-point enumeration in the ellipsoids of a resolution graph.
 
 Used by the strata solver to walk the finite candidate set
-{ l >= 0 integral : (l - b)^T M (l - b) <= R } for M = -A positive definite.
-Everything is exact: M is an integer matrix, and after clearing the
+{ x >= 0 integral : (x - b)^T M (x - b) <= R } for M = -A, the negated
+intersection form of the graph. Everything is exact: after clearing the
 denominators of b and R once up front the whole recursion runs in integer
 arithmetic (integer square roots, never floats).
 
-The form is orthogonalized fraction-free by `core.bareiss_elimination`:
-with p_k the leading principal minors of M (p_0 = 1) and U the
-upper-triangular outcome (U_kk = p_{k+1}),
+The form is orthogonalized by the tree's own leaf elimination (`core`):
+with D_v the determinant of M on the subtree below v, P_v the product of
+the D_c over the children c of v, and y_parent = 0 at the root,
 
-    x^T M x = sum_k (sum_{j>=k} U_kj x_j)^2 / (p_k p_{k+1}),
+    y^T M y = sum_v (D_v y_v - P_v y_parent(v))^2 / (D_v P_v),
 
-so after multiplying through by a common integer scale every partial budget
-stays an integer.
+so the coordinates are assigned along the rooted order, parents first,
+and after multiplying through by lcm(D_v P_v) every partial budget stays
+an integer.
 """
 
 from __future__ import annotations
@@ -22,70 +23,56 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import bareiss_elimination
+from .core import ResolutionGraph
 
 __all__ = ["enumerate_ellipsoid_points"]
 
 
 def enumerate_ellipsoid_points(
-    matrix: Sequence[Sequence[int]],
+    graph: ResolutionGraph,
     center: Sequence[Fraction],
     radius2: Fraction,
-    lower: Sequence[int | None] | None = None,
     partial_filter: Callable[[int, list[int]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield all integer x with (x - center)^T M (x - center) <= radius2,
-    for a positive-definite symmetric integer matrix M.
+    """Yield every integer x >= 0 with (x - center)^T (-A) (x - center)
+    <= radius2, as a tuple in vertex order.
 
-    `lower[i]`, when not None, additionally imposes x_i >= lower[i].
-    `partial_filter(i, xs)` is called after coordinate i (coordinates are
-    assigned from the last index down to index 0) with the full assignment
-    list `xs` (indices < i not yet valid); returning False prunes the branch.
+    `partial_filter(i, xs)` is called after the coordinate of vertex index
+    i is assigned (vertices are assigned in the rooted order `graph._order`)
+    with the vertex-indexed assignment list `xs` (entries of vertices not
+    yet assigned are not valid); returning False prunes the branch.
     """
-    n = len(center)
     if radius2 < 0:
         return
-    upper, minors = bareiss_elimination(matrix)
-    if any(x <= 0 for x in minors):
-        raise ValueError("matrix is not positive definite")
-    p = [1, *minors]
-    # integer center coordinates: w_j = s*x_j - cn_j
+    order, parent = graph._order, graph._parent
+    sub, kids = graph._subdet, graph._childdet
+    # integer center coordinates: w_v = s*x_v - cn_v = s*y_v
     s = math.lcm(*(Fraction(c).denominator for c in center))
     cn = [int(Fraction(c) * s) for c in center]
-    # global scale: sum_k m_k T_k^2 <= budget0, all integers
+    # global scale: sum_v coeff_v T_v^2 <= bound.numerator * scale, integers
     bound = Fraction(radius2) * s * s
-    prod = math.prod(minors)
-    coeff = [bound.denominator * prod * prod // (p[k] * p[k + 1])
-             for k in range(n)]
-    budget0 = bound.numerator * prod * prod
-    nonzero = [[(j, upper[i][j]) for j in range(i + 1, n) if upper[i][j]]
-               for i in range(n)]
-    lo = lower if lower is not None else [None] * n
-    ws = [0] * n   # ws[j] = s*xs[j] - cn[j]
-    xs = [0] * n
+    scale = math.lcm(*(d * p for d, p in zip(sub, kids)))
+    coeff = [bound.denominator * scale // (d * p) for d, p in zip(sub, kids)]
+    ws = [0] * len(order)
+    xs = [0] * len(order)
 
-    def rec(i: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if i < 0:
+    def rec(k: int, budget: int) -> Iterator[tuple[int, ...]]:
+        if k == len(order):
             yield tuple(xs)
             return
-        off = sum(uij * ws[j] for j, uij in nonzero[i]) - upper[i][i] * cn[i]
-        a = upper[i][i] * s  # T_i = a*x_i + off, and coeff[i]*T_i^2 <= budget
-        t_max = math.isqrt(budget // coeff[i])
-        low = -((t_max + off) // a)
+        v = order[k]
+        p = parent[v]
+        # T_v = D_v w_v - P_v w_p = a*x_v + off, and coeff_v*T_v^2 <= budget
+        off = -sub[v] * cn[v] - (kids[v] * ws[p] if p >= 0 else 0)
+        a = sub[v] * s
+        t_max = math.isqrt(budget // coeff[v])  # exact: |T_v| <= t_max
         high = (t_max - off) // a
-        if lo[i] is not None and lo[i] > low:
-            low = lo[i]
-        for value in range(low, high + 1):
-            xs[i] = value
+        for value in range(max(0, -((t_max + off) // a)), high + 1):
+            xs[v] = value
+            if partial_filter is not None and not partial_filter(v, xs):
+                continue
             t = a * value + off
-            term = coeff[i] * t * t
-            if term > budget:
-                continue
-            if partial_filter is not None and not partial_filter(i, xs):
-                continue
-            ws[i] = s * value - cn[i]
-            yield from rec(i - 1, budget - term)
-        ws[i] = 0
-        return
+            ws[v] = s * value - cn[v]
+            yield from rec(k + 1, budget - coeff[v] * t * t)
 
-    yield from rec(n - 1, budget0)
+    yield from rec(0, bound.numerator * scale)

@@ -232,68 +232,32 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
     set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b.
     The antinef inequality at a vertex is used as a pruning filter as soon
-    as the closed neighbourhood of the vertex is assigned."""
-    n = len(graph.vertices)
-    index = graph._index
-    zk = canonical_cycle(graph)
-    # Coordinates are assigned from position n-1 downwards; the antinef
-    # inequality at a vertex becomes checkable once its closed neighbourhood
-    # is assigned. Laying the vertices out in DFS preorder (assigned in that
-    # order, i.e. preorder rank r at position n-1-r) keeps neighbourhoods
-    # nearly contiguous, so the pruning activates early instead of only at
-    # the bottom of the recursion.
-    start = min(graph.vertices, key=lambda v: (graph.degree(v), v))
-    preorder: list[int] = []
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        preorder.append(index[v])
-        for w in reversed(graph.adjacency[v]):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    sigma = [0] * n  # position -> original index
-    pos = [0] * n    # original index -> position
-    for rank, orig in enumerate(preorder):
-        sigma[n - 1 - rank] = orig
-        pos[orig] = n - 1 - rank
-    neg = graph.neg_matrix
-    m = [[neg[sigma[a]][sigma[b]] for b in range(n)] for a in range(n)]
-    b_orig = [zkc / 2 + lpc for zkc, lpc in zip(zk.coeffs, lprime.coeffs)]
-    b = [b_orig[sigma[a]] for a in range(n)]
-    btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
-    radius2 = 2 * Fraction(bound) + btmb
-    euler_pos = [graph.euler[graph.vertices[sigma[a]]] for a in range(n)]
-    adj_pos = [[pos[index[w]]
-                for w in graph.adjacency[graph.vertices[sigma[a]]]]
-               for a in range(n)]
-    offsets = [lprime.coeffs[sigma[a]] for a in range(n)]
+    as the closed neighbourhood of the vertex is assigned; the walker
+    assigns vertices in the graph's depth-first order, so neighbourhoods
+    are nearly contiguous and the pruning activates early."""
+    b = canonical_cycle(graph) * Fraction(1, 2) + lprime
+    radius2 = 2 * Fraction(bound) - intersection_form(b, b)
+    neighbours = graph._neighbours
+    euler = [graph.euler[v] for v in graph.vertices]
     # integer-scaled copies keep the hot pruning filter free of Fractions
-    den = math.lcm(*(o.denominator for o in offsets))
-    ioff = [int(o * den) for o in offsets]
-    ready: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        ready[min([j] + adj_pos[j])].append(j)
+    den = math.lcm(*(c.denominator for c in lprime.coeffs))
+    ioff = [int(c * den) for c in lprime.coeffs]
+    rank = {i: r for r, i in enumerate(graph._order)}
+    ready: list[list[int]] = [[] for _ in graph.vertices]
+    for j, ws in enumerate(neighbours):
+        ready[max([j, *ws], key=rank.__getitem__)].append(j)
 
     def partial_filter(i: int, xs: list[int]) -> bool:
         for j in ready[i]:
-            acc = (xs[j] * den - ioff[j]) * euler_pos[j]
-            for wj in adj_pos[j]:
-                acc += xs[wj] * den - ioff[wj]
+            acc = (xs[j] * den - ioff[j]) * euler[j]
+            for w in neighbours[j]:
+                acc += xs[w] * den - ioff[w]
             if acc > 0:
                 return False
         return True
 
-    out = []
-    for point in enumerate_ellipsoid_points(m, b, radius2,
-                                            lower=[0] * n,
-                                            partial_filter=partial_filter):
-        coeffs = [0] * n
-        for a in range(n):
-            coeffs[sigma[a]] = point[a]
-        out.append(graph.from_vector(coeffs))
-    return out
+    return [graph.from_vector(point) for point in enumerate_ellipsoid_points(
+        graph, b.coeffs, radius2, partial_filter=partial_filter)]
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:

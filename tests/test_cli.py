@@ -156,6 +156,15 @@ def test_bad_subcommand(capsys):
     ([{"id": "a", "euler": -2}], [5], "bad-edge"),
     ([["a"]], [], "malformed-description"),
     ([5], [], "malformed-description"),
+    # ids are JSON strings: no str() of other values, so 1 and "1" differ
+    ([{"id": None, "euler": -2}], [], "malformed-description"),
+    ([{"euler": -2}], [], "malformed-description"),
+    ([[5, -2]], [], "malformed-description"),
+    ([[[["a"]], -2]], [], "malformed-description"),
+    ([[1, -2], ["1", -2]], [], "malformed-description"),
+    ([["a", -2], ["b", -2]], [["a", None]], "bad-edge"),
+    ([["1", -2], ["b", -2]], [[1, "b"]], "bad-edge"),
+    ([["a", -2], ["b", -2]], [[["a"], "b"]], "bad-edge"),
 ])
 def test_malformed_graph_file_is_a_user_error(capsys, tmp_path, vertices,
                                               edges, diagnostic):

@@ -221,8 +221,9 @@ def test_graph_helpers(g_app):
 #
 # The oracle shares core with the fast path, so the kernel is pinned here
 # against data rebuilt from the edge list: Bareiss minors and the oracle's
-# dense LDL of -A, and the products A*x. The same Bareiss elimination is
-# checked as the orthogonalization of -A that the ellipsoid walker uses.
+# dense LDL of -A, and the products A*x. The rooted order and the subtree
+# determinants are checked as the orthogonalization of -A that the
+# ellipsoid walker uses.
 
 def _lattice(spec):
     """Sorted vertex ids, euler numbers and neighbour lists of a spec."""
@@ -242,11 +243,25 @@ def _a_times_x(spec, cycle):
             for v, e in euler.items()}
 
 
+def _check_rooted_order(g, names, neighbours):
+    """`_order` starts at the first vertex of least degree and lists every
+    parent, a neighbour, before its children."""
+    order, parent = g._order, g._parent
+    assert sorted(order) == list(range(len(names)))
+    assert names[order[0]] == min(names,
+                                  key=lambda v: (len(neighbours[v]), v))
+    assert parent[order[0]] == -1
+    rank = {i: r for r, i in enumerate(order)}
+    for i in order[1:]:
+        assert names[parent[i]] in neighbours[names[i]]
+        assert rank[parent[i]] < rank[i]
+
+
 def _check_kernel(spec, coeffs):
     names, euler, neighbours = _lattice(spec)
     neg = [[-euler[v] if v == w else -(w in neighbours[v]) for w in names]
            for v in names]
-    upper, minors = bareiss_elimination(neg)
+    minors = bareiss_elimination(neg)
     definite = all(m > 0 for m in minors)
     try:
         g = build_graph(spec)
@@ -254,14 +269,25 @@ def _check_kernel(spec, coeffs):
         assert exc.diagnostic == "not-negative-definite" and not definite
         return
     assert definite
+    _check_rooted_order(g, names, neighbours)
+    # D_v is det(-A) on the subtree below v, P_v the product of the D_c
+    parent, sub, kids = g._parent, g._subdet, g._childdet
+    below = [{i} for i in range(len(names))]
+    for i in reversed(g._order[1:]):
+        below[parent[i]] |= below[i]
+    for i in range(len(names)):
+        rows = sorted(below[i])
+        assert sub[i] == bareiss_elimination(
+            [[neg[r][c] for c in rows] for r in rows])[-1]
+        assert kids[i] == math.prod(sub[c] for c in range(len(names))
+                                    if parent[c] == i)
     # the orthogonalization the ellipsoid walker relies on:
-    # x^T (-A) x = sum_k T_k^2 / (p_{k-1} p_k), T_k = sum_{j>=k} U_kj x_j
+    # x^T (-A) x = sum_v (D_v x_v - P_v x_parent(v))^2 / (D_v P_v)
     x = coeffs[:len(names)]
-    p = [1, *minors]
     assert sum(x[i] * neg[i][j] * x[j] for i in range(len(x))
                for j in range(len(x))) == sum(
-        sum(upper[k][j] * x[j] for j in range(k, len(x))) ** 2
-        / (p[k] * p[k + 1]) for k in range(len(x)))
+        (sub[i] * x[i] - (kids[i] * x[parent[i]] if parent[i] >= 0 else 0))
+        ** 2 / (sub[i] * kids[i]) for i in range(len(x)))
     assert g.det == g.minors[-1] == math.prod(_own_ldl(neg)[0])
     zk = canonical_cycle(g)
     assert _a_times_x(spec, zk) == {v: e + 2 for v, e in euler.items()}

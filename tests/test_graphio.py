@@ -10,18 +10,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgraph.cli import _parse_lprime, _parse_trivializable
 from resgraph.errors import InvariantViolation, UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
 from resgraph.graphio import (FORMAT_VERSION, MinimalResolutionWarning,
                               cycle_to_data, format_fraction, graph_to_data,
                               parse_fraction, parse_graph, parse_graph_data)
+from resgraph.strata import AnalyticParams
 
 
 def test_parse_fraction():
     assert parse_fraction("14/3") == Fraction(14, 3)
     assert parse_fraction("7") == 7
     assert parse_fraction(7) == 7
-    for bad in (2.5, True, "abc", "1/0", None):
+    assert parse_fraction("-14/3") == Fraction(-14, 3)
+    assert parse_fraction("+007") == 7
+    for bad in (2.5, True, "abc", "1/0", None, [1], {"a": 1},
+                # only the documented forms [+-]?p and [+-]?p/q
+                " 7", "7 ", "1_000", "0x10", "\u0661", "1/2/3", "--1", "+",
+                "", "/3", "3/", "1/-3",
+                # exponents and decimals, cheap ones first: "1e999999999"
+                # would build 10**999999999 in full before any check
+                "1E3", "1.5", "0.5/2", ".5", "1/2e3", "inf", "nan",
+                "1e16000000", "1e999999999"):
         with pytest.raises(UserError):
             parse_fraction(bad)
 
@@ -120,6 +131,51 @@ def test_parse_graph_data_fuzz_only_user_errors(data):
             parse_graph_data(data)
         except UserError:
             pass
+
+
+rational_like = st.one_of(
+    st.integers().map(str), st.fractions().map(str), st.floats().map(repr),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(0, 99)),
+    st.text(max_size=6))
+vertex_like = st.sampled_from(["a1", "a3", "a9", "u"]) | st.text(max_size=3)
+
+
+@st.composite
+def lprime_texts(draw):
+    """A --lprime argument: arbitrary text, or a prefix and a comma list of
+    vertex=value chunks whose parts may be junk."""
+    if draw(st.booleans()):
+        return draw(st.text())
+    chunks = draw(st.lists(
+        st.builds("{}={}".format, vertex_like, rational_like) | st.text(),
+        max_size=4))
+    return draw(st.sampled_from(["", "estar:", "cycle:"])) + ",".join(chunks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lprime_texts())
+def test_parse_lprime_fuzz_only_user_errors(g_app, text):
+    try:
+        _parse_lprime(text, g_app)
+    except UserError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_values | st.dictionaries(
+    vertex_like, rational_like | json_values, max_size=4), max_size=3)
+    | json_values)
+def test_trivializable_file_fuzz_only_user_errors(g_app, tmp_path_factory,
+                                                  data):
+    """Any decoded trivializable file either parses to a valid custom
+    parameter set or raises UserError."""
+    path = tmp_path_factory.getbasetemp() / "triv.json"
+    path.write_text(json.dumps(data))
+    try:
+        AnalyticParams(mode="custom",
+                       trivializable=_parse_trivializable(path, g_app))
+    except UserError:
+        pass
 
 
 def test_cycle_to_data_drops_zeros(g_app):

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from resgraph.core import chi, dual_cycle, intersection_form
+from resgraph import quadform
+from resgraph.core import (build_graph, chi, dual_cycle, intersection_form,
+                           is_antinef)
 from resgraph.ellseq import elliptic_sequence
-from resgraph.errors import UserError
+from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import fundamental_cycle
-from resgraph.strata import (AnalyticParams, depth, dim_V,
+from resgraph.oracle import _chi_sublevel
+from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
                              fixed_component_candidates, h1_on_image, pg,
                              reduction_index, strata_index_sets, w_strata)
 
@@ -125,3 +132,67 @@ def test_w_strata_wandering(g_app, seq_app):
     assert kinds == {"linear", "wandering"}
     wander = next(s for s in out if s.kind == "wandering")
     assert wander.count_max == 1
+
+
+# -- the ellipsoid walker against the oracle's chi sublevel set ---------------
+
+def _check_walker(graph, bound):
+    """At l' = 0 the candidates are the antinef cycles of the oracle's
+    sublevel set {l >= 0 : chi(l) <= bound}, each found once."""
+    walked = _candidate_cycles(graph, graph.zero_cycle(), bound)
+    assert len(set(walked)) == len(walked)
+    expected = {l for l in _chi_sublevel(graph, Fraction(bound), 10 ** 6)
+                if is_antinef(l)}
+    assert set(walked) == expected
+
+
+# g_pole stops at bound 0: the oracle's unpruned walk takes seconds beyond
+@pytest.mark.parametrize("name, bound", [
+    *((name, bound) for name in ("g_app", "g_new", "g_noecc")
+      for bound in (0, 1, 2)),
+    ("g_pole", 0)])
+def test_walker_matches_oracle_on_fixtures(name, bound, request):
+    _check_walker(request.getfixturevalue(name), bound)
+
+
+@st.composite
+def small_trees(draw):
+    """Random trees of up to 8 vertices, Euler numbers -5..-2, labels in
+    random order, so that the rooted order varies."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    eulers = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    try:
+        return build_graph({"vertices": list(zip(labels, eulers)),
+                            "edges": [(labels[i], labels[p]) for i, p
+                                      in enumerate(parents, start=1)]})
+    except GraphValidationError as exc:
+        assert exc.diagnostic == "not-negative-definite"
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_trees(), st.sampled_from([0, 1, 2]))
+def test_walker_matches_oracle_on_random_trees(graph, bound):
+    assume(graph is not None)
+    _check_walker(graph, bound)
+
+
+def test_walker_keeps_its_traced_shape():
+    """Tools that time the walker per next() and count the calls to its
+    partial_filter argument rely on this shape, and on quadform reading
+    nothing of the package but core."""
+    walker = quadform.enumerate_ellipsoid_points
+    assert inspect.isgeneratorfunction(walker)
+    assert "partial_filter" in inspect.signature(walker).parameters
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(quadform))):
+        if isinstance(node, ast.ImportFrom):
+            names = [("resgraph." if node.level else "") + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        imported.update(n for n in names if n.startswith("resgraph"))
+    assert imported == {"resgraph.core"}
