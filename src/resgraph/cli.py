@@ -23,7 +23,8 @@ from .core import (Cycle, ResolutionGraph, canonical_cycle, dual_cycle,
                    intersection_form, is_numerically_gorenstein)
 from .criteria import criteria_reports
 from .ellseq import elliptic_sequence, partial_sums, pg_table
-from .errors import InvariantViolation, ResourceCapExceeded, UserError
+from .errors import (InvariantViolation, ResourceCapExceeded, UserError,
+                     quote)
 from .fixtures import is_fixture_name, load_fixture
 from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
                       format_fraction, parse_fraction, parse_graph,
@@ -50,7 +51,7 @@ def _enum_cap(default: int = oracle.DEFAULT_CAP) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise UserError(f"{CAP_ENV} must be an integer, got {raw!r}")
+        raise UserError(f"{CAP_ENV} must be an integer, got {quote(raw)}")
     if value <= 0:
         raise UserError(f"{CAP_ENV} must be positive, got {value}")
     return value
@@ -74,11 +75,11 @@ def _parse_pairs(text: str, graph: ResolutionGraph) -> dict[str, Fraction]:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise UserError(f"expected vertex=rational, got {chunk!r}")
+            raise UserError(f"expected vertex=rational, got {quote(chunk)}")
         v, raw = chunk.split("=", 1)
         v = v.strip()
         if v not in graph._index:
-            raise UserError(f"unknown vertex in --lprime: {v!r}")
+            raise UserError(f"unknown vertex in --lprime: {quote(v)}")
         out[v] = parse_fraction(raw.strip())
     if not out:
         raise UserError("empty cycle expression")

@@ -2,17 +2,19 @@
 
 A resolution graph is a connected weighted tree with negative-definite
 intersection matrix A (A_vv = e_v, A_uv = 1 on edges). Cycles are exact
-rational vectors in the vertex basis; no floating point is used anywhere.
+rational vectors in the vertex basis, held as integer numerators over one
+denominator; Fractions appear only where values leave this module, and no
+floating point is used anywhere. The one algorithm on A is the integer
+leaf elimination up the rooted tree; no dense matrix is ever built.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import GraphValidationError, UserError
+from .errors import GraphValidationError, UserError, quote
 
 __all__ = [
     "ResolutionGraph",
@@ -27,31 +29,7 @@ __all__ = [
     "is_antinef",
     "same_class",
     "is_numerically_gorenstein",
-    "bareiss_elimination",
 ]
-
-
-def bareiss_elimination(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix, by fraction-free
-    (Bareiss) elimination. Stops early (padding with zeros) if a pivot
-    vanishes, which for a symmetric candidate-positive-definite matrix
-    already certifies failure. The dense reference behind `minors`."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    minors: list[int] = []
-    prev_pivot = 1
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if pivot == 0:
-            minors.extend([0] * (n - k - 1))
-            break
-        for i in range(k + 1, n):
-            factor = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev_pivot
-        prev_pivot = pivot
-    return minors
 
 
 class ResolutionGraph:
@@ -127,22 +105,7 @@ class ResolutionGraph:
             den[p] *= sub[i]
         for i in self._order[1:]:  # back substitution, parents first
             acc[i] = (acc[i] * self.det + kids[i] * acc[parent[i]]) // sub[i]
-        return Cycle(self, tuple(Fraction(c, self.det) for c in acc))
-
-    @cached_property
-    def matrix(self) -> list[list[int]]:
-        """The intersection matrix A in vertex order."""
-        return [[self.euler[v] if v == w else int(w in self.adjacency[v])
-                 for w in self.vertices] for v in self.vertices]
-
-    @cached_property
-    def neg_matrix(self) -> list[list[int]]:
-        return [[-x for x in row] for row in self.matrix]
-
-    @cached_property
-    def minors(self) -> tuple[int, ...]:
-        """Leading principal minors of -A, by Bareiss elimination."""
-        return tuple(bareiss_elimination(self.neg_matrix))
+        return Cycle(self, tuple(acc), self.det)
 
     # -- cycle constructors -------------------------------------------------
 
@@ -150,23 +113,24 @@ class ResolutionGraph:
         items = dict(coefficients)
         for v in items:
             if v not in self._index:
-                raise UserError(f"unknown vertex in cycle: {v!r}")
-        coeffs = tuple(Fraction(items.get(v, 0)) for v in self.vertices)
-        return Cycle(self, coeffs)
+                raise UserError(f"unknown vertex in cycle: {quote(v)}")
+        return self.from_vector(items.get(v, 0) for v in self.vertices)
 
     def zero_cycle(self) -> "Cycle":
-        return Cycle(self, (Fraction(0),) * len(self.vertices))
+        return Cycle(self, (0,) * len(self.vertices))
 
     def basis_cycle(self, v: str) -> "Cycle":
         """E_v."""
         if v not in self._index:
-            raise UserError(f"unknown vertex: {v!r}")
-        i = self._index[v]
-        return Cycle(self, tuple(Fraction(1 if j == i else 0)
-                                 for j in range(len(self.vertices))))
+            raise UserError(f"unknown vertex: {quote(v)}")
+        return Cycle(self, tuple(int(w == v) for w in self.vertices))
 
     def from_vector(self, coeffs: Iterable) -> "Cycle":
-        return Cycle(self, tuple(Fraction(c) for c in coeffs))
+        """The cycle with these rational coefficients, in vertex order."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        return Cycle(self, tuple(c.numerator * (den // c.denominator)
+                                 for c in fracs), den)
 
     # -- derived structure --------------------------------------------------
 
@@ -184,22 +148,27 @@ class ResolutionGraph:
         return tuple(v for v in self.vertices if self.degree(v) >= 3)
 
     def subgraph(self, vertex_subset: Iterable[str]) -> "ResolutionGraph":
-        """Full subgraph on the given vertices (must induce a connected,
-        negative-definite tree; subgraphs of valid graphs always are,
-        provided connectivity)."""
+        """Full subgraph on the given vertices, which must induce a
+        connected tree. It is built from this graph's validated data: a
+        full subgraph of a negative-definite tree is negative definite."""
         keep = set(vertex_subset)
         for v in keep:
             if v not in self._index:
-                raise UserError(f"unknown vertex: {v!r}")
-        sub_edges = [tuple(sorted(e)) for e in self.edges if set(e) <= keep]
-        return build_graph({
-            "vertices": [(v, self.euler[v]) for v in sorted(keep)],
-            "edges": sub_edges,
-        })
+                raise UserError(f"unknown vertex: {quote(v)}")
+        if not keep:
+            raise UserError("a subgraph needs at least one vertex")
+        sub = ResolutionGraph(tuple(sorted(keep)),
+                              {v: self.euler[v] for v in keep},
+                              frozenset(e for e in self.edges if e <= keep),
+                              _token=_BUILD_TOKEN)
+        if len(sub._order) != len(keep):
+            raise GraphValidationError("not-connected",
+                                       "subgraph is not connected")
+        return sub
 
     def embed(self, sub_cycle: "Cycle") -> "Cycle":
         """Lift a cycle on a subgraph (same vertex ids) to this graph."""
-        return self.cycle({v: c for v, c in sub_cycle.items() if c != 0})
+        return self.cycle((v, c) for v, c in sub_cycle.items() if c)
 
     def __repr__(self):
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"
@@ -209,74 +178,89 @@ _BUILD_TOKEN = object()
 
 
 class Cycle:
-    """Exact-rational vertex-indexed vector over a fixed graph.
+    """Exact-rational vertex-indexed vector over a fixed graph, stored as
+    integer numerators `num` (in vertex order) over one positive
+    denominator `den`, in lowest terms: gcd(den, *num) = 1, so equal
+    cycles have equal (num, den). `coeffs` is the Fraction view.
 
     Supports addition, subtraction, integer/rational scaling, and the
     coefficientwise partial order (>= / <= return False on incomparable
     pairs)."""
 
-    __slots__ = ("graph", "coeffs")
+    __slots__ = ("graph", "num", "den")
 
-    def __init__(self, graph: ResolutionGraph, coeffs: tuple[Fraction, ...]):
+    def __init__(self, graph: ResolutionGraph, num: tuple[int, ...],
+                 den: int = 1):
+        g = math.gcd(den, *num)
         self.graph = graph
-        self.coeffs = coeffs
+        self.num = num if g == 1 else tuple(c // g for c in num)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def coefficient(self, v: str) -> Fraction:
-        return self.coeffs[self.graph._index[v]]
+        return Fraction(self.num[self.graph._index[v]], self.den)
 
     def items(self):
         return zip(self.graph.vertices, self.coeffs)
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return {v: c for v, c in self.items() if c != 0}
-
     def support(self) -> frozenset[str]:
-        return frozenset(v for v, c in self.items() if c != 0)
+        return frozenset(v for v, c in zip(self.graph.vertices, self.num) if c)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return all(c >= 0 for c in self.num)
 
     def _check(self, other: "Cycle"):
         if self.graph is not other.graph:
             raise UserError("cycles belong to different graphs")
 
-    def __add__(self, other: "Cycle") -> "Cycle":
+    def _common(self, other: "Cycle"):
+        """Both numerator lists over the lcm d of the denominators, and d."""
         self._check(other)
-        return Cycle(self.graph, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d = math.lcm(self.den, other.den)
+        return ([c * (d // self.den) for c in self.num],
+                [c * (d // other.den) for c in other.num], d)
+
+    def __add__(self, other: "Cycle") -> "Cycle":
+        a, b, d = self._common(other)
+        return Cycle(self.graph, tuple(x + y for x, y in zip(a, b)), d)
 
     def __sub__(self, other: "Cycle") -> "Cycle":
-        self._check(other)
-        return Cycle(self.graph, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b, d = self._common(other)
+        return Cycle(self.graph, tuple(x - y for x, y in zip(a, b)), d)
 
     def __neg__(self) -> "Cycle":
-        return Cycle(self.graph, tuple(-a for a in self.coeffs))
+        return Cycle(self.graph, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, scalar) -> "Cycle":
         s = Fraction(scalar)
-        return Cycle(self.graph, tuple(a * s for a in self.coeffs))
+        return Cycle(self.graph, tuple(c * s.numerator for c in self.num),
+                     self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, Cycle) and self.graph is other.graph
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.graph), self.coeffs))
+        return hash((id(self.graph), self.num, self.den))
 
     def __ge__(self, other: "Cycle") -> bool:
-        self._check(other)
-        return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
+        a, b, _ = self._common(other)
+        return all(x >= y for x, y in zip(a, b))
 
     def __le__(self, other: "Cycle") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        a, b, _ = self._common(other)
+        return all(x <= y for x, y in zip(a, b))
 
     def __gt__(self, other: "Cycle") -> bool:
         return self >= other and self != other
@@ -285,7 +269,9 @@ class Cycle:
         return self <= other and self != other
 
     def floor(self) -> "Cycle":
-        return Cycle(self.graph, tuple(Fraction(math.floor(c)) for c in self.coeffs))
+        if self.den == 1:
+            return self
+        return Cycle(self.graph, tuple(c // self.den for c in self.num))
 
     def __repr__(self):
         inner = ", ".join(f"{v}: {c}" for v, c in self.items() if c != 0)
@@ -321,16 +307,16 @@ def build_graph(spec) -> ResolutionGraph:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise GraphValidationError(
                 "malformed-description",
-                f"a vertex must be an (id, euler) pair or a record, got {entry!r}")
+                f"a vertex must be an (id, euler) pair or a record, got {quote(entry)}")
         vid, e = entry
         if not isinstance(vid, str):
             raise GraphValidationError("malformed-description",
-                                       f"a vertex id must be a string, got {vid!r}")
+                                       f"a vertex id must be a string, got {quote(vid)}")
         if vid in euler:
-            raise GraphValidationError("duplicate-vertex", f"vertex {vid!r} repeated")
+            raise GraphValidationError("duplicate-vertex", f"vertex {quote(vid)} repeated")
         if not isinstance(e, int) or isinstance(e, bool) or e > -1:
             raise GraphValidationError("bad-euler",
-                                       f"euler number of {vid!r} must be an integer <= -1, got {e!r}")
+                                       f"euler number of {quote(vid)} must be an integer <= -1, got {quote(e)}")
         euler[vid] = e
         order.append(vid)
     if not order:
@@ -340,15 +326,15 @@ def build_graph(spec) -> ResolutionGraph:
     for pair in raw_edges:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not isinstance(pair[0], str) or not isinstance(pair[1], str)):
-            raise GraphValidationError("bad-edge", f"an edge must be a pair of ids, got {pair!r}")
+            raise GraphValidationError("bad-edge", f"an edge must be a pair of ids, got {quote(pair)}")
         u, v = pair
         if u not in euler or v not in euler:
-            raise GraphValidationError("bad-edge", f"edge ({u!r}, {v!r}) references unknown vertex")
+            raise GraphValidationError("bad-edge", f"edge ({quote(u)}, {quote(v)}) references unknown vertex")
         if u == v:
-            raise GraphValidationError("bad-edge", f"self-loop at {u!r}")
+            raise GraphValidationError("bad-edge", f"self-loop at {quote(u)}")
         e = frozenset((u, v))
         if e in edge_set:
-            raise GraphValidationError("bad-edge", f"duplicate edge ({u!r}, {v!r})")
+            raise GraphValidationError("bad-edge", f"duplicate edge ({quote(u)}, {quote(v)})")
         edge_set.add(e)
     if len(edge_set) != len(vertices) - 1:
         raise GraphValidationError(
@@ -359,17 +345,12 @@ def build_graph(spec) -> ResolutionGraph:
     if len(graph._order) != len(vertices):
         raise GraphValidationError("not-connected", "graph is not connected")
     if graph.det <= 0:
+        bad = next(i for i in reversed(graph._order) if graph._subdet[i] <= 0)
         raise GraphValidationError(
             "not-negative-definite",
-            f"leading principal minors of -A must all be positive, got {graph.minors}")
+            f"leaf elimination of -A gives a pivot <= 0 at vertex "
+            f"{quote(vertices[bad])}")
     return graph
-
-
-def _numerators(l: Cycle) -> tuple[list[int], int]:
-    """(z, s) with l = z / s: integer numerators over the lcm s of the
-    denominators, so that sums and products below stay in integers."""
-    s = math.lcm(*(c.denominator for c in l.coeffs))
-    return [c.numerator * (s // c.denominator) for c in l.coeffs], s
 
 
 def _times_a(graph: ResolutionGraph, z: list[int]) -> list[int]:
@@ -378,25 +359,18 @@ def _times_a(graph: ResolutionGraph, z: list[int]) -> list[int]:
             for i, v in enumerate(graph.vertices)]
 
 
-def _pairing_with_basis(l: Cycle) -> list[Fraction]:
-    """[(l, E_v)] for all v, in vertex order."""
-    z, s = _numerators(l)
-    return [Fraction(p, s) for p in _times_a(l.graph, z)]
-
-
 def intersection_form(l1: Cycle, l2: Cycle) -> Fraction:
     """(l1, l2) = l1^T A l2 in the E_v basis."""
     l1._check(l2)
-    (z1, s1), (z2, s2) = _numerators(l1), _numerators(l2)
-    return Fraction(sum(p * c for p, c in zip(_times_a(l1.graph, z1), z2)),
-                    s1 * s2)
+    return Fraction(sum(p * c for p, c in zip(_times_a(l1.graph, l1.num),
+                                               l2.num)), l1.den * l2.den)
 
 
 def chi(l: Cycle) -> Fraction:
     """Riemann-Roch value chi(l) = -(l, l - Z_K) / 2, evaluated by
     adjunction as (sum_v l_v (e_v + 2) - (l, l)) / 2, so without Z_K."""
     g = l.graph
-    z, s = _numerators(l)
+    z, s = l.num, l.den
     linear = sum(c * (g.euler[v] + 2) for v, c in zip(g.vertices, z))
     square = sum(p * c for p, c in zip(_times_a(g, z), z))
     return Fraction(s * linear - square, 2 * s * s)
@@ -406,7 +380,7 @@ def dual_cycle(graph: ResolutionGraph, v: str) -> Cycle:
     """E*_v: the column v of -A^{-1}; satisfies (E*_v, E_w) = -delta_vw.
     All coefficients are strictly positive."""
     if v not in graph._index:
-        raise UserError(f"unknown vertex: {v!r}")
+        raise UserError(f"unknown vertex: {quote(v)}")
     cached = graph._dual_cache.get(v)
     if cached is None:
         cached = graph._dual_cache[v] = graph._tree_solve(
@@ -424,8 +398,8 @@ def canonical_cycle(graph: ResolutionGraph) -> Cycle:
 
 def estar_coordinates(l: Cycle) -> dict[str, Fraction]:
     """Coordinates a_v = -(l, E_v) of l in the dual basis: l = sum a_v E*_v."""
-    return {v: -p for v, p in zip(l.graph.vertices, _pairing_with_basis(l))
-            if p != 0}
+    return {v: Fraction(-p, l.den)
+            for v, p in zip(l.graph.vertices, _times_a(l.graph, l.num)) if p}
 
 
 def estar_support(l: Cycle) -> frozenset[str]:
@@ -435,7 +409,7 @@ def estar_support(l: Cycle) -> frozenset[str]:
 
 def is_antinef(l: Cycle) -> bool:
     """Membership in the Lipman cone S': (l, E_v) <= 0 for all v."""
-    return all(p <= 0 for p in _times_a(l.graph, _numerators(l)[0]))
+    return all(p <= 0 for p in _times_a(l.graph, l.num))
 
 
 def same_class(l1: Cycle, l2: Cycle) -> bool:

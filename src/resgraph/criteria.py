@@ -8,16 +8,14 @@ module asserts this equivalence and treats a disagreement as a bug signal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, build_graph, dual_cycle,
-                   intersection_form)
+from .core import (Cycle, ResolutionGraph, build_graph, canonical_cycle,
+                   dual_cycle, intersection_form, is_numerically_gorenstein)
 from .ellseq import EllipticSequence, elliptic_sequence
 from .errors import GraphValidationError, InvariantViolation, UserError
 from .laufer import classify, fundamental_cycle, require_elliptic_minimal
-from .core import canonical_cycle, is_numerically_gorenstein
 
 __all__ = [
     "CriterionReport",
@@ -103,18 +101,20 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str,
     contact = next(w for w in graph.adjacency[v] if w in branch)
     global_ends = set(graph.end_vertices())
     ends = sorted(w for w in branch if w in global_ends)
-    weights = [dual_cycle(sub, w).coefficient(contact) for w in ends]
     required = [u for u in sorted(branch) if u not in global_ends]
     estar_v = dual_cycle(graph, v)
 
-    # integer rescaling keeps the simplex walk and the integrality sieve
-    # out of Fraction arithmetic: scale = lcm of weight denominators (so
-    # sum a_w m_w = 1 becomes sum a_w iw_w = scale), det clears the duals
-    scale = math.lcm(*(m.denominator for m in weights))
-    det = abs(sub.det)
-    triples = sorted(
-        ((int(m * scale), w, [int(c * det) for c in dual_cycle(sub, w).coeffs])
-         for m, w in zip(weights, ends)), reverse=True)
+    # every E*_w(branch) lies in (1/det) L, so over the denominator det the
+    # simplex walk and the integrality sieve stay in integers: the weights
+    # become iw_w = det * m_w and sum a_w m_w = 1 becomes sum a_w iw_w = det
+    det = sub.det
+    ci = sub._index[contact]
+    triples = []
+    for w in ends:
+        dual = dual_cycle(sub, w)
+        vec = [c * (det // dual.den) for c in dual.num]
+        triples.append((vec[ci], w, vec))
+    triples.sort(reverse=True)
     iw = [t[0] for t in triples]
     vecs = [t[2] for t in triples]
 
@@ -130,7 +130,7 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str,
             acc.pop()
 
     nsub = len(sub.vertices)
-    for combo in solutions(0, scale, []):
+    for combo in solutions(0, det, []):
         total = [0] * nsub
         for a, vec in zip(combo, vecs):
             if a:
@@ -138,8 +138,7 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str,
                     total[i] += a * c
         if any(t % det for t in total):
             continue
-        candidate = sub.from_vector([Fraction(t, det) for t in total])
-        lifted = graph.embed(candidate)
+        lifted = graph.embed(Cycle(sub, tuple(t // det for t in total)))
         total = estar_v + lifted
         # defensive re-validation of the defining linear conditions
         if intersection_form(total, graph.basis_cycle(v)) != 0:

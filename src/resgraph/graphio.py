@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import Cycle, ResolutionGraph, build_graph
-from .errors import UserError
+from .errors import UserError, quote
 
 __all__ = [
     "FORMAT_VERSION",
@@ -63,11 +63,11 @@ def parse_fraction(value) -> Fraction:
             isinstance(value, int)
             or isinstance(value, str) and _RATIONAL.fullmatch(value)):
         raise UserError(f"rationals must be integers or strings p/q, "
-                        f"got {value!r}")
+                        f"got {quote(value)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UserError(f"cannot parse rational {value!r}: {exc}")
+        raise UserError(f"cannot parse rational {quote(value)}: {exc}")
 
 
 def format_fraction(value: Fraction) -> str:
@@ -81,7 +81,7 @@ def parse_graph_data(data) -> GraphFile:
     version = data.get("format")
     if version != FORMAT_VERSION:
         raise UserError(
-            f"unsupported graph file format {version!r} "
+            f"unsupported graph file format {quote(version)} "
             f"(expected {FORMAT_VERSION})")
     graph = build_graph(data)
     if not graph.is_minimal():
@@ -95,7 +95,8 @@ def parse_graph_data(data) -> GraphFile:
     cycles: dict[str, Cycle] = {}
     for name, coeffs in section.items():
         if not isinstance(coeffs, dict):
-            raise UserError(f"cycle {name!r} must map vertex ids to rationals")
+            raise UserError(
+                f"cycle {quote(name)} must map vertex ids to rationals")
         cycles[str(name)] = graph.cycle(
             {str(v): parse_fraction(c) for v, c in coeffs.items()})
     return GraphFile(graph=graph, cycles=cycles)

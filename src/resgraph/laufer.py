@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, _numerators, _times_a, chi,
-                   intersection_form)
+from .core import Cycle, ResolutionGraph, _times_a, chi, intersection_form
 from .errors import InvariantViolation, UserError
 
 __all__ = [
@@ -62,10 +61,9 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
 
     Ties are broken by picking the lexicographically smallest eligible
     vertex; the endpoint does not depend on this choice. The steps run on
-    integer numerators over the lcm of the denominators of l, and
-    Fractions are built only for the result."""
+    the integer numerators of l over its denominator."""
     g = l.graph
-    z, scale = _numerators(l)
+    z, scale = list(l.num), l.den
     pair = _times_a(g, z)
     euler = [g.euler[v] * scale for v in g.vertices]
     steps: list[str] = []
@@ -88,7 +86,7 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
         pair[chosen] += euler[chosen]
         for j in g._neighbours[chosen]:
             pair[j] += scale
-    result = Cycle(g, tuple(Fraction(c, scale) for c in z))
+    result = Cycle(g, tuple(z), scale)
     return result, ComputationTrace(start=l, steps=tuple(steps), result=result)
 
 

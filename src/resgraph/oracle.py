@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (Cycle, ResolutionGraph, _pairing_with_basis, build_graph,
-                   canonical_cycle, chi)
+from .core import (Cycle, ResolutionGraph, build_graph, canonical_cycle, chi,
+                   estar_coordinates, intersection_form)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -28,6 +28,7 @@ __all__ = [
     "brute_fundamental_cycle",
     "brute_min_chi",
     "brute_minimally_elliptic",
+    "brute_antinef_sublevel",
     "brute_lemci",
     "brute_subsupports",
     "enumerate_trees",
@@ -80,7 +81,8 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
     n = len(graph.vertices)
     euler = [graph.euler[v] for v in graph.vertices]
     adj = graph._neighbours
-    base_pairing = _pairing_with_basis(base)
+    coords = estar_coordinates(base)  # a_v = -(base, E_v)
+    base_pairing = [-coords.get(v, 0) for v in graph.vertices]
     visited = 0
 
     def propagate(lo: list[int], hi: list[int]) -> bool:
@@ -196,6 +198,12 @@ def brute_fundamental_cycle(graph: ResolutionGraph,
     return graph.from_vector(meet)
 
 
+def _minus_a(graph: ResolutionGraph) -> list[list[int]]:
+    """M = -A in vertex order, from the euler numbers and the edge list."""
+    return [[-graph.euler[v] if v == w else -(frozenset((v, w)) in graph.edges)
+             for w in graph.vertices] for v in graph.vertices]
+
+
 def _own_ldl(matrix: Sequence[Sequence[int]]):
     # deliberately re-implemented here (not shared with the fast path)
     n = len(matrix)
@@ -223,7 +231,7 @@ def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
     Integer intervals per coordinate are found by outward scanning, which
     costs no more than the enumeration itself."""
     n = len(graph.vertices)
-    m = graph.neg_matrix
+    m = _minus_a(graph)
     zk = canonical_cycle(graph)
     b = [c / 2 for c in zk.coeffs]
     btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
@@ -299,6 +307,43 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
             "minimally elliptic cycle is not a unique minimum",
             payload={"hits": sorted(h.coeffs for h in hits)})
     return minima[0]
+
+
+def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle, bound,
+                           cap: int = DEFAULT_CAP) -> list[Cycle]:
+    """All integral l >= 0 with l - l' antinef and chi(l) + (l, l') <= bound.
+
+    With M = -A and b = Z_K/2 + l', chi(l) + (l, l') equals
+    ((l-b)^T M (l-b) - b^T M b) / 2, so the set lies in the bounding box
+    |l_i - b_i|^2 <= R (M^{-1})_ii of the ellipsoid of radius^2
+    R = 2*bound + b^T M b. That box, cut to l >= 0, is searched by
+    `_antinef_hits` with base -l', and the hits filtered by the value."""
+    m = _minus_a(graph)
+    n = len(m)
+    b = [c / 2 + p for c, p in zip(canonical_cycle(graph).coeffs,
+                                    lprime.coeffs)]
+    radius2 = 2 * Fraction(bound) + sum(
+        b[i] * m[i][j] * b[j] for i in range(n) for j in range(n))
+    if radius2 < 0:
+        return []
+    # (M^{-1})_ii = sum_k w_k^2 / d_k with M = U^T D U and U^T w = e_i
+    d, u = _own_ldl(m)
+    lower, upper = [], []
+    for i in range(n):
+        w = [Fraction(0)] * n
+        for k in range(i, n):
+            w[k] = int(k == i) - sum(u[j][k] * w[j] for j in range(i, k))
+        r2 = radius2 * sum(wk * wk / dk for wk, dk in zip(w, d))
+        # integers x with (q x - p)^2 <= q^2 r2, for b_i = p / q
+        p, q = b[i].numerator, b[i].denominator
+        t = math.isqrt(math.floor(q * q * r2))
+        lower.append(max(0, -((t - p) // q)))
+        upper.append((p + t) // q)
+        if lower[-1] > upper[-1]:
+            return []
+    box = SearchBox(lower=tuple(lower), upper=tuple(upper), cap=cap)
+    hits = (graph.from_vector(z) for z in _antinef_hits(graph, -lprime, box))
+    return [l for l in hits if chi(l) + intersection_form(l, lprime) <= bound]
 
 
 def brute_lemci(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:

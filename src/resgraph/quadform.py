@@ -2,9 +2,11 @@
 
 Used by the strata solver to walk the finite candidate set
 { x >= 0 integral : (x - b)^T M (x - b) <= R } for M = -A, the negated
-intersection form of the graph. Everything is exact: after clearing the
-denominators of b and R once up front the whole recursion runs in integer
-arithmetic (integer square roots, never floats).
+intersection form of the graph. Everything is exact: the center b is a
+`core.Cycle`, so it arrives as integer numerators over one denominator s,
+and after scaling R by s^2 once up front the whole recursion runs in
+integer arithmetic (integer square roots, never floats). No dense matrix
+is built.
 
 The form is orthogonalized by the tree's own leaf elimination (`core`):
 with D_v the determinant of M on the subtree below v, P_v the product of
@@ -21,16 +23,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .core import ResolutionGraph
+from .core import Cycle, ResolutionGraph
 
 __all__ = ["enumerate_ellipsoid_points"]
 
 
 def enumerate_ellipsoid_points(
     graph: ResolutionGraph,
-    center: Sequence[Fraction],
+    center: Cycle,
     radius2: Fraction,
     partial_filter: Callable[[int, list[int]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
@@ -47,8 +49,7 @@ def enumerate_ellipsoid_points(
     order, parent = graph._order, graph._parent
     sub, kids = graph._subdet, graph._childdet
     # integer center coordinates: w_v = s*x_v - cn_v = s*y_v
-    s = math.lcm(*(Fraction(c).denominator for c in center))
-    cn = [int(Fraction(c) * s) for c in center]
+    cn, s = center.num, center.den
     # global scale: sum_v coeff_v T_v^2 <= bound.numerator * scale, integers
     bound = Fraction(radius2) * s * s
     scale = math.lcm(*(d * p for d, p in zip(sub, kids)))

@@ -15,7 +15,6 @@ The analytic inputs are exactly alpha (the minimal Gorenstein index) and T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,9 +238,9 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     radius2 = 2 * Fraction(bound) - intersection_form(b, b)
     neighbours = graph._neighbours
     euler = [graph.euler[v] for v in graph.vertices]
-    # integer-scaled copies keep the hot pruning filter free of Fractions
-    den = math.lcm(*(c.denominator for c in lprime.coeffs))
-    ioff = [int(c * den) for c in lprime.coeffs]
+    # l' as integer numerators over its denominator keeps the hot filter
+    # free of Fractions
+    ioff, den = lprime.num, lprime.den
     rank = {i: r for r, i in enumerate(graph._order)}
     ready: list[list[int]] = [[] for _ in graph.vertices]
     for j, ws in enumerate(neighbours):
@@ -256,8 +255,8 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
                 return False
         return True
 
-    return [graph.from_vector(point) for point in enumerate_ellipsoid_points(
-        graph, b.coeffs, radius2, partial_filter=partial_filter)]
+    return [Cycle(graph, point) for point in enumerate_ellipsoid_points(
+        graph, b, radius2, partial_filter=partial_filter)]
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
@@ -269,9 +268,9 @@ def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
     def rec(current: Cycle) -> bool:
         if current.is_zero():
             return True
-        if current.coeffs in seen:
+        if current in seen:
             return False
-        seen.add(current.coeffs)
+        seen.add(current)
         for t in pool:
             nxt = current - t
             if nxt.is_effective() and rec(nxt):
@@ -316,7 +315,7 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     for k in range(total, -1, -1):
         processed: list[StrataEntry] = []
         for entry in sorted(by_level.get(k, []),
-                            key=lambda e: (-e.dim, e.l.coeffs)):
+                            key=lambda e: (-e.dim, e.l.num)):
             excluder = None
             for prior in accepted_above:
                 if wecc:

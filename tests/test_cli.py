@@ -150,6 +150,13 @@ def test_bad_subcommand(capsys):
     assert code == 1
 
 
+def _nested(depth):
+    value = "a"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize("vertices, edges, diagnostic", [
     ([{"id": "a", "euler": -2}], [["a"]], "bad-edge"),
     ([{"id": "a", "euler": -2}], [["a", "b", "c"]], "bad-edge"),
@@ -165,6 +172,10 @@ def test_bad_subcommand(capsys):
     ([["a", -2], ["b", -2]], [["a", None]], "bad-edge"),
     ([["1", -2], ["b", -2]], [[1, "b"]], "bad-edge"),
     ([["a", -2], ["b", -2]], [[["a"], "b"]], "bad-edge"),
+    # refusals quote a cut-down value, not kilobytes of brackets or digits
+    # (800 levels leave room below the recursion limit for pytest's frames)
+    ([[_nested(800), -2]], [], "malformed-description"),
+    ([["a", int("1" * 4000)]], [], "bad-euler"),
 ])
 def test_malformed_graph_file_is_a_user_error(capsys, tmp_path, vertices,
                                               edges, diagnostic):
@@ -173,6 +184,7 @@ def test_malformed_graph_file_is_a_user_error(capsys, tmp_path, vertices,
                                 "edges": edges}))
     code, out, err = invoke(capsys, "classify", str(path))
     assert code == 1 and f"error: {diagnostic}:" in err
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 _DEEP = b"[" * 100_000 + b"]" * 100_000

@@ -9,14 +9,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph.core import (Cycle, bareiss_elimination, build_graph,
-                           canonical_cycle, chi, dual_cycle,
-                           estar_coordinates, estar_support,
+from resgraph.core import (Cycle, build_graph, canonical_cycle, chi,
+                           dual_cycle, estar_coordinates, estar_support,
                            intersection_form, is_antinef,
                            is_numerically_gorenstein, same_class)
 from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.oracle import _own_ldl
+
+
+# -- dense references, kept here and never in the package -------------------
+
+def bareiss_elimination(matrix):
+    """Leading principal minors of an integer matrix, by fraction-free
+    (Bareiss) elimination; stops at a vanishing pivot, padding with zeros."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    minors = []
+    prev_pivot = 1
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            minors.extend([0] * (n - k - 1))
+            break
+        for i in range(k + 1, n):
+            factor = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev_pivot
+        prev_pivot = pivot
+    return minors
+
+
+def neg_matrix(g):
+    """-A of a built graph in vertex order, from its euler numbers and its
+    edge list."""
+    return [[-g.euler[v] if v == w else -int(frozenset((v, w)) in g.edges)
+             for w in g.vertices] for v in g.vertices]
 
 
 # -- validation -------------------------------------------------------------
@@ -48,12 +77,16 @@ def test_affine_d4_star_is_rejected():
     with pytest.raises(GraphValidationError) as err:
         build_graph(spec)
     assert err.value.diagnostic == "not-negative-definite"
+    # rooted at l0, the leaves l3, l2, l1 and then c keep positive pivots
+    # and the root's pivot is 0, so the refusal names l0
+    assert str(err.value).endswith("at vertex 'l0'")
 
 
 def test_vertices_sorted_and_minors_positive(g_app):
     assert list(g_app.vertices) == sorted(g_app.vertices)
-    assert all(m > 0 for m in g_app.minors)
-    assert g_app.det == g_app.minors[-1]
+    minors = bareiss_elimination(neg_matrix(g_app))
+    assert all(m > 0 for m in minors)
+    assert g_app.det == minors[-1]
 
 
 def test_bareiss_minors_match_naive_determinants(g_app, g_pole):
@@ -70,11 +103,12 @@ def test_bareiss_minors_match_naive_determinants(g_app, g_pole):
         return total
 
     for g in (g_app, g_pole):
-        neg = g.neg_matrix
+        neg = neg_matrix(g)
+        minors = bareiss_elimination(neg)
         # cofactor expansion is factorial; sizes up to 7 are plenty
         for k in range(1, min(7, len(neg)) + 1):
             top = [row[:k] for row in neg[:k]]
-            assert naive_det(top) == g.minors[k - 1]
+            assert naive_det(top) == minors[k - 1]
 
 
 def test_direct_construction_refused(g_app):
@@ -117,12 +151,64 @@ def test_cycles_from_different_graphs_do_not_mix(g_app, g_new):
         g_app.zero_cycle() + g_new.zero_cycle()
 
 
+_A4 = build_graph({"vertices": [(v, -2) for v in "abcd"],
+                   "edges": [("a", "b"), ("b", "c"), ("c", "d")]})
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_vectors = st.lists(_fractions, min_size=4, max_size=4)
+
+
+def _assert_normal_form(c):
+    assert c.den > 0 and math.gcd(c.den, *c.num) == 1
+    assert c.coeffs == tuple(Fraction(x, c.den) for x in c.num)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vectors, _vectors, _fractions)
+def test_cycle_matches_fraction_tuples(x, y, s):
+    """Cycle arithmetic, order and views against plain Fraction tuples."""
+    a, b = _A4.from_vector(x), _A4.from_vector(y)
+    assert a.coeffs == tuple(x)
+    assert [a.coefficient(v) for v in "abcd"] == x
+    assert a.is_integral() == all(c.denominator == 1 for c in x)
+    assert a.is_effective() == all(c >= 0 for c in x)
+    assert a.is_zero() == (not any(x))
+    results = [
+        (a + b, [p + q for p, q in zip(x, y)]),
+        (a - b, [p - q for p, q in zip(x, y)]),
+        (-a, [-p for p in x]),
+        (a * s, [p * s for p in x]),
+        (s * b, [s * q for q in y]),
+        (a.floor(), [Fraction(math.floor(p)) for p in x]),
+        (_A4.cycle(dict(zip("abcd", y))), y),
+    ]
+    for cycle, expected in results:
+        _assert_normal_form(cycle)
+        assert cycle.coeffs == tuple(expected)
+    assert (a <= b) == all(p <= q for p, q in zip(x, y))
+    assert (a >= b) == all(p >= q for p, q in zip(x, y))
+    assert (a < b) == (a <= b and x != y)
+    assert (a == b) == (x == y)
+    if x == y:
+        assert hash(a) == hash(b)
+
+
+def test_cycle_normal_form():
+    half = _A4.cycle({"a": Fraction(1, 2)})
+    unreduced = Cycle(_A4, (2, 0, 0, 0), 4)
+    assert unreduced == half and hash(unreduced) == hash(half)
+    assert (unreduced.num, unreduced.den) == ((1, 0, 0, 0), 2)
+    doubled = 2 * half
+    assert doubled == _A4.basis_cycle("a") and doubled.den == 1
+    assert (half - half).den == 1 and (half - half) == _A4.zero_cycle()
+    assert (half * Fraction(-2, 3)).den == 3
+
+
 # -- the form and chi -------------------------------------------------------
 
 def test_intersection_form_matches_matrix(g_app):
     for v in g_app.vertices:
         for w in g_app.vertices:
-            expected = g_app.matrix[g_app._index[v]][g_app._index[w]]
+            expected = -neg_matrix(g_app)[g_app._index[v]][g_app._index[w]]
             assert intersection_form(g_app.basis_cycle(v),
                                      g_app.basis_cycle(w)) == expected
 
@@ -208,6 +294,16 @@ def test_subgraph_and_embed(g_app):
 def test_subgraph_must_be_connected(g_app):
     with pytest.raises(UserError):
         g_app.subgraph({"a1", "a9"})
+    for bad in ({"a1", "zzz"}, set()):  # unknown vertex, no vertex
+        with pytest.raises(UserError):
+            g_app.subgraph(bad)
+    # built from the parent's data: the same graph as a fresh build
+    sub = g_app.subgraph({"a1", "a2", "a3", "u"})
+    fresh = build_graph({"vertices": [(v, g_app.euler[v]) for v in
+                                      ("a1", "a2", "a3", "u")],
+                         "edges": [("a1", "a2"), ("a2", "a3"), ("a3", "u")]})
+    assert (sub.vertices, sub.euler, sub.edges, sub.det, sub._order) == (
+        fresh.vertices, fresh.euler, fresh.edges, fresh.det, fresh._order)
 
 
 def test_graph_helpers(g_app):
@@ -288,7 +384,7 @@ def _check_kernel(spec, coeffs):
                for j in range(len(x))) == sum(
         (sub[i] * x[i] - (kids[i] * x[parent[i]] if parent[i] >= 0 else 0))
         ** 2 / (sub[i] * kids[i]) for i in range(len(x)))
-    assert g.det == g.minors[-1] == math.prod(_own_ldl(neg)[0])
+    assert g.det == minors[-1] == math.prod(_own_ldl(neg)[0])
     zk = canonical_cycle(g)
     assert _a_times_x(spec, zk) == {v: e + 2 for v, e in euler.items()}
     for v in names:

@@ -7,16 +7,16 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from resgraph import quadform
-from resgraph.core import (build_graph, chi, dual_cycle, intersection_form,
-                           is_antinef)
+from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
+                           intersection_form)
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import GraphValidationError, UserError
-from resgraph.laufer import fundamental_cycle
-from resgraph.oracle import _chi_sublevel
+from resgraph.laufer import fundamental_cycle, minimal_class_representative
+from resgraph.oracle import brute_antinef_sublevel
 from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
                              fixed_component_candidates, h1_on_image, pg,
                              reduction_index, strata_index_sets, w_strata)
@@ -134,25 +134,41 @@ def test_w_strata_wandering(g_app, seq_app):
     assert wander.count_max == 1
 
 
-# -- the ellipsoid walker against the oracle's chi sublevel set ---------------
+# -- the ellipsoid walker against the oracle's antinef sublevel set ----------
 
-def _check_walker(graph, bound):
-    """At l' = 0 the candidates are the antinef cycles of the oracle's
-    sublevel set {l >= 0 : chi(l) <= bound}, each found once."""
-    walked = _candidate_cycles(graph, graph.zero_cycle(), bound)
+def _lprimes(graph):
+    """Chern classes for the walker checks: 0, -E*_v for the first vertex
+    and -C_{-1} = -s_{[Z_K]} (zero when Z_K is integral)."""
+    return {"zero": graph.zero_cycle(),
+            "estar": -dual_cycle(graph, graph.vertices[0]),
+            "pre": -minimal_class_representative(canonical_cycle(graph))}
+
+
+def _check_walker(graph, lprime, bound):
+    """The candidates are the oracle's antinef sublevel set
+    {l >= 0 : l - l' antinef, chi(l) + (l, l') <= bound}, each found once."""
+    walked = _candidate_cycles(graph, lprime, bound)
     assert len(set(walked)) == len(walked)
-    expected = {l for l in _chi_sublevel(graph, Fraction(bound), 10 ** 6)
-                if is_antinef(l)}
-    assert set(walked) == expected
+    expected = brute_antinef_sublevel(graph, lprime, bound)
+    assert len(set(expected)) == len(expected)
+    assert set(walked) == set(expected)
 
 
-# g_pole stops at bound 0: the oracle's unpruned walk takes seconds beyond
 @pytest.mark.parametrize("name, bound", [
-    *((name, bound) for name in ("g_app", "g_new", "g_noecc")
-      for bound in (0, 1, 2)),
-    ("g_pole", 0)])
+    (name, bound) for name in ("g_app", "g_new", "g_noecc", "g_pole")
+    for bound in (0, 1, 2)])
 def test_walker_matches_oracle_on_fixtures(name, bound, request):
-    _check_walker(request.getfixturevalue(name), bound)
+    graph = request.getfixturevalue(name)
+    for lprime in _lprimes(graph).values():
+        _check_walker(graph, lprime, bound)
+
+
+def test_walker_matches_oracle_on_g_left(g_left):
+    """24 vertices: the oracle's pruned box search takes about a second
+    here at bound 1."""
+    lprimes = _lprimes(g_left)
+    for kind in ("zero", "estar"):
+        _check_walker(g_left, lprimes[kind], 1)
 
 
 @st.composite
@@ -172,11 +188,22 @@ def small_trees(draw):
         return None
 
 
+# det 10; its whole chi <= 1 sublevel set passes 10^6 points, while the
+# antinef part the walker returns has 71
+_DET10 = build_graph({
+    "vertices": list(zip([f"v{i}" for i in range(8)],
+                         [-2, -2, -2, -5, -5, -2, -2, -3])),
+    "edges": [("v0", "v1"), ("v0", "v3"), ("v0", "v4"), ("v0", "v5"),
+              ("v0", "v7"), ("v1", "v2"), ("v2", "v6")]})
+
+
 @settings(max_examples=80, deadline=None)
-@given(small_trees(), st.sampled_from([0, 1, 2]))
-def test_walker_matches_oracle_on_random_trees(graph, bound):
+@given(small_trees(), st.sampled_from([0, 1, 2]),
+       st.sampled_from(["zero", "estar", "pre"]))
+@example(_DET10, 1, "zero")
+def test_walker_matches_oracle_on_random_trees(graph, bound, kind):
     assume(graph is not None)
-    _check_walker(graph, bound)
+    _check_walker(graph, _lprimes(graph)[kind], bound)
 
 
 def test_walker_keeps_its_traced_shape():
