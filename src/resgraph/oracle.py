@@ -309,8 +309,8 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
     return minima[0]
 
 
-def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle, bound,
-                           cap: int = DEFAULT_CAP) -> list[Cycle]:
+def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
+                           bound) -> list[Cycle]:
     """All integral l >= 0 with l - l' antinef and chi(l) + (l, l') <= bound.
 
     With M = -A and b = Z_K/2 + l', chi(l) + (l, l') equals
@@ -341,7 +341,7 @@ def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle, bound,
         upper.append((p + t) // q)
         if lower[-1] > upper[-1]:
             return []
-    box = SearchBox(lower=tuple(lower), upper=tuple(upper), cap=cap)
+    box = SearchBox(lower=tuple(lower), upper=tuple(upper), cap=DEFAULT_CAP)
     hits = (graph.from_vector(z) for z in _antinef_hits(graph, -lprime, box))
     return [l for l in hits if chi(l) + intersection_form(l, lprime) <= bound]
 

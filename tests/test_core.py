@@ -15,10 +15,10 @@ from resgraph.core import (Cycle, build_graph, canonical_cycle, chi,
                            is_numerically_gorenstein, same_class)
 from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import classify, fundamental_cycle
-from resgraph.oracle import _own_ldl
+from resgraph.oracle import _minus_a, _own_ldl
 
 
-# -- dense references, kept here and never in the package -------------------
+# -- dense reference, kept here and never in the package --------------------
 
 def bareiss_elimination(matrix):
     """Leading principal minors of an integer matrix, by fraction-free
@@ -39,13 +39,6 @@ def bareiss_elimination(matrix):
                 m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev_pivot
         prev_pivot = pivot
     return minors
-
-
-def neg_matrix(g):
-    """-A of a built graph in vertex order, from its euler numbers and its
-    edge list."""
-    return [[-g.euler[v] if v == w else -int(frozenset((v, w)) in g.edges)
-             for w in g.vertices] for v in g.vertices]
 
 
 # -- validation -------------------------------------------------------------
@@ -84,7 +77,7 @@ def test_affine_d4_star_is_rejected():
 
 def test_vertices_sorted_and_minors_positive(g_app):
     assert list(g_app.vertices) == sorted(g_app.vertices)
-    minors = bareiss_elimination(neg_matrix(g_app))
+    minors = bareiss_elimination(_minus_a(g_app))
     assert all(m > 0 for m in minors)
     assert g_app.det == minors[-1]
 
@@ -103,7 +96,7 @@ def test_bareiss_minors_match_naive_determinants(g_app, g_pole):
         return total
 
     for g in (g_app, g_pole):
-        neg = neg_matrix(g)
+        neg = _minus_a(g)
         minors = bareiss_elimination(neg)
         # cofactor expansion is factorial; sizes up to 7 are plenty
         for k in range(1, min(7, len(neg)) + 1):
@@ -208,7 +201,7 @@ def test_cycle_normal_form():
 def test_intersection_form_matches_matrix(g_app):
     for v in g_app.vertices:
         for w in g_app.vertices:
-            expected = -neg_matrix(g_app)[g_app._index[v]][g_app._index[w]]
+            expected = -_minus_a(g_app)[g_app._index[v]][g_app._index[w]]
             assert intersection_form(g_app.basis_cycle(v),
                                      g_app.basis_cycle(w)) == expected
 
