@@ -55,48 +55,45 @@ class ResolutionGraph:
         self.adjacency = {v: tuple(sorted(ws)) for v, ws in adj.items()}
         self._neighbours = [[index[w] for w in self.adjacency[v]]
                             for v in vertices]
-        # root the tree at its first vertex of least degree; depth-first
-        # preorder, children by id, puts every parent before its children
-        # (a shorter order means disconnected)
+        # root the tree at its first vertex of least degree (a shorter
+        # order means disconnected)
         degrees = [len(ws) for ws in self._neighbours]
-        root = degrees.index(min(degrees))
-        self._parent = parent = [-1] * len(vertices)
-        self._order = order = []
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for j in reversed(self._neighbours[i]):
-                if j != root and parent[j] < 0:
-                    parent[j] = i
-                    stack.append(j)
-        self._eliminate()
+        (self._order, self._parent, self._subdet, self._childdet,
+         self.det) = _rooting(self._neighbours,
+                              [-euler[v] for v in vertices],
+                              degrees.index(min(degrees)))
+        self._walk: tuple | None = None
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
 
-    def _eliminate(self) -> None:
-        """Leaf elimination of -A up the rooted tree, in integers.
+    def _walk_rooting(self) -> tuple:
+        """The rooting of the ellipsoid walk, as `_rooting` returns it: from
+        the widest leaf, the leaf v that maximizes (M^-1)_vv = det(T-v)/det
+        for M = -A, least index on ties; cached.
 
-        Once the children c of v are eliminated, v has the pivot
-        d_v = -e_v - sum_c 1/d_c = D_v / P_v, where D_v is the determinant
-        of -A on the subtree below v and P_v the product of the D_c.
-        -A is positive definite iff every pivot is positive; det = D_root,
-        or 0 from the first pivot that is not positive."""
-        self._subdet = sub = [-self.euler[v] for v in self.vertices]
-        self._childdet = kids = [1] * len(self.vertices)
-        self.det = 0
-        for i in reversed(self._order):
-            if sub[i] <= 0:
-                return
-            p = self._parent[i]
-            if p >= 0:  # d_p -= 1/d_i on the fraction sub[p] / kids[p]
-                sub[p] = sub[p] * sub[i] - kids[i] * kids[p]
-                kids[p] *= sub[i]
-        self.det = sub[self._order[0]]
+        det(T-v) = P_v U_v, with U_v = det(T minus the subtree below v) read
+        off the graph's own elimination: U = 1 at its root and, for a child
+        c of p, det = D_c U_c - P_c U_p P_p / D_c, so U_c is an exact
+        quotient."""
+        if self._walk is None:
+            order, parent = self._order, self._parent
+            sub, kids = self._subdet, self._childdet
+            upper = [1] * len(order)
+            for c in order[1:]:
+                p = parent[c]
+                upper[c] = ((self.det * sub[c] + kids[c] * upper[p] * kids[p])
+                            // (sub[c] * sub[c]))
+            leaves = [i for i, ws in enumerate(self._neighbours)
+                      if len(ws) <= 1]
+            root = max(leaves, key=lambda v: (kids[v] * upper[v], -v))
+            self._walk = _rooting(self._neighbours,
+                                  [-self.euler[v] for v in self.vertices],
+                                  root)
+        return self._walk
 
     def _tree_solve(self, rhs: list[int]) -> "Cycle":
         """x with -A x = rhs (integer rhs): eliminate up the tree as in
-        _eliminate, then substitute back down; det * x is integral."""
+        `_rooting`, then substitute back down; det * x is integral."""
         parent, sub, kids = self._parent, self._subdet, self._childdet
         acc, den = list(rhs), [1] * len(rhs)
         for i in reversed(self._order[1:]):
@@ -172,6 +169,41 @@ class ResolutionGraph:
 
     def __repr__(self):
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"
+
+
+def _rooting(neighbours: list[list[int]], pivots: list[int], root: int
+             ) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """Root the tree at `root`: its block order, the parents, and the leaf
+    elimination of -A (whose diagonal is `pivots`) in integers.
+
+    In the block order every parent comes before its children and the
+    children of each vertex are listed together, in id order, the blocks
+    following their parents' depth-first preorder. Once the children c of
+    v are eliminated, v has the pivot d_v = -e_v - sum_c 1/d_c = D_v / P_v,
+    where D_v is the determinant of -A on the subtree below v and P_v the
+    product of the D_c. -A is positive definite iff every pivot is
+    positive; the returned det is D_root, or 0 from the first pivot that
+    is not positive."""
+    parent = [-1] * len(neighbours)
+    preorder, stack = [], [root]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        for j in reversed(neighbours[i]):
+            if j != root and parent[j] < 0:
+                parent[j] = i
+                stack.append(j)
+    order = [root] + [j for i in preorder for j in neighbours[i]
+                      if parent[j] == i]
+    sub, kids = list(pivots), [1] * len(neighbours)
+    for i in reversed(order):
+        if sub[i] <= 0:
+            return order, parent, sub, kids, 0
+        p = parent[i]
+        if p >= 0:  # d_p -= 1/d_i on the fraction sub[p] / kids[p]
+            sub[p] = sub[p] * sub[i] - kids[i] * kids[p]
+            kids[p] *= sub[i]
+    return order, parent, sub, kids, sub[root]
 
 
 _BUILD_TOKEN = object()

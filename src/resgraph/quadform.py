@@ -14,9 +14,16 @@ the D_c over the children c of v, and y_parent = 0 at the root,
 
     y^T M y = sum_v (D_v y_v - P_v y_parent(v))^2 / (D_v P_v),
 
-so the coordinates are assigned along the rooted order, parents first,
-and after multiplying through by lcm(D_v P_v) every partial budget stays
-an integer.
+for any rooting whose order puts every parent before its children. After
+multiplying through by lcm(D_v P_v) every partial budget stays an integer.
+
+The walk uses `core`'s block order, in which the children of each vertex
+are assigned together, one after another, so a filter on the parent's
+inequality sees every earlier sibling. It is rooted at the widest leaf,
+the leaf with the largest (M^-1)_vv, a rule chosen by counting filter
+calls from every root of the fixtures. Each coordinate's range is walked
+in increasing order, so the caller's `partial_filter` may keep a value,
+skip it, or stop the rest of the range.
 """
 
 from __future__ import annotations
@@ -34,20 +41,22 @@ def enumerate_ellipsoid_points(
     graph: ResolutionGraph,
     center: Cycle,
     radius2: Fraction,
-    partial_filter: Callable[[int, list[int]], bool] | None = None,
+    partial_filter: Callable[[int, list[int]], bool | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every integer x >= 0 with (x - center)^T (-A) (x - center)
     <= radius2, as a tuple in vertex order.
 
-    `partial_filter(i, xs)` is called after the coordinate of vertex index
-    i is assigned (vertices are assigned in the rooted order `graph._order`)
-    with the vertex-indexed assignment list `xs` (entries of vertices not
-    yet assigned are not valid); returning False prunes the branch.
+    Coordinates are assigned in the block order of the walk rooting
+    (`graph._walk_rooting()`), each over its range of values in increasing
+    order. After the coordinate of vertex index i is assigned,
+    `partial_filter(i, xs)` is called with the vertex-indexed assignment
+    list `xs` (entries of vertices not yet assigned are not valid). It
+    returns True to keep the value, False to skip it, or None to stop the
+    range: no larger value of this coordinate may pass either.
     """
     if radius2 < 0:
         return
-    order, parent = graph._order, graph._parent
-    sub, kids = graph._subdet, graph._childdet
+    order, parent, sub, kids, _ = graph._walk_rooting()
     # integer center coordinates: w_v = s*x_v - cn_v = s*y_v
     cn, s = center.num, center.den
     # global scale: sum_v coeff_v T_v^2 <= bound.numerator * scale, integers
@@ -70,8 +79,12 @@ def enumerate_ellipsoid_points(
         high = (t_max - off) // a
         for value in range(max(0, -((t_max + off) // a)), high + 1):
             xs[v] = value
-            if partial_filter is not None and not partial_filter(v, xs):
-                continue
+            if partial_filter is not None:
+                keep = partial_filter(v, xs)
+                if keep is None:
+                    break
+                if not keep:
+                    continue
             t = a * value + off
             ws[v] = s * value - cn[v]
             yield from rec(k + 1, budget - coeff[v] * t * t)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, canonical_cycle, chi,
+from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
                    estar_support, intersection_form, is_antinef,
                    is_numerically_gorenstein)
 from .ellseq import EllipticSequence, partial_sums
@@ -230,30 +230,58 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     Completing the square: with M = -A and b = Z_K/2 + l',
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
     set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b.
-    The antinef inequality at a vertex is used as a pruning filter as soon
-    as the closed neighbourhood of the vertex is assigned; the walker
-    assigns vertices in the graph's depth-first order, so neighbourhoods
-    are nearly contiguous and the pruning activates early."""
+    The antinef inequalities of l - l' prune the walk as each coordinate is
+    assigned. The walker assigns the vertices in the block order of its
+    rooting: a vertex comes after its parent and its earlier siblings,
+    before its children. An unassigned child c of an assigned vertex v
+    counts at a lower bound that every antinef completion meets: with
+    X = den*x, eliminating the inequalities of the subtree below c, as the
+    leaf elimination does the form, gives D_c X_c >= P_c X_v - low_c. So
+    x_i's own inequality reads D_i X_i >= P_i X_parent - low_i; if x_i
+    fails it, it is too small and the value is skipped. If x_i fails an
+    assigned neighbour's inequality, where its coefficient is positive,
+    every larger value fails too, and the range stops."""
     b = canonical_cycle(graph) * Fraction(1, 2) + lprime
     radius2 = 2 * Fraction(bound) - intersection_form(b, b)
-    neighbours = graph._neighbours
-    euler = [graph.euler[v] for v in graph.vertices]
-    # l' as integer numerators over its denominator keeps the hot filter
-    # free of Fractions
-    ioff, den = lprime.num, lprime.den
-    rank = {i: r for r, i in enumerate(graph._order)}
-    ready: list[list[int]] = [[] for _ in graph.vertices]
-    for j, ws in enumerate(neighbours):
-        ready[max([j, *ws], key=rank.__getitem__)].append(j)
+    # with l' = num/den, (l - l', E_j) <= 0 reads
+    # e_j X_j + sum_{w ~ j} X_w <= cap_j
+    den, cap = lprime.den, _times_a(graph, lprime.num)
+    order, parent, sub, kids, _ = graph._walk_rooting()
+    children: list[list[int]] = [[] for _ in order]
+    for c in order[1:]:
+        children[parent[c]].append(c)
+    low = [0] * len(order)
+    for c in reversed(order):
+        low[c] = kids[c] * cap[c] + sum(kids[c] // sub[w] * low[w]
+                                        for w in children[c])
+    assigned = [False] * len(order)
 
-    def partial_filter(i: int, xs: list[int]) -> bool:
-        for j in ready[i]:
-            acc = (xs[j] * den - ioff[j]) * euler[j]
-            for w in neighbours[j]:
-                acc += xs[w] * den - ioff[w]
-            if acc > 0:
-                return False
-        return True
+    def test(j: int) -> tuple:
+        """j's inequality times P_j with its unassigned children at their
+        bounds, as den * (a x_j + P_j sum_w x_w) <= top over the assigned
+        neighbours w: (j, a, P_j, the w, top)."""
+        pending = [c for c in children[j] if not assigned[c]]
+        return (j, kids[j] * graph.euler[graph.vertices[j]]
+                + sum(kids[j] // sub[c] * kids[c] for c in pending), kids[j],
+                [w for w in graph._neighbours[j] if assigned[w]],
+                kids[j] * cap[j] + sum(kids[j] // sub[c] * low[c]
+                                       for c in pending))
+
+    own: list[tuple] = [()] * len(order)
+    stops: list[list[tuple]] = [[] for _ in order]
+    for i in order:
+        assigned[i] = True
+        own[i] = test(i)
+        stops[i] = [test(j) for j in own[i][3]]
+
+    def fails(j, a, p, ws, top, xs) -> bool:
+        return den * (a * xs[j] + p * sum(xs[w] for w in ws)) > top
+
+    def partial_filter(i: int, xs: list[int]) -> bool | None:
+        for test_j in stops[i]:
+            if fails(*test_j, xs):
+                return None
+        return not fails(*own[i], xs)
 
     return [Cycle(graph, point) for point in enumerate_ellipsoid_points(
         graph, b, radius2, partial_filter=partial_filter)]

@@ -332,18 +332,34 @@ def _a_times_x(spec, cycle):
             for v, e in euler.items()}
 
 
-def _check_rooted_order(g, names, neighbours):
-    """`_order` starts at the first vertex of least degree and lists every
-    parent, a neighbour, before its children."""
-    order, parent = g._order, g._parent
+def _check_block_order(names, neighbours, order, parent):
+    """`order` lists every vertex once, every parent (a neighbour) before
+    its children, and the children of each vertex next to each other."""
     assert sorted(order) == list(range(len(names)))
-    assert names[order[0]] == min(names,
-                                  key=lambda v: (len(neighbours[v]), v))
     assert parent[order[0]] == -1
     rank = {i: r for r, i in enumerate(order)}
     for i in order[1:]:
         assert names[parent[i]] in neighbours[names[i]]
         assert rank[parent[i]] < rank[i]
+    for i in order:
+        ranks = sorted(rank[c] for c in order if parent[c] == i)
+        assert not ranks or ranks == list(range(ranks[0],
+                                                ranks[0] + len(ranks)))
+
+
+def _check_rooted_order(g, names, neighbours):
+    """The graph's rooting starts at the first vertex of least degree; the
+    walk's rooting at the widest leaf, a leaf v with the largest
+    (M^-1)_vv = det(T - v) / det, the coefficient of E*_v at v, the least
+    index on ties. Both are block orders."""
+    _check_block_order(names, neighbours, g._order, g._parent)
+    assert names[g._order[0]] == min(names,
+                                     key=lambda v: (len(neighbours[v]), v))
+    walk_order, walk_parent = g._walk_rooting()[:2]
+    _check_block_order(names, neighbours, walk_order, walk_parent)
+    leaves = [v for v in names if len(neighbours[v]) <= 1]
+    assert names[walk_order[0]] == min(
+        leaves, key=lambda v: (-dual_cycle(g, v).coefficient(v), v))
 
 
 def _check_kernel(spec, coeffs):
@@ -359,24 +375,28 @@ def _check_kernel(spec, coeffs):
         return
     assert definite
     _check_rooted_order(g, names, neighbours)
-    # D_v is det(-A) on the subtree below v, P_v the product of the D_c
-    parent, sub, kids = g._parent, g._subdet, g._childdet
-    below = [{i} for i in range(len(names))]
-    for i in reversed(g._order[1:]):
-        below[parent[i]] |= below[i]
-    for i in range(len(names)):
-        rows = sorted(below[i])
-        assert sub[i] == bareiss_elimination(
-            [[neg[r][c] for c in rows] for r in rows])[-1]
-        assert kids[i] == math.prod(sub[c] for c in range(len(names))
-                                    if parent[c] == i)
-    # the orthogonalization the ellipsoid walker relies on:
-    # x^T (-A) x = sum_v (D_v x_v - P_v x_parent(v))^2 / (D_v P_v)
+    # for both rootings: D_v is det(-A) on the subtree below v, P_v the
+    # product of the D_c, and the orthogonalization the ellipsoid walker
+    # relies on, x^T (-A) x = sum_v (D_v x_v - P_v x_parent(v))^2 / (D_v P_v)
     x = coeffs[:len(names)]
-    assert sum(x[i] * neg[i][j] * x[j] for i in range(len(x))
-               for j in range(len(x))) == sum(
-        (sub[i] * x[i] - (kids[i] * x[parent[i]] if parent[i] >= 0 else 0))
-        ** 2 / (sub[i] * kids[i]) for i in range(len(x)))
+    for order, parent, sub, kids, det in (
+            (g._order, g._parent, g._subdet, g._childdet, g.det),
+            g._walk_rooting()):
+        assert det == g.det
+        below = [{i} for i in range(len(names))]
+        for i in reversed(order[1:]):
+            below[parent[i]] |= below[i]
+        for i in range(len(names)):
+            rows = sorted(below[i])
+            assert sub[i] == bareiss_elimination(
+                [[neg[r][c] for c in rows] for r in rows])[-1]
+            assert kids[i] == math.prod(sub[c] for c in range(len(names))
+                                        if parent[c] == i)
+        assert sum(x[i] * neg[i][j] * x[j] for i in range(len(x))
+                   for j in range(len(x))) == sum(
+            (sub[i] * x[i] - (kids[i] * x[parent[i]] if parent[i] >= 0
+                              else 0)) ** 2 / (sub[i] * kids[i])
+            for i in range(len(x)))
     assert g.det == minors[-1] == math.prod(_own_ldl(neg)[0])
     zk = canonical_cycle(g)
     assert _a_times_x(spec, zk) == {v: e + 2 for v, e in euler.items()}

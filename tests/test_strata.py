@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resgraph import quadform
+from resgraph import quadform, strata
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            intersection_form)
 from resgraph.ellseq import elliptic_sequence
@@ -172,12 +172,13 @@ def test_walker_matches_oracle_on_g_left(g_left):
 
 
 @st.composite
-def small_trees(draw):
-    """Random trees of up to 8 vertices, Euler numbers -5..-2, labels in
-    random order, so that the rooted order varies."""
-    n = draw(st.integers(1, 8))
+def random_trees(draw, min_vertices=1, max_vertices=8, min_euler=-5):
+    """Random trees, Euler numbers min_euler..-2, labels in random order, so
+    that the rooted orders and the walk's tie-breaks vary; None when the
+    draw is not negative definite."""
+    n = draw(st.integers(min_vertices, max_vertices))
     labels = draw(st.permutations([f"v{i}" for i in range(n)]))
-    eulers = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
+    eulers = draw(st.lists(st.integers(min_euler, -2), min_size=n, max_size=n))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
     try:
         return build_graph({"vertices": list(zip(labels, eulers)),
@@ -198,12 +199,95 @@ _DET10 = build_graph({
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_trees(), st.sampled_from([0, 1, 2]),
+@given(random_trees(), st.sampled_from([0, 1, 2]),
        st.sampled_from(["zero", "estar", "pre"]))
 @example(_DET10, 1, "zero")
 def test_walker_matches_oracle_on_random_trees(graph, bound, kind):
     assume(graph is not None)
     _check_walker(graph, _lprimes(graph)[kind], bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_trees(min_vertices=9, max_vertices=12, min_euler=-6),
+       st.sampled_from([0, 1, 2]), st.sampled_from(["zero", "estar", "pre"]))
+def test_walker_matches_oracle_on_wider_random_trees(graph, bound, kind):
+    """More vertices and more leaves than above, which exercises the choice
+    of the walk's root; about 20 ms per case, nearly all in the oracle."""
+    assume(graph is not None)
+    _check_walker(graph, _lprimes(graph)[kind], bound)
+
+
+# -- the walker's work, counted as calls to its partial_filter argument -----
+
+def _filter_calls(monkeypatch, graph, lprime, bound):
+    """(candidates, number of partial_filter calls) of _candidate_cycles,
+    counted by wrapping the filter on its way into the walker."""
+    calls = 0
+    walker = quadform.enumerate_ellipsoid_points
+
+    def counting_walker(graph, center, radius2, partial_filter=None):
+        def counted(i, xs):
+            nonlocal calls
+            calls += 1
+            return partial_filter(i, xs)
+        return walker(graph, center, radius2, partial_filter=counted)
+
+    monkeypatch.setattr(strata, "enumerate_ellipsoid_points", counting_walker)
+    walked = _candidate_cycles(graph, lprime, bound)
+    return walked, calls
+
+
+@pytest.mark.parametrize("name, points, cap", [
+    # 9 773 and 9 799 calls. The depth-first walk from the least-degree
+    # root, with a filter that only read complete neighbourhoods, made
+    # 405 457 and 166 274; counting unassigned children at 0 rather than
+    # at their subtree bounds makes 30 968 and 44 000
+    ("g_left", 485, 15_000),
+    ("g_right", 412, 15_000)])
+def test_walker_work_at_bound_4(monkeypatch, request, name, points, cap):
+    graph = request.getfixturevalue(name)
+    walked, calls = _filter_calls(monkeypatch, graph, graph.zero_cycle(), 4)
+    assert len(walked) == points
+    assert calls <= cap
+
+
+def test_walker_work_far_from_the_origin(monkeypatch, g_app):
+    """l' = -12 E*_a9 puts the center far out along one leaf: 3 142 filter
+    calls for these 4 points. The walk from the least-degree root with the
+    complete-neighbourhood filter made 1 316 980. The cap also needs both
+    parts of the filter: skipping the values that overflow a neighbour
+    instead of stopping there makes 4 807, and counting unassigned children
+    at 0 makes 44 862."""
+    lprime = -12 * dual_cycle(g_app, "a9")
+    walked, calls = _filter_calls(monkeypatch, g_app, lprime, 2)
+    assert len(walked) == 4
+    assert calls <= 4_000
+
+
+def test_walker_stops_a_range_on_none(g_app):
+    """None from the filter ends the range of the coordinate just assigned:
+    stopping once x_v > c yields exactly the points with x_v <= c, in the
+    same order. After a stop the walk backtracks, so the next filter call
+    is at an earlier vertex, not at v again. The ellipsoid is
+    {l >= 0 : chi(l) <= 1}, 849 points."""
+    center = canonical_cycle(g_app) * Fraction(1, 2)
+    radius2 = 2 - intersection_form(center, center)
+    every = list(quadform.enumerate_ellipsoid_points(g_app, center, radius2))
+    assert len(set(every)) == len(every)
+    for v in range(len(g_app.vertices)):
+        values = sorted({x[v] for x in every})
+        assert len(values) > 1
+        for c in values[:-1]:
+            stopped = False
+
+            def stop(i, xs):
+                nonlocal stopped
+                assert not (stopped and i == v)
+                stopped = i == v and xs[i] > c
+                return None if stopped else True
+            kept = list(quadform.enumerate_ellipsoid_points(
+                g_app, center, radius2, partial_filter=stop))
+            assert kept == [x for x in every if x[v] <= c]
 
 
 def test_walker_keeps_its_traced_shape():
