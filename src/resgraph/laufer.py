@@ -67,8 +67,9 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
     pair = _times_a(g, z)
     euler = [g.euler[v] * scale for v in g.vertices]
     steps: list[str] = []
-    # defensive guard only; unreachable for valid negative-definite input
+    # a cheap first guard; a lift that reaches it computes the true bound
     guard = (2 * g.det * (max(map(abs, z)) // scale + 1) + 1) * len(z)
+    bounded = False
     while True:
         chosen = -1
         for i, p in enumerate(pair):
@@ -78,9 +79,12 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
         if chosen < 0:
             break
         if len(steps) >= guard:
-            raise InvariantViolation(
-                "computation sequence exceeded its termination guard; "
-                "the graph data violates negative definiteness")
+            if not bounded:
+                guard, bounded = _step_bound(l), True
+            if len(steps) >= guard:
+                raise InvariantViolation(
+                    "computation sequence exceeded its termination guard; "
+                    "the graph data violates negative definiteness")
         steps.append(g.vertices[chosen])
         z[chosen] += scale
         pair[chosen] += euler[chosen]
@@ -88,6 +92,21 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
             pair[j] += scale
     result = Cycle(g, tuple(z), scale)
     return result, ComputationTrace(start=l, steps=tuple(steps), result=result)
+
+
+def _step_bound(l: Cycle) -> int:
+    """An upper bound on the steps of the lift of l: sum_v (y_v - l_v) for
+    an antinef y in l + L_{>=0}, since no step passes such a y.
+
+    x = det * sum_v E*_v is integral and (x, E_v) = -det. For the least
+    integer t with t x >= l and t det >= every degree, y = l + ceil(t x - l)
+    has y - t x in [0, 1)^V, so (y, E_v) < -t det + deg v <= 0."""
+    g = l.graph
+    total = g._tree_solve([1] * len(g.vertices))
+    x = [c * (g.det // total.den) for c in total.num]
+    t = max(-(-max(len(ws) for ws in g._neighbours) // g.det),
+            *(-(-c // (l.den * xv)) for c, xv in zip(l.num, x)))
+    return sum(-((c - t * xv * l.den) // l.den) for c, xv in zip(l.num, x))
 
 
 def fundamental_cycle(graph: ResolutionGraph) -> Cycle:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (Cycle, ResolutionGraph, build_graph, canonical_cycle, chi,
-                   estar_coordinates, intersection_form)
+from .core import (Cycle, ResolutionGraph, _times_a, build_graph,
+                   canonical_cycle, chi, intersection_form)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -77,12 +77,17 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
     each neighbour (z_j at its interval maximum). Iterating these two rules
     to a fixed point only ever discards values that lie in no solution
     inside the current box, so the enumeration stays exhaustive; branches
-    whose intervals empty out die immediately."""
+    whose intervals empty out die immediately.
+
+    The inequalities are scaled by the base's denominator D, so the search
+    runs on integers: p_j + D e_j z_j + D sum_{w ~ j} z_w <= 0 with
+    p_j = D (base, E_j). Every rec call, one per partial assignment that
+    survives propagation, counts one visited node against box.cap."""
     n = len(graph.vertices)
-    euler = [graph.euler[v] for v in graph.vertices]
     adj = graph._neighbours
-    coords = estar_coordinates(base)  # a_v = -(base, E_v)
-    base_pairing = [-coords.get(v, 0) for v in graph.vertices]
+    scale = base.den
+    pairing = _times_a(graph, list(base.num))
+    weight = [scale * graph.euler[v] for v in graph.vertices]  # D e_j < 0
     visited = 0
 
     def propagate(lo: list[int], hi: list[int]) -> bool:
@@ -90,18 +95,18 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
         while changed:
             changed = False
             for j in range(n):
-                nb_min = sum(lo[w] for w in adj[j])
-                need = base_pairing[j] + nb_min  # e_j z_j + need <= 0
+                nb_min = scale * sum(lo[w] for w in adj[j])
+                need = pairing[j] + nb_min  # D e_j z_j + need <= 0
                 if need > 0:
-                    floor_j = math.ceil(Fraction(need, -euler[j]))
+                    floor_j = -(need // weight[j])  # ceil(need / -D e_j)
                     if floor_j > lo[j]:
                         if floor_j > hi[j]:
                             return False
                         lo[j] = floor_j
                         changed = True
-                room = -base_pairing[j] - euler[j] * hi[j] - nb_min
+                room = (-pairing[j] - weight[j] * hi[j] - nb_min) // scale
                 for w in adj[j]:
-                    cap_w = math.floor(room + lo[w])
+                    cap_w = room + lo[w]
                     if cap_w < hi[w]:
                         if cap_w < lo[w]:
                             return False
@@ -223,13 +228,23 @@ def _own_ldl(matrix: Sequence[Sequence[int]]):
 
 
 def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
-                  cap: int) -> list[Cycle]:
-    """All integral l >= 0 with chi(l) <= bound.
+                  cap: int) -> tuple[list[tuple[Cycle, int]], int]:
+    """All integral l >= 0 with chi(l) <= bound, each with chi(l) as a
+    numerator over one denominator: returns ([(l, k)], den), chi(l) = k/den.
 
     chi(l) = ((l-b)^T M (l-b) - b^T M b) / 2 with M = -A and b = Z_K / 2,
-    so the sublevel set is an ellipsoid, walked by exact budget recursion.
-    Integer intervals per coordinate are found by outward scanning, which
-    costs no more than the enumeration itself."""
+    so the sublevel set is the ellipsoid (l-b)^T M (l-b) <= R with
+    R = 2*bound + b^T M b. With M = U^T D U from `_own_ldl`, it is walked
+    coordinate by coordinate from the last one down (Fincke-Pohst), each
+    coordinate's integer interval around its centre
+    c_i = b_i - sum_{j>i} u_ij (l_j - b_j) read off the remaining budget.
+
+    The walk runs on integers: with S the lcm of the denominators of the
+    u_ij and b_j, and L that of the d_i and of R, it carries S^2 c_i,
+    the weights L d_i and the budget scaled by L S^4, and takes each
+    interval from one isqrt. Every rec call counts one visited node
+    against `cap`, leaves included; the remaining budget at a leaf is
+    (R - (l-b)^T M (l-b)) L S^4, so chi(l) = bound - remainder/(2 L S^4)."""
     n = len(graph.vertices)
     m = _minus_a(graph)
     zk = canonical_cycle(graph)
@@ -237,41 +252,45 @@ def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
     btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
     radius2 = 2 * Fraction(bound) + btmb
     if radius2 < 0:
-        return []
+        return [], 1
     d, u = _own_ldl(m)
+    s = math.lcm(*(x.denominator for x in b),
+                 *(x.denominator for row in u for x in row))
+    s2 = s * s
+    lcm_l = math.lcm(radius2.denominator, *(x.denominator for x in d))
+    scale = lcm_l * s2 * s2
+    sb = [int(x * s) for x in b]
+    su = [[int(x * s) for x in row] for row in u]
+    centre = [x * s for x in sb]  # S^2 b_i
+    weight = [int(x * lcm_l) for x in d]  # L d_i
+    chi_den = 2 * scale
+    top = int(chi_den * Fraction(bound))
     xs = [0] * n
-    out: list[Cycle] = []
+    sx = [0] * n  # S l_j - S b_j for the assigned j
+    out: list[tuple[Cycle, int]] = []
     visited = 0
 
-    def rec(i: int, budget: Fraction):
+    def rec(i: int, budget: int):
         nonlocal visited
         visited += 1
         if visited > cap:
             raise ResourceCapExceeded(
                 f"chi sublevel enumeration exceeded its budget ({cap})")
         if i < 0:
-            out.append(graph.from_vector(tuple(xs)))
+            out.append((Cycle(graph, tuple(xs)), top - budget))
             return
-        shift = Fraction(0)
-        for j in range(i + 1, n):
-            shift += u[i][j] * (xs[j] - b[j])
-        c = b[i] - shift
-        q = budget / d[i]
-        lo = math.floor(c)
-        while (Fraction(lo) - c) ** 2 <= q:
-            lo -= 1
-        lo += 1
-        hi = math.floor(c)
-        while (Fraction(hi + 1) - c) ** 2 <= q:
-            hi += 1
-        for value in range(max(lo, 0), hi + 1):
+        row = su[i]
+        c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
+        w = weight[i]
+        t = math.isqrt(budget // w)  # |S^2 x - c| <= t
+        for value in range(max(-((t - c) // s2), 0), (c + t) // s2 + 1):
             xs[i] = value
-            term = d[i] * (Fraction(value) - c) ** 2
-            if term <= budget:
-                rec(i - 1, budget - term)
+            sx[i] = s * value - sb[i]
+            e = s2 * value - c
+            rec(i - 1, budget - w * e * e)
 
-    rec(n - 1, radius2)
-    return out
+    rec(n - 1, int(radius2 * scale))
+    return out, chi_den
 
 
 def brute_min_chi(graph: ResolutionGraph,
@@ -279,16 +298,15 @@ def brute_min_chi(graph: ResolutionGraph,
     """(min chi over integral l > 0, list of argmins).
 
     chi(E_v) = 1 for any vertex, so the minimum is at most 1 and the whole
-    chi <= 1 sublevel set suffices."""
-    candidates = [l for l in _chi_sublevel(graph, Fraction(1), cap)
-                  if not l.is_zero()]
+    chi <= 1 sublevel set suffices; chi is read off the walk."""
+    points, den = _chi_sublevel(graph, Fraction(1), cap)
+    candidates = [(l, k) for l, k in points if not l.is_zero()]
     if not candidates:
         raise InvariantViolation("chi sublevel set missed the basis cycles")
-    values = [(chi(l), l) for l in candidates]
-    best = min(v for v, _ in values)
-    argmins = sorted((l for v, l in values if v == best),
-                     key=lambda l: l.coeffs)
-    return best, argmins
+    best = min(k for _, k in candidates)
+    argmins = sorted((l for l, k in candidates if k == best),
+                     key=lambda l: l.num)
+    return Fraction(best, den), argmins
 
 
 def brute_minimally_elliptic(graph: ResolutionGraph,
@@ -296,8 +314,8 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
     """Unique minimum of {0 < l <= Z_min : chi(l) = 0}, by direct search
     (the chi <= 0 locus is a finite ellipsoid; filter it to the box)."""
     zmin = brute_fundamental_cycle(graph, cap)
-    hits = [l for l in _chi_sublevel(graph, Fraction(0), cap)
-            if not l.is_zero() and l <= zmin and chi(l) == 0]
+    points, _ = _chi_sublevel(graph, Fraction(0), cap)
+    hits = [l for l, k in points if k == 0 and not l.is_zero() and l <= zmin]
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
                         "cycle (graph is not elliptic)")

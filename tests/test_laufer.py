@@ -5,15 +5,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resgraph.core import (build_graph, canonical_cycle, chi, is_antinef,
                            same_class)
 from resgraph.errors import UserError
-from resgraph.laufer import (antinef_lift, classify, cube_representative,
-                             fundamental_cycle, minimal_class_representative,
+from resgraph.laufer import (_step_bound, antinef_lift, classify,
+                             cube_representative, fundamental_cycle,
+                             minimal_class_representative,
                              require_elliptic_minimal)
+
+from conftest import random_trees
 
 
 def test_antinef_lift_properties(g_app):
@@ -91,3 +94,33 @@ def test_require_elliptic_minimal(g_app, g_pole, single_vertex):
         require_elliptic_minimal(g_pole)  # not minimal
     with pytest.raises(UserError):
         require_elliptic_minimal(single_vertex)  # rational
+
+
+def test_lift_past_the_cheap_guard():
+    """A det-1 tree whose lift to Z_min takes 713 steps, far beyond the
+    first guard of (2 det (max|l| + 1) + 1) n = 50, so the lift must go on
+    to the true bound."""
+    g = build_graph({
+        "vertices": list(zip([f"v{i}" for i in range(10)],
+                             [-2, -3, -2, -3, -3, -2, -2, -2, -3, -3])),
+        "edges": [("v1", "v0"), ("v2", "v0"), ("v3", "v1"), ("v4", "v1"),
+                  ("v5", "v0"), ("v6", "v1"), ("v7", "v4"), ("v8", "v5"),
+                  ("v9", "v0")]})
+    assert g.det == 1
+    cls = classify(g)
+    zmin, trace = antinef_lift(g.from_vector([1] * 10))
+    assert cls.zmin == zmin and max(zmin.num) == 180
+    assert len(trace.steps) == 713 and trace.replay()
+    assert is_antinef(zmin) and cls.kind == "other"
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_vertices=10, min_euler=-4), st.data())
+def test_step_bound_bounds_the_lift(graph, data):
+    """The true bound holds for rational starts of either sign."""
+    assume(graph is not None)
+    n = len(graph.vertices)
+    den = data.draw(st.sampled_from([1, 2, 3, 7]))
+    l = graph.from_vector(Fraction(c, den) for c in data.draw(
+        st.lists(st.integers(-8, 8), min_size=n, max_size=n)))
+    assert len(antinef_lift(l)[1].steps) <= _step_bound(l)

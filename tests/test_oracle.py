@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import ast
 import inspect
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import resgraph.oracle as oracle_module
-from resgraph.core import build_graph, chi, is_antinef
+from resgraph.core import build_graph, canonical_cycle, chi, is_antinef
 from resgraph.errors import ResourceCapExceeded, UserError
-from resgraph.oracle import (SearchBox, brute_fundamental_cycle, brute_lemci,
+from resgraph.oracle import (SearchBox, _chi_sublevel, _minus_a, _own_ldl,
+                             brute_fundamental_cycle, brute_lemci,
                              brute_min_antinef, brute_min_chi,
                              brute_minimally_elliptic, brute_subsupports,
                              enumerate_trees, verify)
+
+from conftest import random_trees
 
 
 def test_oracle_module_is_independent():
@@ -169,6 +175,109 @@ def test_resource_caps(g_app, g_left):
         brute_fundamental_cycle(g_app, cap=10)
     with pytest.raises(ResourceCapExceeded):
         brute_subsupports(g_left)  # 24 vertices > subset cap
+
+
+def _fraction_chi_sublevel(graph, bound, cap):
+    """Reference: the chi <= bound walk in Fraction arithmetic, each
+    interval found by scanning outward from the floor of its centre."""
+    n = len(graph.vertices)
+    m = _minus_a(graph)
+    b = [c / 2 for c in canonical_cycle(graph).coeffs]
+    btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
+    radius2 = 2 * Fraction(bound) + btmb
+    if radius2 < 0:
+        return []
+    d, u = _own_ldl(m)
+    xs = [0] * n
+    out = []
+    visited = 0
+
+    def rec(i, budget):
+        nonlocal visited
+        visited += 1
+        if visited > cap:
+            raise ResourceCapExceeded(f"reference walk over {cap}")
+        if i < 0:
+            out.append(graph.from_vector(xs))
+            return
+        c = b[i] - sum(u[i][j] * (xs[j] - b[j]) for j in range(i + 1, n))
+        q = budget / d[i]
+        lo = math.floor(c)
+        while (lo - c) ** 2 <= q:
+            lo -= 1
+        hi = math.floor(c)
+        while (hi + 1 - c) ** 2 <= q:
+            hi += 1
+        for value in range(max(lo + 1, 0), hi + 1):
+            xs[i] = value
+            term = d[i] * (value - c) ** 2
+            if term <= budget:
+                rec(i - 1, budget - term)
+
+    rec(n - 1, radius2)
+    return out
+
+
+def _check_walk(graph, bound, cap=oracle_module.DEFAULT_CAP):
+    """The integer walk lists the reference's points in its order, and its
+    chi is core's; when one walk passes the cap, so does the other."""
+    try:
+        expected = _fraction_chi_sublevel(graph, bound, cap)
+    except ResourceCapExceeded:
+        with pytest.raises(ResourceCapExceeded):
+            _chi_sublevel(graph, Fraction(bound), cap)
+        return None
+    points, den = _chi_sublevel(graph, Fraction(bound), cap)
+    assert [l for l, _ in points] == expected
+    assert all(Fraction(k, den) == chi(l) for l, k in points)
+    return points
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("g_app", 0), ("g_app", 1), ("g_new", 0), ("g_new", 1),
+    ("g_noecc", 0), ("g_noecc", 1), ("g_pole", 0)])
+def test_chi_walk_matches_fraction_reference(name, bound, request):
+    assert _check_walk(request.getfixturevalue(name), bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(), st.sampled_from([0, 1]))
+def test_chi_walk_matches_fraction_reference_on_random_trees(graph, bound):
+    assume(graph is not None)
+    _check_walk(graph, bound, cap=3000)
+
+
+def test_searches_visit_the_same_nodes(g_app):
+    """The least caps that let the two searches through on g_app, as
+    measured on the Fraction versions: a search that visits more or fewer
+    nodes moves them."""
+    assert len(_chi_sublevel(g_app, Fraction(1), 2661)[0]) == 849
+    with pytest.raises(ResourceCapExceeded):
+        _chi_sublevel(g_app, Fraction(1), 2660)
+    assert brute_fundamental_cycle(g_app, cap=21) == \
+        brute_fundamental_cycle(g_app)
+    with pytest.raises(ResourceCapExceeded):
+        brute_fundamental_cycle(g_app, cap=20)
+
+
+def test_searches_build_no_fraction_per_node():
+    """The recursions of the chi walk and the boxed antinef search run on
+    integers: no Fraction and no math.ceil/floor inside them."""
+    tree = ast.parse(inspect.getsource(oracle_module))
+    outer = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    for name, inner in (("_chi_sublevel", "rec"),
+                        ("_antinef_hits", "propagate"),
+                        ("_antinef_hits", "rec")):
+        body = next(node for node in ast.walk(outer[name])
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == inner)
+        names = {node.id for node in ast.walk(body)
+                 if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in ast.walk(body)
+                 if isinstance(node, ast.Attribute)}
+        assert "Fraction" not in names, (name, inner)
+        assert not attrs & {"ceil", "floor"}, (name, inner)
 
 
 def test_min_chi_pole(g_pole):

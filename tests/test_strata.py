@@ -14,12 +14,14 @@ from resgraph import quadform, strata
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            intersection_form)
 from resgraph.ellseq import elliptic_sequence
-from resgraph.errors import GraphValidationError, UserError
+from resgraph.errors import UserError
 from resgraph.laufer import fundamental_cycle, minimal_class_representative
 from resgraph.oracle import brute_antinef_sublevel
 from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
                              fixed_component_candidates, h1_on_image, pg,
                              reduction_index, strata_index_sets, w_strata)
+
+from conftest import random_trees
 
 
 @pytest.fixture(scope="module")
@@ -169,24 +171,6 @@ def test_walker_matches_oracle_on_g_left(g_left):
     lprimes = _lprimes(g_left)
     for kind in ("zero", "estar"):
         _check_walker(g_left, lprimes[kind], 1)
-
-
-@st.composite
-def random_trees(draw, min_vertices=1, max_vertices=8, min_euler=-5):
-    """Random trees, Euler numbers min_euler..-2, labels in random order, so
-    that the rooted orders and the walk's tie-breaks vary; None when the
-    draw is not negative definite."""
-    n = draw(st.integers(min_vertices, max_vertices))
-    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
-    eulers = draw(st.lists(st.integers(min_euler, -2), min_size=n, max_size=n))
-    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    try:
-        return build_graph({"vertices": list(zip(labels, eulers)),
-                            "edges": [(labels[i], labels[p]) for i, p
-                                      in enumerate(parents, start=1)]})
-    except GraphValidationError as exc:
-        assert exc.diagnostic == "not-negative-definite"
-        return None
 
 
 # det 10; its whole chi <= 1 sublevel set passes 10^6 points, while the
