@@ -165,10 +165,9 @@ def _cmd_ellseq(args) -> dict:
         "minimally_elliptic": cycle_to_data(c),
         "self_intersection_C": format_fraction(intersection_form(c, c)),
         "partial_sums": [
-            {"t": t,
-             "C_t": cycle_to_data(partial_sums(seq, t)[0]),
-             "Cprime_t": cycle_to_data(partial_sums(seq, t)[1])}
-            for t in range(-1, seq.m + 1)],
+            {"t": t, "C_t": cycle_to_data(ct), "Cprime_t": cycle_to_data(cpt)}
+            for t in range(-1, seq.m + 1)
+            for ct, cpt in [partial_sums(seq, t)]],
         "pg_table": pg_table(seq, args.alpha),
     }
 
@@ -253,6 +252,16 @@ def _cmd_enumerate(args) -> dict:
     if args.euler_min > args.euler_max or args.euler_max > -1:
         raise UserError("need euler-min <= euler-max <= -1")
     cap = _enum_cap(default=10 ** 5)
+    # the shapes on n vertices are sieved from all n^(n-2) Pruefer
+    # sequences before the first is yielded, so count those up front
+    sequences = 0
+    for n in range(1, args.max_vertices + 1):
+        sequences += n ** (n - 2) if n > 2 else 1
+        if sequences > cap:
+            raise ResourceCapExceeded(
+                f"enumeration up to {n} vertices walks {sequences} Pruefer "
+                f"sequences, over cap {cap}; lower the bounds or raise "
+                f"{CAP_ENV}")
     graphs = []
     for g in oracle.enumerate_trees(args.max_vertices,
                                     range(args.euler_min, args.euler_max + 1)):

@@ -179,8 +179,7 @@ def criteria_reports(graph: ResolutionGraph
                      ) -> tuple[CriterionReport, CriterionReport]:
     """(extension criterion, monomial condition) on an elliptic minimal
     graph, each evaluated once; their verdicts must agree."""
-    require_elliptic_minimal(graph)
-    ext = extension_criterion(graph)
+    ext = extension_criterion(graph, elliptic_sequence(graph))
     mono = monomial_condition(graph)
     if ext.verdict != mono.verdict:
         raise InvariantViolation(

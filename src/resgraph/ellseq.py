@@ -13,10 +13,12 @@ independently, and `oracle.verify` checks them against these.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import (Cycle, ResolutionGraph, canonical_cycle, chi,
-                   intersection_form, is_numerically_gorenstein)
+from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
+                   is_numerically_gorenstein)
 from .errors import InvariantViolation, UserError
 from .laufer import (fundamental_cycle, minimal_class_representative,
                      require_elliptic_minimal)
@@ -64,34 +66,36 @@ class EllipticSequence:
             return self.pre_term
         return self.fundamental_cycles[j]
 
+    @cached_property
+    def sums(self) -> tuple[Cycle, ...]:
+        """The partial sums (C_{-1}, C_0, ..., C_m), C_t = sum_{i<=t} Z_{B_i}
+        with the pre-term at index -1, kept once derived from the cycles."""
+        return tuple(itertools.accumulate(self.fundamental_cycles,
+                                          initial=self.pre_term))
+
     def validate(self) -> None:
-        """Assert every structural invariant; raises InvariantViolation."""
+        """Assert every structural invariant, reading C_m off `sums` and the
+        pairings of Z_{B_j} off one A Z_{B_j}; raises InvariantViolation."""
         g = self.graph
-        zk = canonical_cycle(g)
-        total = self.pre_term
-        for zb in self.fundamental_cycles:
-            total = total + zb
-        if total != zk:
+        if self.sums[-1] != canonical_cycle(g):
             raise InvariantViolation("elliptic sequence does not sum to Z_K")
         if (self.pre_term.is_zero()) != is_numerically_gorenstein(g):
             raise InvariantViolation(
                 "pre-term must vanish exactly in the numerically Gorenstein case")
         if not self.pre_term.is_zero() and chi(self.pre_term) != 0:
             raise InvariantViolation("chi(pre_term) must vanish when nonzero")
-        previous = None
         for j, (b, zb) in enumerate(zip(self.supports, self.fundamental_cycles)):
-            if previous is not None and not (b < previous):
+            if j and not b < self.supports[j - 1]:
                 raise InvariantViolation(f"B_{j} is not strictly inside B_{j - 1}")
             if zb.support() != b:
                 raise InvariantViolation(f"Z_B_{j} support differs from B_{j}")
             if chi(zb) != 0:
                 raise InvariantViolation(f"chi(Z_B_{j}) != 0")
-            previous = b
         # orthogonality: (E_v, Z_{B_j}) = 0 for v in B_{j+1}, -1 <= j < m
         for j in range(-1, self.m):
-            zb = self.cycle_at(j)
+            pairings = _times_a(g, self.cycle_at(j).num)
             for v in self.support_at(j + 1):
-                if intersection_form(zb, g.basis_cycle(v)) != 0:
+                if pairings[g._index[v]]:
                     raise InvariantViolation(
                         f"orthogonality fails: (E_{v}, Z_B_{j}) != 0")
 
@@ -132,19 +136,14 @@ def partial_sums(seq: EllipticSequence, t: int) -> tuple[Cycle, Cycle]:
     """(C_t, C'_t) with C_t = sum_{i<=t} Z_{B_i} and C'_t = sum_{i>=t} Z_{B_i}
     (both sums including the pre-term at index -1); -1 <= t <= m.
 
-    C_t lies in the class [Z_K], and is fractional when the graph is not
-    numerically Gorenstein (C_{-1} = s_{[Z_K]} is then nonzero). The
-    integral fixed-component cycles are C_t - C_{-1}; they pair with the
-    Chern class -C_{-1}."""
+    Both are read off `seq.sums`, as C'_t = Z_K - C_{t-1}. C_t lies in [Z_K],
+    and is fractional when the graph is not numerically Gorenstein (C_{-1} =
+    s_{[Z_K]} is then nonzero). The integral fixed-component cycles are
+    C_t - C_{-1}; they pair with the Chern class -C_{-1}."""
     if not -1 <= t <= seq.m:
         raise UserError(f"t must lie in [-1, {seq.m}], got {t}")
-    c = seq.pre_term
-    for i in range(0, t + 1):
-        c = c + seq.fundamental_cycles[i]
-    cp = seq.graph.zero_cycle() if t >= 0 else seq.pre_term
-    for i in range(max(t, 0), seq.m + 1):
-        cp = cp + seq.fundamental_cycles[i]
-    return c, cp
+    sums = seq.sums
+    return sums[t + 1], (sums[-1] - sums[t] if t >= 0 else sums[-1])
 
 
 def antinef_in_class_below_ZK(graph: ResolutionGraph) -> list[Cycle]:
@@ -152,8 +151,7 @@ def antinef_in_class_below_ZK(graph: ResolutionGraph) -> list[Cycle]:
     the partial sums [C_{-1}, ..., C_m] (increasing, so also sorted by
     coefficients). `oracle.brute_lemci` recomputes this set by box search,
     and `oracle.verify` compares the two."""
-    seq = elliptic_sequence(graph)
-    return [partial_sums(seq, t)[0] for t in range(-1, seq.m + 1)]
+    return list(elliptic_sequence(graph).sums)
 
 
 def numerically_gorenstein_subsupports(

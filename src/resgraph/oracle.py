@@ -153,54 +153,48 @@ def _safe_upper(graph: ResolutionGraph, l: Cycle) -> tuple[int, ...]:
     return tuple(math.ceil(t * xv - lv) for xv, lv in zip(x.coeffs, l.coeffs))
 
 
-def brute_min_antinef(l: Cycle, cap: int = DEFAULT_CAP) -> Cycle:
-    """Minimum of (l + L_{>=0}) cap S' by exhaustive boxed search.
+def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
+    """Minimum of (base + L_{>=0}) cap S' by exhaustive boxed search; with
+    `nonzero`, of (base + L_{>=0} - {0}) cap S'.
 
     The first depth-first hit inside a provably hit-containing box is the
     lexicographic minimum, which coincides with the componentwise minimum
     whenever one exists; the claim is then certified by enumerating every
     hit below it and checking that their meet is the hit itself (meets of
     antinef cycles are antinef, so the certificate is complete)."""
-    graph = l.graph
-    n = len(graph.vertices)
-    box = SearchBox(lower=(0,) * n, upper=_safe_upper(graph, l), cap=cap)
-    first = next(iter(_antinef_hits(graph, l, box)), None)
+    graph = base.graph
+    zero = (0,) * len(graph.vertices)
+    kind = "nonzero antinef element" if nonzero else "antinef element"
+
+    def hits(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        box = SearchBox(zero, upper, cap)
+        return (h for h in _antinef_hits(graph, base, box)
+                if h != zero or not nonzero)
+
+    upper = _safe_upper(graph, base)
+    first = next(hits(upper), None)
     if first is None:
-        raise InvariantViolation(
-            "safe search box contained no antinef element",
-            payload={"upper": box.upper})
-    hits = list(_antinef_hits(
-        graph, l, SearchBox(lower=(0,) * n, upper=first, cap=cap)))
-    meet = tuple(min(h[i] for h in hits) for i in range(n))
-    if meet not in hits:
-        raise InvariantViolation(
-            "minimal antinef element is not unique",
-            payload={"hits": sorted(hits)})
-    return l + graph.from_vector(meet)
+        raise InvariantViolation(f"safe search box contained no {kind}",
+                                 payload={"upper": upper})
+    below = list(hits(first))
+    meet = tuple(map(min, zip(*below)))
+    if meet not in below:
+        raise InvariantViolation(f"minimal {kind} is not unique",
+                                 payload={"hits": sorted(below)})
+    return base + graph.from_vector(meet)
+
+
+def brute_min_antinef(l: Cycle, cap: int = DEFAULT_CAP) -> Cycle:
+    """Minimum of (l + L_{>=0}) cap S', by `_certified_minimum`."""
+    return _certified_minimum(l, cap, nonzero=False)
 
 
 def brute_fundamental_cycle(graph: ResolutionGraph,
                             cap: int = DEFAULT_CAP) -> Cycle:
-    """Minimum of S - {0}, by the same first-hit-plus-certificate search
-    (nonzero antinef cycles on a connected graph have full support, so the
-    all-zero hit is simply skipped)."""
-    n = len(graph.vertices)
-    zero = graph.zero_cycle()
-    box = SearchBox(lower=(0,) * n, upper=_safe_upper(graph, zero), cap=cap)
-    first = next((h for h in _antinef_hits(graph, zero, box) if any(h)), None)
-    if first is None:
-        raise InvariantViolation(
-            "safe search box contained no nonzero antinef element",
-            payload={"upper": box.upper})
-    hits = [h for h in _antinef_hits(
-        graph, zero, SearchBox(lower=(0,) * n, upper=first, cap=cap))
-        if any(h)]
-    meet = tuple(min(h[i] for h in hits) for i in range(n))
-    if meet not in hits:
-        raise InvariantViolation(
-            "fundamental cycle minimum is not unique",
-            payload={"hits": sorted(hits)})
-    return graph.from_vector(meet)
+    """Minimum of S - {0}, by the same search from 0 (nonzero antinef
+    cycles on a connected graph have full support, so the all-zero hit is
+    simply skipped)."""
+    return _certified_minimum(graph.zero_cycle(), cap, nonzero=True)
 
 
 def _minus_a(graph: ResolutionGraph) -> list[list[int]]:
@@ -227,14 +221,26 @@ def _own_ldl(matrix: Sequence[Sequence[int]]):
     return d, u
 
 
+def _ellipsoid(graph: ResolutionGraph, lprime: Cycle, bound):
+    """(b, R, d, u) for the set chi(l) + (l, l') <= bound: with M = -A and
+    b = Z_K/2 + l', chi(l) + (l, l') = ((l-b)^T M (l-b) - b^T M b) / 2, so
+    the set is the ellipsoid (l-b)^T M (l-b) <= R = 2*bound + b^T M b, empty
+    when R < 0; M = U^T D U from `_own_ldl`."""
+    m = _minus_a(graph)
+    n = len(m)
+    b = [c / 2 + p for c, p in zip(canonical_cycle(graph).coeffs,
+                                    lprime.coeffs)]
+    radius2 = 2 * Fraction(bound) + sum(
+        b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
+    return (b, radius2, *_own_ldl(m))
+
+
 def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
                   cap: int) -> tuple[list[tuple[Cycle, int]], int]:
     """All integral l >= 0 with chi(l) <= bound, each with chi(l) as a
     numerator over one denominator: returns ([(l, k)], den), chi(l) = k/den.
 
-    chi(l) = ((l-b)^T M (l-b) - b^T M b) / 2 with M = -A and b = Z_K / 2,
-    so the sublevel set is the ellipsoid (l-b)^T M (l-b) <= R with
-    R = 2*bound + b^T M b. With M = U^T D U from `_own_ldl`, it is walked
+    The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
     coordinate by coordinate from the last one down (Fincke-Pohst), each
     coordinate's integer interval around its centre
     c_i = b_i - sum_{j>i} u_ij (l_j - b_j) read off the remaining budget.
@@ -246,14 +252,9 @@ def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
     against `cap`, leaves included; the remaining budget at a leaf is
     (R - (l-b)^T M (l-b)) L S^4, so chi(l) = bound - remainder/(2 L S^4)."""
     n = len(graph.vertices)
-    m = _minus_a(graph)
-    zk = canonical_cycle(graph)
-    b = [c / 2 for c in zk.coeffs]
-    btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
-    radius2 = 2 * Fraction(bound) + btmb
+    b, radius2, d, u = _ellipsoid(graph, graph.zero_cycle(), bound)
     if radius2 < 0:
         return [], 1
-    d, u = _own_ldl(m)
     s = math.lcm(*(x.denominator for x in b),
                  *(x.denominator for row in u for x in row))
     s2 = s * s
@@ -331,21 +332,14 @@ def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
                            bound) -> list[Cycle]:
     """All integral l >= 0 with l - l' antinef and chi(l) + (l, l') <= bound.
 
-    With M = -A and b = Z_K/2 + l', chi(l) + (l, l') equals
-    ((l-b)^T M (l-b) - b^T M b) / 2, so the set lies in the bounding box
-    |l_i - b_i|^2 <= R (M^{-1})_ii of the ellipsoid of radius^2
-    R = 2*bound + b^T M b. That box, cut to l >= 0, is searched by
+    The set lies in the bounding box |l_i - b_i|^2 <= R (M^{-1})_ii of the
+    ellipsoid of `_ellipsoid`. That box, cut to l >= 0, is searched by
     `_antinef_hits` with base -l', and the hits filtered by the value."""
-    m = _minus_a(graph)
-    n = len(m)
-    b = [c / 2 + p for c, p in zip(canonical_cycle(graph).coeffs,
-                                    lprime.coeffs)]
-    radius2 = 2 * Fraction(bound) + sum(
-        b[i] * m[i][j] * b[j] for i in range(n) for j in range(n))
+    n = len(graph.vertices)
+    b, radius2, d, u = _ellipsoid(graph, lprime, bound)
     if radius2 < 0:
         return []
     # (M^{-1})_ii = sum_k w_k^2 / d_k with M = U^T D U and U^T w = e_i
-    d, u = _own_ldl(m)
     lower, upper = [], []
     for i in range(n):
         w = [Fraction(0)] * n

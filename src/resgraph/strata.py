@@ -21,7 +21,7 @@ from fractions import Fraction
 from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
                    estar_support, intersection_form, is_antinef,
                    is_numerically_gorenstein)
-from .ellseq import EllipticSequence, partial_sums
+from .ellseq import EllipticSequence
 from .errors import InvariantViolation, UserError
 from .laufer import fundamental_cycle
 from .quadform import enumerate_ellipsoid_points
@@ -186,9 +186,8 @@ def fixed_component_candidates(seq: EllipticSequence, params: AnalyticParams
     if not is_numerically_gorenstein(graph):
         raise UserError("fixed-component candidates require a numerically "
                         "Gorenstein graph")
-    out = [FixedComponentCandidate(graph.zero_cycle())]
-    for t in range(0, seq.m + 1):
-        out.append(FixedComponentCandidate(partial_sums(seq, t)[0]))
+    # numerically Gorenstein: C_{-1} = 0, so the sums are {0, C_0, ..., C_m}
+    out = [FixedComponentCandidate(c) for c in seq.sums]
     c = seq.fundamental_cycles[-1]
     if intersection_form(c, c) == -1 and params.alpha >= 1:
         out.append(FixedComponentCandidate(2 * fundamental_cycle(graph),

@@ -36,6 +36,18 @@ def a2_chain():
                         "edges": [("v1", "v2")]})
 
 
+@pytest.fixture(scope="session")
+def det1364_tree():
+    """An 11-vertex tree of det 1 364 whose widest leaf, v2, makes the
+    strata walk far cheaper than the graph's own root, v10."""
+    euler = [-2, -2, -2, -2, -6, -3, -6, -6, -4, -6, -4]
+    edges = [(1, 0), (2, 1), (3, 1), (4, 3), (5, 3), (6, 4), (7, 3), (8, 0),
+             (9, 1), (10, 7)]
+    return build_graph({
+        "vertices": [(f"v{i}", e) for i, e in enumerate(euler)],
+        "edges": [(f"v{u}", f"v{v}") for u, v in edges]})
+
+
 def random_tree(rng, max_vertices=8, euler_lo=-5, euler_hi=-2):
     """A random negative-definite weighted tree (retries until definite)."""
     while True:

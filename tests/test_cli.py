@@ -143,6 +143,16 @@ def test_cap_env_resource_exit(capsys, monkeypatch):
     monkeypatch.setenv("RESGRAPH_ENUM_CAP", "2")
     code, out, err = invoke(capsys, "enumerate", "--max-vertices", "4")
     assert code == 3 and "resource cap" in err
+    # 5 Pruefer sequences up to 3 vertices pass the cap, the 11 graphs do not
+    monkeypatch.setenv("RESGRAPH_ENUM_CAP", "5")
+    code, out, err = invoke(capsys, "enumerate", "--max-vertices", "3",
+                            "--euler-min", "-3", "--euler-max", "-2")
+    assert code == 3 and "exceeded cap 5" in err
+    # at the default cap, sizes up to 8 already walk 280 393 sequences, so
+    # 9 vertices is refused before any work
+    monkeypatch.delenv("RESGRAPH_ENUM_CAP")
+    code, out, err = invoke(capsys, "enumerate", "--max-vertices", "9")
+    assert code == 3 and "280393 Pruefer sequences" in err and not out
 
 
 def test_bad_subcommand(capsys):

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from resgraph.core import (canonical_cycle, chi, intersection_form,
-                           is_antinef, same_class)
+from resgraph.core import (build_graph, canonical_cycle, chi,
+                           intersection_form, is_antinef, same_class)
 from resgraph.ellseq import (antinef_in_class_below_ZK, elliptic_sequence,
                              minimally_elliptic_cycle,
                              numerically_gorenstein_subsupports, partial_sums,
                              pg_table)
-from resgraph.errors import UserError
+from resgraph.errors import InvariantViolation, UserError
 from resgraph.laufer import fundamental_cycle
 
 
@@ -116,3 +117,68 @@ def test_sequence_requires_elliptic(g_pole, single_vertex):
         elliptic_sequence(g_pole)
     with pytest.raises(UserError):
         elliptic_sequence(single_vertex)
+
+
+def _with_chain(graph, at, length):
+    """`graph` with a chain of `length` (-2)-vertices attached at `at`."""
+    chain = [f"c{i:03d}" for i in range(length)]
+    return build_graph({
+        "vertices": [(v, graph.euler[v]) for v in graph.vertices]
+        + [(c, -2) for c in chain],
+        "edges": [sorted(e) for e in graph.edges]
+        + list(zip([at] + chain, chain))})
+
+
+def test_long_sequence_sums(g_app):
+    """g_app with a 200-vertex (-2)-chain at a9 has m = 201. The partial
+    sums and the antinef cycles below Z_K agree with sums taken here."""
+    graph = _with_chain(g_app, "a9", 200)
+    seq = elliptic_sequence(graph)
+    assert seq.m == 201
+    seq.validate()
+    terms = [seq.pre_term, *seq.fundamental_cycles]  # index t + 1
+
+    def total(cycles):
+        out = graph.zero_cycle()
+        for c in cycles:
+            out = out + c
+        return out
+
+    for t in (-1, 0, 100, seq.m):
+        ct, cpt = partial_sums(seq, t)
+        assert ct == total(terms[:t + 2])
+        assert cpt == total(terms[t + 1:])
+    running = [terms[0]]
+    for c in terms[1:]:
+        running.append(running[-1] + c)
+    assert antinef_in_class_below_ZK(graph) == running
+
+
+def _orthogonality_broken(seq):
+    """(B_0, B_1, B_3) carrying (Z_0 + Z_2, Z_1, Z_3): the sum, the supports
+    and every chi are as required, but Z_2 does not vanish on B_1."""
+    z = seq.fundamental_cycles
+    b = seq.supports
+    return dataclasses.replace(seq, supports=(b[0], b[1], b[3]),
+                               fundamental_cycles=(z[0] + z[2], z[1], z[3]))
+
+
+@pytest.mark.parametrize("name, alter, message", [
+    ("g_app", lambda seq: dataclasses.replace(
+        seq, supports=seq.supports[:1],
+        fundamental_cycles=seq.fundamental_cycles[:1]),
+     "does not sum to Z_K"),
+    ("g_app", lambda seq: dataclasses.replace(
+        seq, supports=seq.supports[::-1],
+        fundamental_cycles=seq.fundamental_cycles[::-1]),
+     r"B_1 is not strictly inside B_0"),
+    ("g_app", lambda seq: dataclasses.replace(
+        seq, supports=(seq.supports[0], seq.supports[1] - {"a1"})),
+     r"Z_B_1 support differs from B_1"),
+    ("g_left", _orthogonality_broken,
+     r"orthogonality fails: \(E_\w+, Z_B_0\)"),
+], ids=["sum", "shrink", "support", "orthogonality"])
+def test_validate_refuses_altered_sequences(request, name, alter, message):
+    seq = alter(elliptic_sequence(request.getfixturevalue(name)))
+    with pytest.raises(InvariantViolation, match=message):
+        seq.validate()

@@ -227,7 +227,10 @@ def _filter_calls(monkeypatch, graph, lprime, bound):
     # 405 457 and 166 274; counting unassigned children at 0 rather than
     # at their subtree bounds makes 30 968 and 44 000
     ("g_left", 485, 15_000),
-    ("g_right", 412, 15_000)])
+    ("g_right", 412, 15_000),
+    # 58 867 calls from the widest leaf, v2; 154 880 from the graph's own
+    # root, v10, so the walk keeps its own rooting
+    ("det1364_tree", 3_753, 75_000)])
 def test_walker_work_at_bound_4(monkeypatch, request, name, points, cap):
     graph = request.getfixturevalue(name)
     walked, calls = _filter_calls(monkeypatch, graph, graph.zero_cycle(), 4)
