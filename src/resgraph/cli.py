@@ -252,8 +252,9 @@ def _cmd_enumerate(args) -> dict:
     if args.euler_min > args.euler_max or args.euler_max > -1:
         raise UserError("need euler-min <= euler-max <= -1")
     cap = _enum_cap(default=10 ** 5)
-    # the shapes on n vertices are sieved from all n^(n-2) Pruefer
-    # sequences before the first is yielded, so count those up front
+    # the shapes on n vertices are sieved from the n^(n-2) Pruefer
+    # sequences before the first is yielded; the scan stops once it holds
+    # Otter's count t(n), so the sum below is an upper bound on the walk
     sequences = 0
     for n in range(1, args.max_vertices + 1):
         sequences += n ** (n - 2) if n > 2 else 1

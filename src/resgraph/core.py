@@ -11,8 +11,9 @@ leaf elimination up the rooted tree; no dense matrix is ever built.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import GraphValidationError, UserError, quote
 
@@ -164,8 +165,16 @@ class ResolutionGraph:
         return sub
 
     def embed(self, sub_cycle: "Cycle") -> "Cycle":
-        """Lift a cycle on a subgraph (same vertex ids) to this graph."""
-        return self.cycle((v, c) for v, c in sub_cycle.items() if c)
+        """Lift a cycle on a subgraph (same vertex ids) to this graph: each
+        numerator moves to its vertex's place, over the same denominator."""
+        index = self._index
+        num = [0] * len(self.vertices)
+        for v, c in zip(sub_cycle.graph.vertices, sub_cycle.num):
+            if c:
+                if v not in index:
+                    raise UserError(f"unknown vertex in cycle: {quote(v)}")
+                num[index[v]] = c
+        return Cycle(self, tuple(num), sub_cycle.den)
 
     def __repr__(self):
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"

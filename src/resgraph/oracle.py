@@ -417,23 +417,60 @@ def _pruefer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _canonical_form(adj: dict[int, list[int]], labels: Sequence[int]):
-    """Isomorphism-invariant form of a labelled tree: the minimum over all
-    roots of the recursive (label, sorted child forms) encoding."""
+def _centres(adj: dict[int, list[int]]) -> list[int]:
+    """The one or two centres of a tree: what is left after peeling its
+    leaves layer by layer."""
+    degree = {v: len(ws) for v, ws in adj.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    return layer
+
+
+def _canonical_form(adj: dict[int, list[int]], labels: Sequence[int],
+                    centres: Sequence[int] | None = None):
+    """Isomorphism-invariant form of a labelled tree: the minimum over its
+    centres of the recursive (label, sorted child forms) encoding. An
+    isomorphism maps centres to centres, so this is as complete as the
+    minimum over all roots (Aho-Hopcroft-Ullman tree coding)."""
 
     def rooted(v: int, parent: int):
         return (labels[v], tuple(sorted(rooted(w, v)
                                         for w in adj[v] if w != parent)))
 
-    return min(rooted(v, -1) for v in adj)
+    return min(rooted(v, -1) for v in (centres or _centres(adj)))
+
+
+def _free_tree_count(n: int) -> int:
+    """Otter's count t(n) of unlabelled trees on n >= 1 vertices, from the
+    rooted counts r(k) of the Euler transform:
+    t(n) = r(n) - (sum_{i<n} r(i) r(n-i) - [n even] r(n/2)) / 2."""
+    r = [0, 1]
+    for m in range(1, n):
+        # m r(m+1) = sum_{k=1..m} (sum_{d | k} d r(d)) r(m-k+1)
+        r.append(sum(sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
+                     * r[m - k + 1] for k in range(1, m + 1)) // m)
+    pairs = sum(r[i] * r[n - i] for i in range(1, n))
+    if n % 2 == 0:
+        pairs -= r[n // 2]
+    return r[n] - pairs // 2
 
 
 def _tree_shapes(n: int) -> list[dict[int, list[int]]]:
-    """All unlabelled trees on n vertices, as adjacency dicts."""
+    """All unlabelled trees on n vertices, as adjacency dicts: the first
+    tree of each shape in Pruefer-sequence order. The scan stops once it
+    holds Otter's count of shapes."""
     if n == 1:
         return [{0: []}]
-    if n == 2:
-        return [{0: [1], 1: [0]}]
+    total = _free_tree_count(n)
     shapes = []
     seen = set()
     for seq in itertools.product(range(n), repeat=n - 2):
@@ -445,6 +482,8 @@ def _tree_shapes(n: int) -> list[dict[int, list[int]]]:
         if key not in seen:
             seen.add(key)
             shapes.append(adj)
+            if len(shapes) == total:
+                break
     return shapes
 
 
@@ -457,20 +496,19 @@ def enumerate_trees(max_vertices: int,
                                for e in euler_values):
         raise UserError("euler_range must be a nonempty set of integers <= -1")
     for n in range(1, max_vertices + 1):
+        names = [f"v{i + 1}" for i in range(n)]
         for adj in _tree_shapes(n):
+            centres = _centres(adj)
+            edges = [(names[u], names[v]) for u in adj for v in adj[u] if u < v]
             seen = set()
             for assignment in itertools.product(euler_values, repeat=n):
-                key = _canonical_form(adj, assignment)
+                key = _canonical_form(adj, assignment, centres)
                 if key in seen:
                     continue
                 seen.add(key)
                 try:
-                    yield build_graph({
-                        "vertices": [(f"v{i + 1}", assignment[i])
-                                     for i in range(n)],
-                        "edges": [(f"v{u + 1}", f"v{v + 1}")
-                                  for u in adj for v in adj[u] if u < v],
-                    })
+                    yield build_graph({"vertices": list(zip(names, assignment)),
+                                       "edges": edges})
                 except GraphValidationError as exc:
                     if exc.diagnostic != "not-negative-definite":
                         raise

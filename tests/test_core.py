@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resgraph.core import (Cycle, build_graph, canonical_cycle, chi,
@@ -16,6 +16,8 @@ from resgraph.core import (Cycle, build_graph, canonical_cycle, chi,
 from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.oracle import _minus_a, _own_ldl
+
+from conftest import random_trees
 
 
 # -- dense reference, kept here and never in the package --------------------
@@ -282,6 +284,35 @@ def test_subgraph_and_embed(g_app):
     lifted = g_app.embed(inner)
     assert lifted.coefficient("a1") == 1
     assert lifted.coefficient("a9") == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_vertices=10), st.data())
+def test_embed_matches_the_coefficient_path(g, data):
+    """embed places the subgraph's numerators over its denominator; the
+    result equals lifting coefficient by coefficient through cycle()."""
+    assume(g is not None)
+    # a connected vertex set: a prefix of a search order from a random start
+    order = [data.draw(st.sampled_from(g.vertices))]
+    for v in order:
+        order.extend(w for w in g.adjacency[v] if w not in order)
+    sub = g.subgraph(order[:data.draw(st.integers(1, len(order)))])
+    integral = data.draw(st.booleans())
+    coeffs = data.draw(st.lists(
+        st.integers(-4, 4) if integral
+        else st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        min_size=len(sub.vertices), max_size=len(sub.vertices)))
+    cycle = sub.from_vector(coeffs)
+    lifted = g.embed(cycle)
+    expected = g.cycle((v, c) for v, c in cycle.items() if c)
+    assert (lifted.num, lifted.den) == (expected.num, expected.den)
+    assert lifted.graph is g
+
+
+def test_embed_refuses_an_unknown_vertex(g_app, g_new):
+    foreign = next(v for v in g_new.vertices if v not in g_app._index)
+    with pytest.raises(UserError):
+        g_app.embed(g_new.basis_cycle(foreign))
 
 
 def test_subgraph_must_be_connected(g_app):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
+import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +307,92 @@ def test_enumerate_trees_validation():
         list(enumerate_trees(3, []))
     with pytest.raises(UserError):
         list(enumerate_trees(3, [0]))
+
+
+def test_enumerate_trees_sequence_is_pinned():
+    """The yield order is part of the contract: the corpus checks hash
+    their per-tree results in this order."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_trees(6, (-2, -3)):
+        digest.update(repr((g.vertices, tuple(g.euler[v] for v in g.vertices),
+                            tuple(sorted(tuple(sorted(e)) for e in g.edges)))
+                           ).encode())
+        count += 1
+    assert count == 263
+    assert digest.hexdigest() == (
+        "7c179385ceed19b1cd61b2c6e98eb95f9f97628974e3c1fe3ede51d67af6d499")
+
+
+def test_free_tree_count_is_otters():
+    # OEIS A000055
+    assert [oracle_module._free_tree_count(n) for n in range(1, 12)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
+
+
+def _all_roots_form(adj, labels):
+    def rooted(v, parent):
+        return (labels[v], tuple(sorted(rooted(w, v)
+                                        for w in adj[v] if w != parent)))
+    return min(rooted(v, -1) for v in adj)
+
+
+def _full_scan_shapes(n):
+    """Every Pruefer sequence, deduplicated by the all-roots form."""
+    if n == 1:
+        return [{0: []}]
+    shapes, seen = [], set()
+    for seq in itertools.product(range(n), repeat=n - 2):
+        adj = {i: [] for i in range(n)}
+        for u, v in oracle_module._pruefer_edges(seq, n):
+            adj[u].append(v)
+            adj[v].append(u)
+        key = _all_roots_form(adj, [0] * n)
+        if key not in seen:
+            seen.add(key)
+            shapes.append(adj)
+    return shapes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_shapes_match_full_scan(n):
+    """Stopping at Otter's count and keying on the centres keeps the same
+    shapes, in the same order, with the same adjacency lists."""
+    shapes = oracle_module._tree_shapes(n)
+    reference = _full_scan_shapes(n)
+    assert [list(a.items()) for a in shapes] == \
+        [list(a.items()) for a in reference]
+
+
+def test_tree_shapes_eight_vertices():
+    assert len(oracle_module._tree_shapes(8)) == 23
+
+
+def test_centre_form_agrees_with_all_roots():
+    """On random labelled trees, and relabelled copies of them, the centre
+    form and the all-roots form split the same pairs into isomorphic and
+    not."""
+    rng = random.Random(20)
+    trees = []
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        adj = {i: [] for i in range(n)}
+        for i in range(1, n):
+            p = rng.randrange(i)
+            adj[i].append(p)
+            adj[p].append(i)
+        labels = [rng.choice((0, 1)) for _ in range(n)]
+        trees.append((adj, labels))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        trees.append(({perm[v]: [perm[w] for w in ws] for v, ws in adj.items()},
+                      [labels[perm.index(v)] for v in range(n)]))
+    centre = [oracle_module._canonical_form(a, l) for a, l in trees]
+    full = [_all_roots_form(a, l) for a, l in trees]
+    for i in range(len(trees)):
+        for j in range(i):
+            assert (centre[i] == centre[j]) == (full[i] == full[j])
+    assert len(set(full)) < len(full)  # some pairs are isomorphic
 
 
 def test_verify_small_graph():
