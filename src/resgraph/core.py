@@ -59,9 +59,9 @@ class ResolutionGraph:
         # root the tree at its first vertex of least degree (a shorter
         # order means disconnected)
         degrees = [len(ws) for ws in self._neighbours]
+        self._pivots = [-euler[v] for v in vertices]  # the diagonal of -A
         (self._order, self._parent, self._subdet, self._childdet,
-         self.det) = _rooting(self._neighbours,
-                              [-euler[v] for v in vertices],
+         self.det) = _rooting(self._neighbours, self._pivots,
                               degrees.index(min(degrees)))
         self._walk: tuple | None = None
         self._dual_cache: dict[str, Cycle] = {}
@@ -87,23 +87,13 @@ class ResolutionGraph:
             leaves = [i for i, ws in enumerate(self._neighbours)
                       if len(ws) <= 1]
             root = max(leaves, key=lambda v: (kids[v] * upper[v], -v))
-            self._walk = _rooting(self._neighbours,
-                                  [-self.euler[v] for v in self.vertices],
-                                  root)
+            self._walk = _rooting(self._neighbours, self._pivots, root)
         return self._walk
 
-    def _tree_solve(self, rhs: list[int]) -> "Cycle":
-        """x with -A x = rhs (integer rhs): eliminate up the tree as in
-        `_rooting`, then substitute back down; det * x is integral."""
-        parent, sub, kids = self._parent, self._subdet, self._childdet
-        acc, den = list(rhs), [1] * len(rhs)
-        for i in reversed(self._order[1:]):
-            p = parent[i]
-            acc[p] = acc[p] * sub[i] + acc[i] * den[p]
-            den[p] *= sub[i]
-        for i in self._order[1:]:  # back substitution, parents first
-            acc[i] = (acc[i] * self.det + kids[i] * acc[parent[i]]) // sub[i]
-        return Cycle(self, tuple(acc), self.det)
+    def _tree_solve(self, rhs: list[int]) -> list[int]:
+        """det * x for -A x = rhs (integer rhs), on the whole tree."""
+        return _subtree_solve(self._order, self._parent, self._subdet,
+                              self._childdet, rhs)
 
     # -- cycle constructors -------------------------------------------------
 
@@ -164,18 +154,6 @@ class ResolutionGraph:
                                        "subgraph is not connected")
         return sub
 
-    def embed(self, sub_cycle: "Cycle") -> "Cycle":
-        """Lift a cycle on a subgraph (same vertex ids) to this graph: each
-        numerator moves to its vertex's place, over the same denominator."""
-        index = self._index
-        num = [0] * len(self.vertices)
-        for v, c in zip(sub_cycle.graph.vertices, sub_cycle.num):
-            if c:
-                if v not in index:
-                    raise UserError(f"unknown vertex in cycle: {quote(v)}")
-                num[index[v]] = c
-        return Cycle(self, tuple(num), sub_cycle.den)
-
     def __repr__(self):
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"
 
@@ -213,6 +191,21 @@ def _rooting(neighbours: list[list[int]], pivots: list[int], root: int
             sub[p] = sub[p] * sub[i] - kids[i] * kids[p]
             kids[p] *= sub[i]
     return order, parent, sub, kids, sub[root]
+
+
+def _subtree_solve(members: list[int], parent: list[int], sub: list[int],
+                   kids: list[int], rhs: list[int]) -> list[int]:
+    """D x for -A x = rhs, rhs zero off the subtree that `members` lists
+    (root first, parents before children) in a rooting as `_rooting`
+    returns it; D = sub[members[0]] is the subtree's determinant.
+    Eliminate up the subtree, then substitute back down."""
+    acc = [r * k for r, k in zip(rhs, kids)]  # i's right side: acc_i/kids_i
+    for i in reversed(members[1:]):  # child i adds acc_i / sub_i
+        acc[parent[i]] += acc[i] * (kids[parent[i]] // sub[i])
+    det = sub[members[0]]
+    for i in members[1:]:  # back substitution, parents first
+        acc[i] = (acc[i] * det + kids[i] * acc[parent[i]]) // sub[i]
+    return acc
 
 
 _BUILD_TOKEN = object()
@@ -424,16 +417,16 @@ def dual_cycle(graph: ResolutionGraph, v: str) -> Cycle:
         raise UserError(f"unknown vertex: {quote(v)}")
     cached = graph._dual_cache.get(v)
     if cached is None:
-        cached = graph._dual_cache[v] = graph._tree_solve(
-            [int(w == v) for w in graph.vertices])
+        cached = graph._dual_cache[v] = Cycle(graph, tuple(graph._tree_solve(
+            [int(w == v) for w in graph.vertices])), graph.det)
     return cached
 
 
 def canonical_cycle(graph: ResolutionGraph) -> Cycle:
     """The unique Z_K with (Z_K, E_v) = e_v + 2 for all v (adjunction)."""
     if graph._canonical is None:
-        graph._canonical = graph._tree_solve(
-            [-(graph.euler[v] + 2) for v in graph.vertices])
+        graph._canonical = Cycle(graph, tuple(graph._tree_solve(
+            [-(graph.euler[v] + 2) for v in graph.vertices])), graph.det)
     return graph._canonical
 
 

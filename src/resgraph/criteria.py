@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, build_graph, canonical_cycle,
-                   dual_cycle, intersection_form, is_numerically_gorenstein)
+from .core import (Cycle, ResolutionGraph, _rooting, _subtree_solve,
+                   _times_a, build_graph, canonical_cycle, dual_cycle,
+                   is_numerically_gorenstein)
 from .ellseq import EllipticSequence, elliptic_sequence
 from .errors import GraphValidationError, InvariantViolation, UserError
 from .laufer import classify, fundamental_cycle, require_elliptic_minimal
@@ -69,54 +70,38 @@ def extension_criterion(graph: ResolutionGraph,
                            witnesses=tuple(witnesses))
 
 
-def _branch_components(graph: ResolutionGraph, v: str) -> list[frozenset[str]]:
-    remaining = set(graph.vertices) - {v}
-    components = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in graph.adjacency[stack.pop()]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(frozenset(seen))
-        remaining -= seen
-    return components
-
-
-def _monomial_branch_solution(graph: ResolutionGraph, v: str,
-                              branch: frozenset[str]) -> Cycle | None:
-    """Search for an effective integral C on `branch` with
+def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
+                              members: list[int]) -> Cycle | None:
+    """Search for an effective integral C on a branch at the node v with
     (E*_v + C, E_u) = 0 for every u in branch ∪ {v} that is not an
-    end-vertex of the whole graph inside the branch.
+    end-vertex of the whole graph inside the branch. The branch is the
+    subtree `members` below the contact members[0], a child of v in
+    `rooting`, the tree rooted at v; no graph of it is built.
 
     Any integral solution decomposes as C = sum_w a_w E*_w(branch) over the
     end-vertices w of the graph inside the branch, with a_w = -(C, E_w) a
     non-negative integer, and the condition at v pins
-    sum_w a_w m_w = 1 for m_w = coefficient of E*_w(branch) at the branch
-    vertex adjacent to v. That bounds each a_w, so the search is finite."""
-    sub = graph.subgraph(branch)
-    contact = next(w for w in graph.adjacency[v] if w in branch)
-    global_ends = set(graph.end_vertices())
-    ends = sorted(w for w in branch if w in global_ends)
-    required = [u for u in sorted(branch) if u not in global_ends]
+    sum_w a_w m_w = 1 for m_w = coefficient of E*_w(branch) at the contact.
+    That bounds each a_w, so the search is finite."""
+    _, parent, sub, kids, _ = rooting
+    n = len(graph.vertices)
+    node, contact = graph._index[v], members[0]
+    required = [i for i in members if len(graph._neighbours[i]) > 1]
     estar_v = dual_cycle(graph, v)
 
-    # every E*_w(branch) lies in (1/det) L, so over the denominator det the
-    # simplex walk and the integrality sieve stay in integers: the weights
-    # become iw_w = det * m_w and sum a_w m_w = 1 becomes sum a_w iw_w = det
-    det = sub.det
-    ci = sub._index[contact]
+    # every E*_w(branch) lies in (1/det) L, det the branch's determinant, and
+    # det E*_w(branch) is one subtree solve; so the simplex walk and the
+    # integrality sieve stay in integers: the weights become iw_w = det m_w
+    # and sum a_w m_w = 1 becomes sum a_w iw_w = det
+    det = sub[contact]
     triples = []
-    for w in ends:
-        dual = dual_cycle(sub, w)
-        vec = [c * (det // dual.den) for c in dual.num]
-        triples.append((vec[ci], w, vec))
-    triples.sort(reverse=True)
-    iw = [t[0] for t in triples]
-    vecs = [t[2] for t in triples]
+    for w in members:
+        if len(graph._neighbours[w]) == 1:
+            full = _subtree_solve(members, parent, sub, kids,
+                                  [int(i == w) for i in range(n)])
+            triples.append((full[contact], graph.vertices[w],
+                            [full[i] for i in members]))
+    iw, _, vecs = zip(*sorted(triples, reverse=True))
 
     def solutions(idx: int, remaining: int, acc: list[int]):
         # walk only the simplex sum a_w * m_w <= 1, not the whole box
@@ -129,22 +114,19 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str,
             yield from solutions(idx + 1, remaining - a * iw[idx], acc)
             acc.pop()
 
-    nsub = len(sub.vertices)
     for combo in solutions(0, det, []):
-        total = [0] * nsub
+        total = [0] * len(members)
         for a, vec in zip(combo, vecs):
             if a:
-                for i, c in enumerate(vec):
-                    total[i] += a * c
+                for j, c in enumerate(vec):
+                    total[j] += a * c
         if any(t % det for t in total):
             continue
-        lifted = graph.embed(Cycle(sub, tuple(t // det for t in total)))
-        total = estar_v + lifted
+        placed = dict(zip(members, total))
+        lifted = Cycle(graph, tuple(placed.get(i, 0) // det for i in range(n)))
         # defensive re-validation of the defining linear conditions
-        if intersection_form(total, graph.basis_cycle(v)) != 0:
-            continue
-        if any(intersection_form(total, graph.basis_cycle(u)) != 0
-               for u in required):
+        pairs = _times_a(graph, (estar_v + lifted).num)
+        if pairs[node] or any(pairs[i] for i in required):
             continue
         return lifted
     return None
@@ -157,9 +139,19 @@ def monomial_condition(graph: ResolutionGraph) -> CriterionReport:
     violations = []
     witnesses = []
     for v in graph.nodes():
-        for branch in sorted(_branch_components(graph, v), key=sorted):
-            solution = _monomial_branch_solution(graph, v, branch)
-            record = {"node": v, "branch": tuple(sorted(branch))}
+        # the branches at v: the subtrees below its children, rooted at v
+        rooting = _rooting(graph._neighbours, graph._pivots, graph._index[v])
+        parent, branches = rooting[1], []
+        for c in graph._neighbours[graph._index[v]]:
+            members = [c]
+            for i in members:  # grows while read: parents before children
+                members.extend(j for j in graph._neighbours[i]
+                               if parent[j] == i)
+            branches.append((sorted(graph.vertices[i] for i in members),
+                             members))
+        for branch, members in sorted(branches):
+            solution = _monomial_branch_solution(graph, v, rooting, members)
+            record = {"node": v, "branch": tuple(branch)}
             if solution is None:
                 # the rational polytope is never empty here (each branch
                 # contains an end-vertex); failure is an integrality failure

@@ -20,7 +20,7 @@ from functools import cached_property
 from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
                    is_numerically_gorenstein)
 from .errors import InvariantViolation, UserError
-from .laufer import (fundamental_cycle, minimal_class_representative,
+from .laufer import (antinef_lift, minimal_class_representative,
                      require_elliptic_minimal)
 
 __all__ = [
@@ -101,7 +101,8 @@ class EllipticSequence:
 
 
 def elliptic_sequence(graph: ResolutionGraph) -> EllipticSequence:
-    """Build and validate the elliptic sequence (elliptic, minimal graphs)."""
+    """Build and validate the elliptic sequence (elliptic, minimal graphs).
+    Z_{B_j} is the lift of sum_{v in B_j} E_v with support B_j."""
     require_elliptic_minimal(graph)
     zk = canonical_cycle(graph)
     pre = minimal_class_representative(zk)
@@ -115,8 +116,8 @@ def elliptic_sequence(graph: ResolutionGraph) -> EllipticSequence:
         b = residual.support()
         if supports and not (b < supports[-1]):
             raise InvariantViolation("elliptic sequence supports do not shrink")
-        sub = graph.subgraph(b)
-        zb = graph.embed(fundamental_cycle(sub))
+        ones = Cycle(graph, tuple(int(v in b) for v in graph.vertices))
+        zb = antinef_lift(ones, support=b)[0]
         supports.append(b)
         cycles.append(zb)
         running = running + zb

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .core import Cycle, ResolutionGraph, _times_a, chi, intersection_form
-from .errors import InvariantViolation, UserError
+from .errors import InvariantViolation, UserError, quote
 
 __all__ = [
     "ComputationTrace",
@@ -56,13 +57,22 @@ class Classification:
     zmin: Cycle
 
 
-def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
+def antinef_lift(l: Cycle, support: Iterable[str] | None = None
+                 ) -> tuple[Cycle, ComputationTrace]:
     """s(l): unique minimal element of (l + L_{>=0}) cap S'.
 
-    Ties are broken by picking the lexicographically smallest eligible
-    vertex; the endpoint does not depend on this choice. The steps run on
-    the integer numerators of l over its denominator."""
+    With a `support` B only the vertices of B are eligible: for l
+    supported on B, that is the lift on the full subgraph on B. Ties are
+    broken by picking the lexicographically smallest eligible vertex; the
+    endpoint does not depend on this choice. The steps run on the integer
+    numerators of l over its denominator."""
     g = l.graph
+    if support is None:
+        members = range(len(g.vertices))
+    elif unknown := set(support) - g._index.keys():
+        raise UserError(f"unknown vertex in support: {quote(min(unknown))}")
+    else:
+        members = sorted(g._index[v] for v in support)
     z, scale = list(l.num), l.den
     pair = _times_a(g, z)
     euler = [g.euler[v] * scale for v in g.vertices]
@@ -72,8 +82,8 @@ def antinef_lift(l: Cycle) -> tuple[Cycle, ComputationTrace]:
     bounded = False
     while True:
         chosen = -1
-        for i, p in enumerate(pair):
-            if p > 0:
+        for i in members:
+            if pair[i] > 0:
                 chosen = i
                 break
         if chosen < 0:
@@ -100,10 +110,13 @@ def _step_bound(l: Cycle) -> int:
 
     x = det * sum_v E*_v is integral and (x, E_v) = -det. For the least
     integer t with t x >= l and t det >= every degree, y = l + ceil(t x - l)
-    has y - t x in [0, 1)^V, so (y, E_v) < -t det + deg v <= 0."""
+    has y - t x in [0, 1)^V, so (y, E_v) < -t det + deg v <= 0.
+
+    It also bounds a lift restricted to a support B, as y' = l + (y - l)|_B
+    is antinef on B: for v in B, (y', E_v) = (y, E_v) - sum_{w not in B}
+    (y_w - l_w)(E_w, E_v) <= (y, E_v), so no step on B passes y'."""
     g = l.graph
-    total = g._tree_solve([1] * len(g.vertices))
-    x = [c * (g.det // total.den) for c in total.num]
+    x = g._tree_solve([1] * len(g.vertices))
     t = max(-(-max(len(ws) for ws in g._neighbours) // g.det),
             *(-(-c // (l.den * xv)) for c, xv in zip(l.num, x)))
     return sum(-((c - t * xv * l.den) // l.den) for c, xv in zip(l.num, x))

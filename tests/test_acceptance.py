@@ -8,6 +8,7 @@ the graph whose canonical class is not integral (see its docstring).
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -213,11 +214,21 @@ def test_criterion_9_random():
 # -- 10. the two end-curve formulations agree everywhere --------------------
 
 def test_criterion_10_criteria_mass_check():
+    """Also pins every monomial record (node, branch, and the witness's
+    numerators over its denominator, or the note) by a SHA-256, in the
+    corpus order, so that the first witness found stays the same."""
     elliptic = 0
+    digest = hashlib.sha256()
     for g in oracle.enumerate_trees(7, range(-4, -1)):
         if classify(g).kind != "elliptic" or not g.is_minimal():
             continue
         elliptic += 1
-        assert (extension_criterion(g).verdict
-                == monomial_condition(g).verdict), g.vertices
+        mono = monomial_condition(g)
+        assert extension_criterion(g).verdict == mono.verdict, g.vertices
+        for r in mono.witnesses + mono.violations:
+            found = ((r["cycle"].num, r["cycle"].den) if "cycle" in r
+                     else r["note"])
+            digest.update(repr((r["node"], r["branch"], found)).encode())
     assert elliptic == 1138
+    assert digest.hexdigest() == (
+        "3cdcb4e0e5a6d5b861b05c31872b42d0345bab8611ccde805490f9ed8b2eb94e")

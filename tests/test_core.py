@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resgraph.core import (Cycle, build_graph, canonical_cycle, chi,
-                           dual_cycle, estar_coordinates, estar_support,
+from resgraph.core import (Cycle, _rooting, _subtree_solve, build_graph,
+                           canonical_cycle, chi, dual_cycle,
+                           estar_coordinates, estar_support,
                            intersection_form, is_antinef,
                            is_numerically_gorenstein, same_class)
 from resgraph.errors import GraphValidationError, UserError
@@ -276,43 +277,30 @@ def test_is_antinef(g_app):
     assert not is_antinef(g_app.basis_cycle("a1"))
 
 
-def test_subgraph_and_embed(g_app):
-    sub = g_app.subgraph({"a1", "a2", "a3", "u"})
-    assert set(sub.vertices) == {"a1", "a2", "a3", "u"}
-    assert sub.euler["a3"] == g_app.euler["a3"]
-    inner = sub.cycle({"a1": 1, "u": 2})
-    lifted = g_app.embed(inner)
-    assert lifted.coefficient("a1") == 1
-    assert lifted.coefficient("a9") == 0
-
-
 @settings(max_examples=60, deadline=None)
-@given(random_trees(max_vertices=10), st.data())
-def test_embed_matches_the_coefficient_path(g, data):
-    """embed places the subgraph's numerators over its denominator; the
-    result equals lifting coefficient by coefficient through cycle()."""
+@given(random_trees(max_vertices=12))
+def test_subtree_solve_gives_the_branch_duals(g):
+    """Rooted at any vertex, the solve on the subtree below a child c gives
+    D E*_w(branch) for D = det(branch) = sub[c]: the duals of the full
+    subgraph on the branch, scaled by its determinant."""
     assume(g is not None)
-    # a connected vertex set: a prefix of a search order from a random start
-    order = [data.draw(st.sampled_from(g.vertices))]
-    for v in order:
-        order.extend(w for w in g.adjacency[v] if w not in order)
-    sub = g.subgraph(order[:data.draw(st.integers(1, len(order)))])
-    integral = data.draw(st.booleans())
-    coeffs = data.draw(st.lists(
-        st.integers(-4, 4) if integral
-        else st.fractions(min_value=-4, max_value=4, max_denominator=6),
-        min_size=len(sub.vertices), max_size=len(sub.vertices)))
-    cycle = sub.from_vector(coeffs)
-    lifted = g.embed(cycle)
-    expected = g.cycle((v, c) for v, c in cycle.items() if c)
-    assert (lifted.num, lifted.den) == (expected.num, expected.den)
-    assert lifted.graph is g
-
-
-def test_embed_refuses_an_unknown_vertex(g_app, g_new):
-    foreign = next(v for v in g_new.vertices if v not in g_app._index)
-    with pytest.raises(UserError):
-        g_app.embed(g_new.basis_cycle(foreign))
+    n = len(g.vertices)
+    for root in range(n):
+        _, parent, sub, kids, _ = _rooting(g._neighbours, g._pivots, root)
+        for c in g._neighbours[root]:
+            members = [c]
+            for i in members:
+                members.extend(j for j in g._neighbours[i] if parent[j] == i)
+            branch = g.subgraph(g.vertices[i] for i in members)
+            assert sub[c] == branch.det
+            for w in members:
+                solved = _subtree_solve(members, parent, sub, kids,
+                                        [int(i == w) for i in range(n)])
+                dual = dual_cycle(branch, g.vertices[w])
+                assert [solved[g._index[u]] for u in branch.vertices] == [
+                    x * sub[c] for x in dual.coeffs]
+                assert not any(solved[i] for i in range(n)
+                               if i not in members)
 
 
 def test_subgraph_must_be_connected(g_app):

@@ -117,10 +117,40 @@ def test_lift_past_the_cheap_guard():
 @settings(max_examples=60, deadline=None)
 @given(random_trees(max_vertices=10, min_euler=-4), st.data())
 def test_step_bound_bounds_the_lift(graph, data):
-    """The true bound holds for rational starts of either sign."""
+    """The true bound holds for rational starts of either sign, and for
+    lifts restricted to any support."""
     assume(graph is not None)
     n = len(graph.vertices)
     den = data.draw(st.sampled_from([1, 2, 3, 7]))
     l = graph.from_vector(Fraction(c, den) for c in data.draw(
         st.lists(st.integers(-8, 8), min_size=n, max_size=n)))
     assert len(antinef_lift(l)[1].steps) <= _step_bound(l)
+    support = data.draw(st.sets(st.sampled_from(graph.vertices)))
+    assert len(antinef_lift(l, support)[1].steps) <= _step_bound(l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_trees(max_vertices=12), st.data())
+def test_support_lift_is_the_subgraph_fundamental_cycle(g, data):
+    """Lifting sum_{v in B} E_v with support B gives Z_B of the full
+    subgraph on B, placed coefficient by coefficient, by the same steps,
+    each in B, and the trace replays."""
+    assume(g is not None)
+    # a connected vertex set: a prefix of a search order from a random start
+    order = [data.draw(st.sampled_from(g.vertices))]
+    for v in order:
+        order.extend(w for w in g.adjacency[v] if w not in order)
+    support = order[:data.draw(st.integers(1, len(order)))]
+    ones = g.cycle(dict.fromkeys(support, 1))
+    lifted, trace = antinef_lift(ones, support=support)
+    sub = g.subgraph(support)
+    sub_lifted, sub_trace = antinef_lift(sub.from_vector([1] * len(support)))
+    assert sub_lifted == fundamental_cycle(sub)
+    assert lifted == g.cycle(sub_lifted.items())
+    assert trace.steps == sub_trace.steps
+    assert set(trace.steps) <= set(support) and trace.replay()
+
+
+def test_support_lift_refuses_an_unknown_vertex(g_app):
+    with pytest.raises(UserError, match="unknown vertex in support"):
+        antinef_lift(g_app.basis_cycle("a1"), support={"a1", "zzz"})

@@ -45,6 +45,26 @@ def test_oracle_module_is_independent():
                 f"oracle must not import fast module: {name}")
 
 
+def test_fast_modules_use_one_graph_per_query():
+    """No fast module builds a subgraph or embeds a cycle from one: each
+    computes on supports of the graph it was given. Only the oracle (and
+    the tests) call `subgraph`."""
+    package = Path(oracle_module.__file__).parent
+    for name in ("laufer", "ellseq", "criteria", "strata", "quadform", "cli"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "subgraph"), (
+                f"{name}.py:{node.lineno} calls .subgraph(")
+            assert "embed" not in {getattr(node, "attr", None),
+                                   getattr(node, "id", None),
+                                   getattr(node, "name", None)}, (
+                f"{name}.py:{node.lineno} defines or uses embed")
+    assert not hasattr(build_graph({"vertices": [("v", -2)], "edges": []}),
+                       "embed")
+
+
 def _unused_top_level_imports(source: str) -> list[str]:
     """Names bound by a top-level import that the module never reads and
     does not list in __all__ (string annotations count as reads)."""
