@@ -27,8 +27,8 @@ from .errors import (InvariantViolation, ResourceCapExceeded, UserError,
                      quote)
 from .fixtures import is_fixture_name, load_fixture
 from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
-                      format_fraction, parse_fraction, parse_graph,
-                      read_json_file)
+                      format_fraction, parse_cycle, parse_fraction,
+                      parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
 from .strata import (AnalyticParams, depth, fixed_component_candidates,
                      h1_on_image, pg, reduction_index, strata_index_sets,
@@ -110,14 +110,8 @@ def _parse_trivializable(path: str | None, graph: ResolutionGraph) -> tuple:
     data = read_json_file(path, "trivializable file")
     if not isinstance(data, list):
         raise UserError("trivializable file must hold a JSON list of cycles")
-    out = []
-    for entry in data:
-        if not isinstance(entry, dict):
-            raise UserError("each trivializable cycle must be an object "
-                            "mapping vertex ids to rationals")
-        out.append(graph.cycle({str(v): parse_fraction(c)
-                                for v, c in entry.items()}))
-    return tuple(out)
+    return tuple(parse_cycle(graph, entry, "each trivializable cycle")
+                 for entry in data)
 
 
 def _params(args, graph: ResolutionGraph) -> AnalyticParams:

@@ -135,25 +135,6 @@ class ResolutionGraph:
         """Vertices of degree at least 3."""
         return tuple(v for v in self.vertices if self.degree(v) >= 3)
 
-    def subgraph(self, vertex_subset: Iterable[str]) -> "ResolutionGraph":
-        """Full subgraph on the given vertices, which must induce a
-        connected tree. It is built from this graph's validated data: a
-        full subgraph of a negative-definite tree is negative definite."""
-        keep = set(vertex_subset)
-        for v in keep:
-            if v not in self._index:
-                raise UserError(f"unknown vertex: {quote(v)}")
-        if not keep:
-            raise UserError("a subgraph needs at least one vertex")
-        sub = ResolutionGraph(tuple(sorted(keep)),
-                              {v: self.euler[v] for v in keep},
-                              frozenset(e for e in self.edges if e <= keep),
-                              _token=_BUILD_TOKEN)
-        if len(sub._order) != len(keep):
-            raise GraphValidationError("not-connected",
-                                       "subgraph is not connected")
-        return sub
-
     def __repr__(self):
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"
 
@@ -438,7 +419,8 @@ def estar_coordinates(l: Cycle) -> dict[str, Fraction]:
 
 def estar_support(l: Cycle) -> frozenset[str]:
     """E*-support I(l) = {v : (l, E_v) != 0}."""
-    return frozenset(estar_coordinates(l))
+    return frozenset(v for v, p in zip(l.graph.vertices,
+                                       _times_a(l.graph, l.num)) if p)
 
 
 def is_antinef(l: Cycle) -> bool:

@@ -33,6 +33,7 @@ __all__ = [
     "format_fraction",
     "read_json_file",
     "parse_graph_data",
+    "parse_cycle",
     "parse_graph",
     "graph_to_data",
     "cycle_to_data",
@@ -92,14 +93,17 @@ def parse_graph_data(data) -> GraphFile:
     section = data.get("cycles", {})
     if not isinstance(section, dict):
         raise UserError("the cycles section must map names to cycles")
-    cycles: dict[str, Cycle] = {}
-    for name, coeffs in section.items():
-        if not isinstance(coeffs, dict):
-            raise UserError(
-                f"cycle {quote(name)} must map vertex ids to rationals")
-        cycles[str(name)] = graph.cycle(
-            {str(v): parse_fraction(c) for v, c in coeffs.items()})
+    cycles = {str(name): parse_cycle(graph, coeffs, f"cycle {quote(name)}")
+              for name, coeffs in section.items()}
     return GraphFile(graph=graph, cycles=cycles)
+
+
+def parse_cycle(graph: ResolutionGraph, coeffs, label: str) -> Cycle:
+    """The cycle that decoded JSON {vertex id: rational} describes on
+    `graph`; `label` names it in the error."""
+    if not isinstance(coeffs, dict):
+        raise UserError(f"{label} must map vertex ids to rationals")
+    return graph.cycle({str(v): parse_fraction(c) for v, c in coeffs.items()})
 
 
 def read_json_file(path, what: str):

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10 ** 7
+SUBSET_BUDGET = 10 ** 5  # connected subsets; g_right has 16 343
 
 
 @dataclass(frozen=True)
@@ -372,30 +373,43 @@ def brute_lemci(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
                   key=lambda c: c.coeffs)
 
 
-def brute_subsupports(graph: ResolutionGraph,
-                      vertex_cap: int = 14) -> list[frozenset[str]]:
-    """All nonempty connected vertex subsets whose full subgraph has an
-    integral canonical cycle with full support."""
-    n = len(graph.vertices)
-    if n > vertex_cap:
-        raise ResourceCapExceeded(
-            f"subsupport oracle refuses graphs over {vertex_cap} vertices")
-    hits = []
-    for mask in range(1, 1 << n):
-        members = [graph.vertices[i] for i in range(n) if mask >> i & 1]
-        member_set = set(members)
-        seen = {members[0]}
-        stack = [members[0]]
+def _connected_subsets(graph: ResolutionGraph) -> Iterator[tuple[str, ...]]:
+    """Every nonempty connected vertex subset of the tree, each once.
+
+    The subsets whose least vertex is r grow from (r,): the first vertex on
+    the frontier (the undecided neighbours above r) is either barred for
+    good or taken, when its other neighbours above r, new in a tree, join
+    the frontier. An explicit stack keeps the depth flat."""
+    rank = {v: i for i, v in enumerate(graph.vertices)}
+    adj = graph.adjacency
+    for r in graph.vertices:
+        stack = [((r,), tuple((w, r) for w in adj[r] if rank[w] > rank[r]))]
         while stack:
-            for w in graph.adjacency[stack.pop()]:
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(members):
-            continue
-        zk = canonical_cycle(graph.subgraph(member_set))
-        if zk.is_integral() and zk.support() == frozenset(members):
-            hits.append(frozenset(members))
+            members, frontier = stack.pop()
+            if not frontier:
+                yield members
+                continue
+            (v, came_from), rest = frontier[0], frontier[1:]
+            stack.append((members, rest))
+            stack.append((members + (v,), rest + tuple(
+                (w, v) for w in adj[v] if w != came_from and rank[w] > rank[r])))
+
+
+def brute_subsupports(graph: ResolutionGraph) -> list[frozenset[str]]:
+    """All nonempty connected vertex subsets whose full subgraph has an
+    integral canonical cycle with full support. The subsets are counted
+    before any subgraph is built, so a refusal costs one bounded count."""
+    beyond = itertools.islice(_connected_subsets(graph), SUBSET_BUDGET, None)
+    if next(beyond, None) is not None:
+        raise ResourceCapExceeded(f"subsupport oracle refuses graphs with "
+                                  f"over {SUBSET_BUDGET} connected subsets")
+    hits = []
+    for members in map(frozenset, _connected_subsets(graph)):
+        zk = canonical_cycle(build_graph({
+            "vertices": [(v, graph.euler[v]) for v in members],
+            "edges": [tuple(e) for e in graph.edges if e <= members]}))
+        if zk.is_integral() and zk.support() == members:
+            hits.append(members)
     return sorted(hits, key=lambda s: (-len(s), sorted(s)))
 
 

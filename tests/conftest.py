@@ -48,6 +48,15 @@ def det1364_tree():
         "edges": [(f"v{u}", f"v{v}") for u, v in edges]})
 
 
+def full_subgraph(graph, vertices):
+    """The full subgraph on a connected vertex set, built and validated by
+    build_graph from the parent's Euler numbers and edges."""
+    keep = frozenset(vertices)
+    return build_graph({"vertices": [(v, graph.euler[v]) for v in keep],
+                        "edges": [tuple(e) for e in graph.edges
+                                  if e <= keep]})
+
+
 def random_tree(rng, max_vertices=8, euler_lo=-5, euler_hi=-2):
     """A random negative-definite weighted tree (retries until definite)."""
     while True:

@@ -18,7 +18,7 @@ from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.oracle import _minus_a, _own_ldl
 
-from conftest import random_trees
+from conftest import full_subgraph, random_trees
 
 
 # -- dense reference, kept here and never in the package --------------------
@@ -59,6 +59,9 @@ def bareiss_elimination(matrix):
     ({"vertices": [("a", -2), ("b", -2)], "edges": []}, "not-a-tree"),
     ({"vertices": [("a", -1), ("b", -1)], "edges": [("a", "b")]},
      "not-negative-definite"),
+    ({"vertices": [("a", -2), ("b", -2), ("c", -2), ("d", -2)],
+      "edges": [("a", "b"), ("b", "c"), ("a", "c")]}, "not-connected"),
+    ({"vertices": [], "edges": []}, "malformed-description"),
 ])
 def test_build_graph_rejections(spec, diagnostic):
     with pytest.raises(GraphValidationError) as err:
@@ -291,7 +294,7 @@ def test_subtree_solve_gives_the_branch_duals(g):
             members = [c]
             for i in members:
                 members.extend(j for j in g._neighbours[i] if parent[j] == i)
-            branch = g.subgraph(g.vertices[i] for i in members)
+            branch = full_subgraph(g, (g.vertices[i] for i in members))
             assert sub[c] == branch.det
             for w in members:
                 solved = _subtree_solve(members, parent, sub, kids,
@@ -301,21 +304,6 @@ def test_subtree_solve_gives_the_branch_duals(g):
                     x * sub[c] for x in dual.coeffs]
                 assert not any(solved[i] for i in range(n)
                                if i not in members)
-
-
-def test_subgraph_must_be_connected(g_app):
-    with pytest.raises(UserError):
-        g_app.subgraph({"a1", "a9"})
-    for bad in ({"a1", "zzz"}, set()):  # unknown vertex, no vertex
-        with pytest.raises(UserError):
-            g_app.subgraph(bad)
-    # built from the parent's data: the same graph as a fresh build
-    sub = g_app.subgraph({"a1", "a2", "a3", "u"})
-    fresh = build_graph({"vertices": [(v, g_app.euler[v]) for v in
-                                      ("a1", "a2", "a3", "u")],
-                         "edges": [("a1", "a2"), ("a2", "a3"), ("a3", "u")]})
-    assert (sub.vertices, sub.euler, sub.edges, sub.det, sub._order) == (
-        fresh.vertices, fresh.euler, fresh.edges, fresh.det, fresh._order)
 
 
 def test_graph_helpers(g_app):

@@ -16,7 +16,7 @@ from resgraph.laufer import (_step_bound, antinef_lift, classify,
                              minimal_class_representative,
                              require_elliptic_minimal)
 
-from conftest import random_trees
+from conftest import full_subgraph, random_trees
 
 
 def test_antinef_lift_properties(g_app):
@@ -143,7 +143,7 @@ def test_support_lift_is_the_subgraph_fundamental_cycle(g, data):
     support = order[:data.draw(st.integers(1, len(order)))]
     ones = g.cycle(dict.fromkeys(support, 1))
     lifted, trace = antinef_lift(ones, support=support)
-    sub = g.subgraph(support)
+    sub = full_subgraph(g, support)
     sub_lifted, sub_trace = antinef_lift(sub.from_vector([1] * len(support)))
     assert sub_lifted == fundamental_cycle(sub)
     assert lifted == g.cycle(sub_lifted.items())

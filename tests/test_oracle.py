@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import resgraph.oracle as oracle_module
 from resgraph.core import build_graph, canonical_cycle, chi, is_antinef
 from resgraph.errors import ResourceCapExceeded, UserError
-from resgraph.oracle import (SearchBox, _chi_sublevel, _minus_a, _own_ldl,
-                             brute_fundamental_cycle, brute_lemci,
-                             brute_min_antinef, brute_min_chi,
+from resgraph.oracle import (SearchBox, _chi_sublevel, _connected_subsets,
+                             _minus_a, _own_ldl, brute_fundamental_cycle,
+                             brute_lemci, brute_min_antinef, brute_min_chi,
                              brute_minimally_elliptic, brute_subsupports,
                              enumerate_trees, verify)
 
@@ -47,22 +47,29 @@ def test_oracle_module_is_independent():
 
 def test_fast_modules_use_one_graph_per_query():
     """No fast module builds a subgraph or embeds a cycle from one: each
-    computes on supports of the graph it was given. Only the oracle (and
-    the tests) call `subgraph`."""
+    computes on supports of the graph it was given. `build_graph` is the
+    one constructor: no module but core calls `ResolutionGraph(`."""
     package = Path(oracle_module.__file__).parent
-    for name in ("laufer", "ellseq", "criteria", "strata", "quadform", "cli"):
-        tree = ast.parse((package / f"{name}.py").read_text())
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
+            assert not (path.stem != "core" and isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(
+                            node.func, "attr", None)) == "ResolutionGraph"), (
+                f"{path.name}:{node.lineno} calls ResolutionGraph(")
+            if path.stem not in ("laufer", "ellseq", "criteria", "strata",
+                                 "quadform", "cli"):
+                continue
             assert not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "subgraph"), (
-                f"{name}.py:{node.lineno} calls .subgraph(")
+                f"{path.name}:{node.lineno} calls .subgraph(")
             assert "embed" not in {getattr(node, "attr", None),
                                    getattr(node, "id", None),
                                    getattr(node, "name", None)}, (
-                f"{name}.py:{node.lineno} defines or uses embed")
-    assert not hasattr(build_graph({"vertices": [("v", -2)], "edges": []}),
-                       "embed")
+                f"{path.name}:{node.lineno} defines or uses embed")
+    graph = build_graph({"vertices": [("v", -2)], "edges": []})
+    assert not hasattr(graph, "embed") and not hasattr(graph, "subgraph")
 
 
 def _unused_top_level_imports(source: str) -> list[str]:
@@ -176,28 +183,84 @@ def test_a2_hand_values(a2_chain):
 
 @pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc"])
 def test_brute_against_elliptic_fixture(name, request):
-    """The brute oracles pin the sets the fast path reads off the elliptic
-    sequence, in order; g_new is not numerically Gorenstein."""
+    """The brute oracles pin the minimally elliptic cycle and the partial
+    sums the fast path reads off the elliptic sequence, in order; g_new is
+    not numerically Gorenstein."""
     from resgraph.ellseq import (antinef_in_class_below_ZK,
-                                 elliptic_sequence,
-                                 numerically_gorenstein_subsupports,
-                                 partial_sums)
+                                 elliptic_sequence, partial_sums)
     g = request.getfixturevalue(name)
     seq = elliptic_sequence(g)
     assert brute_minimally_elliptic(g) == seq.fundamental_cycles[-1]
     found = brute_lemci(g)
     assert found == [partial_sums(seq, t)[0] for t in range(-1, seq.m + 1)]
     assert found == antinef_in_class_below_ZK(g)
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
+                                  "g_right"])
+def test_brute_subsupports_are_the_sequence_supports(name, request):
+    """The connected subsets with an integral, full-support canonical cycle
+    are the sequence's supports B_0, ..., B_m, in order, on every elliptic
+    fixture, the 24- and 26-vertex ones included."""
+    from resgraph.ellseq import (elliptic_sequence,
+                                 numerically_gorenstein_subsupports)
+    g = request.getfixturevalue(name)
     subsupports = brute_subsupports(g)
-    assert subsupports == list(seq.supports)
+    assert subsupports == list(elliptic_sequence(g).supports)
     assert subsupports == numerically_gorenstein_subsupports(g)
 
 
-def test_resource_caps(g_app, g_left):
+def _subtree_count(g):
+    """Connected vertex subsets of a tree: sum over v of f(v), the subsets
+    whose top vertex is v in a rooting, f(v) = prod_c (1 + f(c))."""
+    root = g.vertices[0]
+    order, parent = [root], {root: None}
+    for v in order:
+        for w in g.adjacency[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    f = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        f[parent[v]] *= 1 + f[v]
+    return sum(f.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_vertices=12))
+def test_connected_subsets_are_each_connected_subset_once(g):
+    assume(g is not None)
+    subsets = [frozenset(s) for s in _connected_subsets(g)]
+    assert len(set(subsets)) == len(subsets) == _subtree_count(g)
+    for s in subsets:
+        start = min(s)
+        seen, stack = {start}, [start]
+        while stack:
+            for w in g.adjacency[stack.pop()]:
+                if w in s and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        assert seen == s
+
+
+def test_resource_caps(g_app):
     with pytest.raises(ResourceCapExceeded):
         brute_fundamental_cycle(g_app, cap=10)
-    with pytest.raises(ResourceCapExceeded):
-        brute_subsupports(g_left)  # 24 vertices > subset cap
+    # over SUBSET_BUDGET connected subsets: 2^17 + 17 on a 17-leaf star,
+    # and g_app with a 1 200-vertex -2 chain at a9, deeper than Python's
+    # recursion limit
+    star = build_graph({
+        "vertices": [("h", -18)] + [(f"l{i:02d}", -2) for i in range(17)],
+        "edges": [("h", f"l{i:02d}") for i in range(17)]})
+    chain = [f"c{i:04d}" for i in range(1200)]
+    long_tail = build_graph({
+        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
+        + [(c, -2) for c in chain],
+        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
+        + list(zip(chain, chain[1:]))})
+    for g in (star, long_tail):
+        with pytest.raises(ResourceCapExceeded, match="connected subsets"):
+            brute_subsupports(g)
 
 
 def _fraction_chi_sublevel(graph, bound, cap):
