@@ -30,9 +30,8 @@ from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
                       format_fraction, parse_cycle, parse_fraction,
                       parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
-from .strata import (AnalyticParams, depth, fixed_component_candidates,
-                     h1_on_image, pg, reduction_index, strata_index_sets,
-                     w_strata)
+from .strata import (AnalyticParams, fixed_component_candidates, h1_on_image,
+                     pg, reduction_index, strata_index_sets, w_strata)
 
 __all__ = ["main", "run"]
 
@@ -229,7 +228,7 @@ def _cmd_wstrata(args) -> dict:
         "lprime": cycle_to_data(lprime),
         "reduction_index": reduction_index(seq, lprime),
         "h1_on_image": h1_on_image(seq, lprime, params),
-        "depths": {v: depth(seq, v) for v in graph.vertices},
+        "depths": seq.depths,
         "strata": [{"k": s.k, "dim": s.dim, "kind": s.kind,
                     **({"count_max": s.count_max}
                        if s.count_max is not None else {})}

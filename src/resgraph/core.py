@@ -369,9 +369,11 @@ def build_graph(spec) -> ResolutionGraph:
 
 
 def _times_a(graph: ResolutionGraph, z: list[int]) -> list[int]:
-    """A z for an integer vector z, in vertex order."""
-    return [graph.euler[v] * z[i] + sum(z[j] for j in graph._neighbours[i])
-            for i, v in enumerate(graph.vertices)]
+    """A z for an integer vector z, in vertex order; the diagonal of A is
+    minus the pivots."""
+    get = z.__getitem__
+    return [sum(map(get, ws)) - p * x
+            for x, p, ws in zip(z, graph._pivots, graph._neighbours)]
 
 
 def intersection_form(l1: Cycle, l2: Cycle) -> Fraction:

@@ -49,21 +49,21 @@ def extension_criterion(graph: ResolutionGraph,
                         seq: EllipticSequence | None = None) -> CriterionReport:
     """For every 0 <= i <= m and v in B_i \\ B_{i+1}: v has at most one
     neighbour in B_{i-1} \\ B_i (with B_{-1} = full vertex set and
-    B_{m+1} = empty)."""
+    B_{m+1} = empty). B_i \\ B_{i+1} is the vertices of depth i, so the
+    walk is in (depth, id) order, each vertex against its neighbours of
+    depth i - 1."""
     if seq is None:
         seq = elliptic_sequence(graph)
+    depths = seq.depths
     violations = []
     witnesses = []
-    for i in range(0, seq.m + 1):
-        ring_above = seq.support_at(i - 1) - seq.support_at(i)
-        zone = seq.support_at(i) - seq.support_at(i + 1)
-        for v in sorted(zone):
-            outside = sorted(w for w in graph.adjacency[v] if w in ring_above)
-            record = {"i": i, "vertex": v, "neighbours_above": outside}
-            if len(outside) > 1:
-                violations.append(record)
-            elif outside:
-                witnesses.append(record)
+    for i, v in sorted((i, v) for v, i in depths.items() if i >= 0):
+        outside = [w for w in graph.adjacency[v] if depths[w] == i - 1]
+        record = {"i": i, "vertex": v, "neighbours_above": outside}
+        if len(outside) > 1:
+            violations.append(record)
+        elif outside:
+            witnesses.append(record)
     return CriterionReport(name="extension-criterion",
                            verdict=not violations,
                            violations=tuple(violations),
@@ -230,7 +230,7 @@ def glue_classify(graph: ResolutionGraph, v: str, e_new: int) -> GlueReport:
         seq = elliptic_sequence(graph)
         zmin = fundamental_cycle(graph)
         conditions["m_v_zmin"] = zmin.coefficient(v)
-        conditions["v_in_B1"] = v in seq.support_at(1)
+        conditions["v_in_B1"] = seq.depths[v] >= 1
         ok = conditions["m_v_zmin"] == 1 and not conditions["v_in_B1"]
         if is_numerically_gorenstein(graph):
             zk = canonical_cycle(graph)

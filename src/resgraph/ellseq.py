@@ -73,6 +73,20 @@ class EllipticSequence:
         return tuple(itertools.accumulate(self.fundamental_cycles,
                                           initial=self.pre_term))
 
+    @cached_property
+    def depths(self) -> dict[str, int]:
+        """{v: max{j : v in B_j}} in vertex order, -1 outside B_0; the
+        supports are nested, so this counts the B_j holding v."""
+        return {v: sum(v in b for b in self.supports) - 1
+                for v in self.graph.vertices}
+
+    def pg(self, alpha: int, j: int = 0) -> int:
+        """p_g of the j-th contraction for the minimal Gorenstein index
+        0 <= alpha <= m; j = 0 gives p_g itself, m + 1 - alpha."""
+        if not 0 <= alpha <= self.m:
+            raise UserError(f"alpha must lie in [0, {self.m}], got {alpha}")
+        return self.m + 1 - max(j, alpha)
+
     def validate(self) -> None:
         """Assert every structural invariant, reading C_m off `sums` and the
         pairings of Z_{B_j} off one A Z_{B_j}; raises InvariantViolation."""
@@ -173,12 +187,10 @@ def numerically_gorenstein_subsupports(
 def pg_table(seq: EllipticSequence, alpha: int) -> list[dict]:
     """Rows (j, p_g of the j-th contraction) for 0 <= j <= m+1; when
     alpha = 0 the Gorenstein cohomology columns are included as well."""
-    if not 0 <= alpha <= seq.m:
-        raise UserError(f"alpha must lie in [0, {seq.m}], got {alpha}")
     rows = []
     m = seq.m
     for j in range(0, m + 2):
-        row = {"j": j, "pg_Xj": m + 1 - max(j, alpha)}
+        row = {"j": j, "pg_Xj": seq.pg(alpha, j)}
         if alpha == 0 and j <= m:
             row["h1_O_Cprime_j"] = m - j + 1
             row["h1_O_C_j"] = j + 1

@@ -125,8 +125,7 @@ def _step_bound(l: Cycle) -> int:
 def fundamental_cycle(graph: ResolutionGraph) -> Cycle:
     """Z_min = min(S - {0}), computed as s(sum_v E_v); valid because every
     nonzero antinef cycle on a connected graph has full support."""
-    ones = graph.from_vector([1] * len(graph.vertices))
-    return antinef_lift(ones)[0]
+    return antinef_lift(Cycle(graph, (1,) * len(graph.vertices)))[0]
 
 
 def cube_representative(l: Cycle) -> Cycle:

@@ -15,7 +15,7 @@ The analytic inputs are exactly alpha (the minimal Gorenstein index) and T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
@@ -76,21 +76,14 @@ class AnalyticParams:
                     "effective antinef cycle")
 
     def check_alpha(self, seq: EllipticSequence) -> None:
-        if not 0 <= self.alpha <= seq.m:
-            raise UserError(f"alpha must lie in [0, {seq.m}], got {self.alpha}")
+        seq.pg(self.alpha)
 
 
 def depth(seq: EllipticSequence, v: str) -> int:
     """max{j : v in B_j}, or -1 if v is outside B_0."""
     if v not in seq.graph._index:
         raise UserError(f"unknown vertex: {v!r}")
-    out = -1
-    for j, b in enumerate(seq.supports):
-        if v in b:
-            out = j
-        else:
-            break
-    return out
+    return seq.depths[v]
 
 
 def dim_V(seq: EllipticSequence, vertex_set, params: AnalyticParams) -> int:
@@ -103,13 +96,7 @@ def dim_V(seq: EllipticSequence, vertex_set, params: AnalyticParams) -> int:
 
 def pg(seq: EllipticSequence, params: AnalyticParams) -> int:
     """Geometric genus for the declared alpha: m + 1 - alpha."""
-    params.check_alpha(seq)
-    return seq.m + 1 - params.alpha
-
-
-def _pg_contraction(seq: EllipticSequence, params: AnalyticParams, j: int) -> int:
-    """p_g of the j-th contraction, 0 <= j <= m+1."""
-    return seq.m + 1 - max(j, params.alpha)
+    return seq.pg(params.alpha)
 
 
 def _require_chern(lprime: Cycle) -> None:
@@ -133,7 +120,7 @@ def h1_on_image(seq: EllipticSequence, lprime: Cycle,
     pg - dim V(I(l')); asserts the reduction-index upper bound."""
     _require_chern(lprime)
     value = pg(seq, params) - dim_V(seq, estar_support(-lprime), params)
-    bound = _pg_contraction(seq, params, reduction_index(seq, lprime))
+    bound = seq.pg(params.alpha, reduction_index(seq, lprime))
     if value > bound:
         raise InvariantViolation(
             "h1 on the image exceeds the reduction-index bound",
@@ -155,10 +142,9 @@ def w_strata(seq: EllipticSequence, lprime: Cycle,
     class l': one linear stratum per level, plus the wandering-point caveat
     when alpha exceeds the reduction index."""
     _require_chern(lprime)
-    params.check_alpha(seq)
+    total = seq.pg(params.alpha)
     i = reduction_index(seq, lprime)
-    total = pg(seq, params)
-    base = _pg_contraction(seq, params, i)
+    base = seq.pg(params.alpha, i)
     start = max(i, params.alpha)
     out = [WStratum(k=seq.m + 1 - j, dim=(total - base) + (j - start),
                     kind="linear")
@@ -215,10 +201,6 @@ class StrataReport:
     def entries(self, k: int, include_excluded: bool = False):
         return [e for e in self.levels.get(k, ())
                 if include_excluded or e.excluded_by is None]
-
-    def maximal_entry(self, k: int) -> StrataEntry | None:
-        hits = [e for e in self.entries(k) if e.maximal]
-        return hits[0] if len(hits) == 1 else None
 
 
 def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
@@ -287,9 +269,9 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
-    """Whether `difference` is a non-negative integral combination of pool."""
-    if difference.is_zero():
-        return True
+    """Whether `difference` is a non-negative integral combination of pool.
+    Pool cycles are effective, so a difference that is not effective never
+    decomposes."""
     seen = set()
 
     def rec(current: Cycle) -> bool:
@@ -320,55 +302,37 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     passes through the origin and lies in the flag). Excluded candidates are
     retained with a reference to their excluder; per-level entries of
     maximal dimension are flagged."""
-    graph = seq.graph
     _require_chern(lprime)
-    params.check_alpha(seq)
     total = pg(seq, params)
     wecc = params.mode == "wecc"
     pool = params.trivializable if params.mode == "custom" else ()
-    by_level: dict[int, list[StrataEntry]] = {}
-    for l in _candidate_cycles(graph, lprime, total):
-        value = chi(l) + intersection_form(l, lprime)
-        if value > total:
-            continue
+    by_level: dict[int, list[tuple[Cycle, int]]] = {}
+    for l in _candidate_cycles(seq.graph, lprime, total):
         dim = dim_V(seq, estar_support(l - lprime), params)
-        k = total - dim - value
-        if k.denominator != 1 or k < 0:
-            continue
-        by_level.setdefault(int(k), []).append(
-            StrataEntry(l=l, chern=lprime - l, dim=dim, k=int(k)))
+        k = total - dim - chi(l) - intersection_form(l, lprime)
+        if k.denominator == 1 and k >= 0:
+            by_level.setdefault(int(k), []).append((l, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}
     accepted_above: list[StrataEntry] = []
     for k in range(total, -1, -1):
-        processed: list[StrataEntry] = []
-        for entry in sorted(by_level.get(k, []),
-                            key=lambda e: (-e.dim, e.l.num)):
+        entries = []
+        for l, dim in sorted(by_level.get(k, []),
+                             key=lambda c: (-c[1], c[0].num)):
             excluder = None
             for prior in accepted_above:
-                if wecc:
-                    contained = entry.dim <= prior.dim
-                else:
-                    diff = entry.l - prior.l
-                    contained = (entry.dim == prior.dim and diff.is_effective()
-                                 and _decomposes_over(diff, pool))
-                if contained:
+                if (dim <= prior.dim if wecc else dim == prior.dim
+                        and _decomposes_over(l - prior.l, pool)):
                     excluder = (prior.k, prior.l)
                     break
-            if excluder is not None:
-                processed.append(StrataEntry(l=entry.l, chern=entry.chern,
-                                             dim=entry.dim, k=k,
-                                             excluded_by=excluder))
-            else:
-                processed.append(entry)
-        survivors = [e for e in processed if e.excluded_by is None]
-        top = max((e.dim for e in survivors), default=None)
-        final = tuple(
-            StrataEntry(l=e.l, chern=e.chern, dim=e.dim, k=k,
-                        maximal=(e.excluded_by is None and e.dim == top),
-                        excluded_by=e.excluded_by)
-            for e in processed)
-        levels[k] = final
-        accepted_above.extend(e for e in final if e.excluded_by is None)
+            entries.append(StrataEntry(l=l, chern=lprime - l, dim=dim, k=k,
+                                       excluded_by=excluder))
+        top = max((e.dim for e in entries if e.excluded_by is None),
+                  default=None)
+        levels[k] = tuple(
+            replace(e, maximal=True)
+            if e.excluded_by is None and e.dim == top else e
+            for e in entries)
+        accepted_above.extend(e for e in levels[k] if e.excluded_by is None)
     notes = [NOTE_F0]
     if params.mode == "generic":
         notes.append(NOTE_SUPERSET)

@@ -216,19 +216,28 @@ def test_criterion_9_random():
 def test_criterion_10_criteria_mass_check():
     """Also pins every monomial record (node, branch, and the witness's
     numerators over its denominator, or the note) by a SHA-256, in the
-    corpus order, so that the first witness found stays the same."""
+    corpus order, so that the first witness found stays the same; and
+    every extension-criterion record (i, vertex, neighbours above) by a
+    second one, so that the records and their order stay the same."""
     elliptic = 0
     digest = hashlib.sha256()
+    ext_digest = hashlib.sha256()
     for g in oracle.enumerate_trees(7, range(-4, -1)):
         if classify(g).kind != "elliptic" or not g.is_minimal():
             continue
         elliptic += 1
         mono = monomial_condition(g)
-        assert extension_criterion(g).verdict == mono.verdict, g.vertices
+        ext = extension_criterion(g)
+        assert ext.verdict == mono.verdict, g.vertices
         for r in mono.witnesses + mono.violations:
             found = ((r["cycle"].num, r["cycle"].den) if "cycle" in r
                      else r["note"])
             digest.update(repr((r["node"], r["branch"], found)).encode())
+        for r in ext.witnesses + ext.violations:
+            ext_digest.update(repr(
+                (r["i"], r["vertex"], r["neighbours_above"])).encode())
     assert elliptic == 1138
     assert digest.hexdigest() == (
         "3cdcb4e0e5a6d5b861b05c31872b42d0345bab8611ccde805490f9ed8b2eb94e")
+    assert ext_digest.hexdigest() == (
+        "a2112e47c12263b91c37032ed61bdb83d8915ad1d825230f7b6ae0a09978cfae")

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from resgraph import cli
 from resgraph.cli import run
+from resgraph.errors import InvariantViolation
 from resgraph.graphio import graph_to_data
 
 
@@ -33,6 +35,30 @@ def test_classify_text(capsys):
     code, out, err = invoke(capsys, "classify", "g_app")
     assert code == 0
     assert "classification: elliptic" in out
+
+
+def test_ellseq_text(capsys):
+    """Lists render as "- item" lines, a list of lists as bare "-" lines
+    over its items, and an empty cycle as {}."""
+    code, out, err = invoke(capsys, "ellseq", "g_app")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "numerically_gorenstein: true" in lines
+    assert "pre_term: {}" in lines
+    start = lines.index("supports:")
+    assert lines[start + 1:start + 3] == ["  -", "    - a1"]
+    assert "    C_t: {}" in lines
+
+
+def test_criteria_text(capsys):
+    """Booleans render as true/false and an empty list as []."""
+    code, out, err = invoke(capsys, "criteria", "g_noecc")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "  verdict: false" in lines and "  witnesses: []" in lines
+    assert lines[-2:] == ["supports_wecc: false", "supports_ecc: false"]
+    start = lines.index("      neighbours_above:")
+    assert lines[start + 1:start + 3] == ["        - c9", "        - u8"]
 
 
 def test_invariants(capsys):
@@ -110,6 +136,28 @@ def test_oracle_verify_small(capsys, tmp_path, a2_chain):
     path.write_text(json.dumps(graph_to_data(a2_chain)))
     data = invoke_json(capsys, "oracle-verify", str(path))
     assert data["checks"]["fundamental-cycle"] == "ok"
+
+
+def test_oracle_verify_under_a_small_cap(capsys, monkeypatch):
+    """Checks whose brute search exceeds RESGRAPH_ENUM_CAP are reported as
+    skipped, and the run still exits 0."""
+    monkeypatch.setenv("RESGRAPH_ENUM_CAP", "10")
+    checks = invoke_json(capsys, "oracle-verify", "g_app")["checks"]
+    assert sum(v.startswith("skipped: ") for v in checks.values()) == 6
+    assert checks["elliptic-sequence"] == "ok"
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    def broken(graph):
+        raise InvariantViolation("verdicts disagree",
+                                 payload={"extension": True})
+
+    monkeypatch.setattr(cli, "criteria_reports", broken)
+    code, out, err = invoke(capsys, "criteria", "g_app")
+    assert code == 2 and not out
+    assert err.splitlines() == [
+        "invariant violation (bug): verdicts disagree",
+        "payload: {'extension': True}"]
 
 
 def test_enumerate(capsys):

@@ -62,6 +62,8 @@ def bareiss_elimination(matrix):
     ({"vertices": [("a", -2), ("b", -2), ("c", -2), ("d", -2)],
       "edges": [("a", "b"), ("b", "c"), ("a", "c")]}, "not-connected"),
     ({"vertices": [], "edges": []}, "malformed-description"),
+    ({"vertices": [("a", -2), ("b", -2)], "edges": [("a", "b"), ("b", "a")]},
+     "bad-edge"),
 ])
 def test_build_graph_rejections(spec, diagnostic):
     with pytest.raises(GraphValidationError) as err:
@@ -143,6 +145,10 @@ def test_cycle_partial_order(g_app):
 def test_cycle_unknown_vertex(g_app):
     with pytest.raises(UserError):
         g_app.cycle({"zzz": 1})
+    with pytest.raises(UserError, match="unknown vertex: 'zzz'"):
+        g_app.basis_cycle("zzz")
+    with pytest.raises(UserError, match="unknown vertex: 'zzz'"):
+        dual_cycle(g_app, "zzz")
 
 
 def test_cycles_from_different_graphs_do_not_mix(g_app, g_new):

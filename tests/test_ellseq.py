@@ -14,7 +14,8 @@ from resgraph.ellseq import (antinef_in_class_below_ZK, elliptic_sequence,
                              numerically_gorenstein_subsupports, partial_sums,
                              pg_table)
 from resgraph.errors import InvariantViolation, UserError
-from resgraph.laufer import fundamental_cycle
+from resgraph.laufer import classify, fundamental_cycle
+from resgraph.oracle import enumerate_trees
 
 from conftest import full_subgraph
 
@@ -112,6 +113,38 @@ def test_pg_table(g_app):
     assert "h1_O_C_j" not in rows1[0]
     with pytest.raises(UserError):
         pg_table(seq, alpha=2)
+
+
+def test_pg_of_contractions(g_left):
+    """p_g of the j-th contraction is m + 1 - max(j, alpha); pg_table reads
+    its rows off it, and both refuse alpha outside [0, m]."""
+    seq = elliptic_sequence(g_left)
+    assert seq.m == 3
+    for alpha in range(seq.m + 1):
+        values = [seq.pg(alpha, j) for j in range(seq.m + 2)]
+        assert values == [4 - max(j, alpha) for j in range(5)]
+        assert [r["pg_Xj"] for r in pg_table(seq, alpha)] == values
+    assert seq.pg(2) == 2
+    for alpha in (-1, 4):
+        with pytest.raises(UserError, match=r"alpha must lie in \[0, 3\]"):
+            seq.pg(alpha)
+
+
+def test_depths_match_supports(request):
+    """depths[v] = max{j : v in B_j}, -1 outside B_0, in vertex order, on
+    the fixtures and on the elliptic trees of the 263-tree corpus."""
+    graphs = [request.getfixturevalue(name) for name in
+              ("g_app", "g_new", "g_noecc", "g_left", "g_right")]
+    graphs += [g for g in enumerate_trees(6, (-2, -3))
+               if classify(g).kind == "elliptic" and g.is_minimal()]
+    assert len(graphs) == 5 + 28
+    for g in graphs:
+        seq = elliptic_sequence(g)
+        assert list(seq.depths) == list(g.vertices)
+        for v, d in seq.depths.items():
+            assert d == max((j for j, b in enumerate(seq.supports) if v in b),
+                            default=-1)
+    assert elliptic_sequence(graphs[0]).depths["a9"] == 0
 
 
 def test_sequence_requires_elliptic(g_pole, single_vertex):

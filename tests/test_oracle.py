@@ -485,3 +485,13 @@ def test_verify_small_graph():
     assert report["antinef-lift"] == "ok"
     assert report["fundamental-cycle"] == "ok"
     assert report["classification"] == "ok"
+
+
+def test_verify_reports_skipped_checks_under_a_small_cap(g_app):
+    """A check whose brute search exceeds the cap reads "skipped: ..." and
+    the others still run; verify raises nothing."""
+    report = verify(g_app, cap=10)
+    skipped = [k for k, v in report.items() if v.startswith("skipped: ")]
+    assert len(skipped) == 6 and "classification" in skipped
+    assert {k for k, v in report.items() if v == "ok"} == {
+        "gorenstein-subsupports", "elliptic-sequence"}

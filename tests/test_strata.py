@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            intersection_form)
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import UserError
+from resgraph.fixtures import load_fixture
 from resgraph.laufer import fundamental_cycle, minimal_class_representative
 from resgraph.oracle import brute_antinef_sublevel
 from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
@@ -134,6 +136,35 @@ def test_w_strata_wandering(g_app, seq_app):
     assert kinds == {"linear", "wandering"}
     wander = next(s for s in out if s.kind == "wandering")
     assert wander.count_max == 1
+
+
+def test_strata_reports_pinned():
+    """Pins the reports on the five elliptic fixtures by a SHA-256 of every
+    entry's (k, l, chern, dim, maximal, excluded_by), level by level from
+    the top: generic and wecc at alpha 0 and 1 with l' = -C_{-1}, and
+    custom on g_noecc with T = {Z_min} and l' = -E*_c9."""
+    digest = hashlib.sha256()
+
+    def feed(report):
+        for k in sorted(report.levels, reverse=True):
+            for e in report.levels[k]:
+                excluder = e.excluded_by and (e.excluded_by[0],
+                                              e.excluded_by[1].num)
+                digest.update(repr((e.k, e.l.num, (e.chern.num, e.chern.den),
+                                    e.dim, e.maximal, excluder)).encode())
+
+    for name in ("g_app", "g_new", "g_noecc", "g_left", "g_right"):
+        seq = elliptic_sequence(load_fixture(name).graph)
+        for mode in ("generic", "wecc"):
+            for alpha in (0, 1):
+                feed(strata_index_sets(seq, -seq.pre_term,
+                                       AnalyticParams(alpha=alpha, mode=mode)))
+    g = load_fixture("g_noecc").graph
+    feed(strata_index_sets(
+        elliptic_sequence(g), -dual_cycle(g, "c9"),
+        AnalyticParams(mode="custom", trivializable=(fundamental_cycle(g),))))
+    assert digest.hexdigest() == (
+        "06b608fa9b9c668e373bd82a2c4f9c6180d578ca56a608224054f89a96d9128f")
 
 
 # -- the ellipsoid walker against the oracle's antinef sublevel set ----------
