@@ -31,8 +31,8 @@ __all__ = [
 class ComputationTrace:
     """Replayable record of a computation sequence.
 
-    result = start + sum of E_{v} over steps; at each step the running
-    cycle pairs positively with the vertex about to be added."""
+    result = start + sum of E_v over steps, one entry per unit step; at
+    each step the running cycle pairs positively with the vertex added."""
 
     start: Cycle
     steps: tuple[str, ...]
@@ -62,9 +62,11 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
     """s(l): unique minimal element of (l + L_{>=0}) cap S'.
 
     With a `support` B only the vertices of B are eligible: for l
-    supported on B, that is the lift on the full subgraph on B. Ties are
-    broken by picking the lexicographically smallest eligible vertex; the
-    endpoint does not depend on this choice. The steps run on the integer
+    supported on B, that is the lift on the full subgraph on B. Sweeps
+    visit them in vertex order until one adds nothing; at v with
+    (z, E_v) = p > 0 a visit adds ceil(p/|e_v|) legal unit steps E_v at
+    once. They stay below s(l): s(l) - z = c E_v + y with y >= 0 off v,
+    so 0 >= (s(l), E_v) >= p + c e_v. The steps run on the integer
     numerators of l over its denominator."""
     g = l.graph
     if support is None:
@@ -80,26 +82,25 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
     # a cheap first guard; a lift that reaches it computes the true bound
     guard = (2 * g.det * (max(map(abs, z)) // scale + 1) + 1) * len(z)
     bounded = False
-    while True:
-        chosen = -1
+    swept = False
+    while not swept:
+        swept = True
         for i in members:
-            if pair[i] > 0:
-                chosen = i
-                break
-        if chosen < 0:
-            break
-        if len(steps) >= guard:
-            if not bounded:
+            if pair[i] <= 0:
+                continue
+            k = -(pair[i] // euler[i])
+            if len(steps) + k > guard and not bounded:
                 guard, bounded = _step_bound(l), True
-            if len(steps) >= guard:
+            if len(steps) + k > guard:
                 raise InvariantViolation(
                     "computation sequence exceeded its termination guard; "
                     "the graph data violates negative definiteness")
-        steps.append(g.vertices[chosen])
-        z[chosen] += scale
-        pair[chosen] += euler[chosen]
-        for j in g._neighbours[chosen]:
-            pair[j] += scale
+            steps.extend([g.vertices[i]] * k)
+            z[i] += k * scale
+            pair[i] += k * euler[i]
+            for j in g._neighbours[i]:
+                pair[j] += k * scale
+            swept = False
     result = Cycle(g, tuple(z), scale)
     return result, ComputationTrace(start=l, steps=tuple(steps), result=result)
 

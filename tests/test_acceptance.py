@@ -16,8 +16,7 @@ import pytest
 
 from resgraph import oracle
 from resgraph.core import (canonical_cycle, chi, dual_cycle,
-                           estar_coordinates, intersection_form,
-                           is_numerically_gorenstein)
+                           estar_coordinates, intersection_form)
 from resgraph.criteria import (extension_criterion, monomial_condition,
                                supports_ecc, supports_wecc)
 from resgraph.ellseq import elliptic_sequence, partial_sums

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 
 import pytest
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgraph.cli import _parse_lprime, _parse_trivializable
-from resgraph.errors import InvariantViolation, UserError
+from resgraph.errors import UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
 from resgraph.graphio import (FORMAT_VERSION, MinimalResolutionWarning,
                               cycle_to_data, format_fraction, graph_to_data,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from resgraph.core import (build_graph, canonical_cycle, chi, is_antinef,
                            same_class)
-from resgraph.errors import UserError
+from resgraph.errors import (GraphValidationError, InvariantViolation,
+                             UserError)
 from resgraph.laufer import (_step_bound, antinef_lift, classify,
                              cube_representative, fundamental_cycle,
                              minimal_class_representative,
@@ -96,22 +97,39 @@ def test_require_elliptic_minimal(g_app, g_pole, single_vertex):
         require_elliptic_minimal(single_vertex)  # rational
 
 
-def test_lift_past_the_cheap_guard():
-    """A det-1 tree whose lift to Z_min takes 713 steps, far beyond the
-    first guard of (2 det (max|l| + 1) + 1) n = 50, so the lift must go on
-    to the true bound."""
-    g = build_graph({
+def _det_one_tree():
+    """A det-1 tree whose lift of sum_v E_v to Z_min takes 713 steps."""
+    return build_graph({
         "vertices": list(zip([f"v{i}" for i in range(10)],
                              [-2, -3, -2, -3, -3, -2, -2, -2, -3, -3])),
         "edges": [("v1", "v0"), ("v2", "v0"), ("v3", "v1"), ("v4", "v1"),
                   ("v5", "v0"), ("v6", "v1"), ("v7", "v4"), ("v8", "v5"),
                   ("v9", "v0")]})
+
+
+def test_lift_past_the_cheap_guard():
+    """The 713 steps go far beyond the first guard of
+    (2 det (max|l| + 1) + 1) n = 50, so the lift must go on to the true
+    bound."""
+    g = _det_one_tree()
     assert g.det == 1
     cls = classify(g)
     zmin, trace = antinef_lift(g.from_vector([1] * 10))
     assert cls.zmin == zmin and max(zmin.num) == 180
     assert len(trace.steps) == 713 and trace.replay()
     assert is_antinef(zmin) and cls.kind == "other"
+
+
+def test_the_guard_counts_unit_steps(monkeypatch):
+    """A batch that would take the unit steps past the true bound raises,
+    though the bound falls inside that batch; a bound of exactly 713
+    lets the lift finish."""
+    start = _det_one_tree().from_vector([1] * 10)
+    monkeypatch.setattr("resgraph.laufer._step_bound", lambda l: 712)
+    with pytest.raises(InvariantViolation, match="termination guard"):
+        antinef_lift(start)
+    monkeypatch.setattr("resgraph.laufer._step_bound", lambda l: 713)
+    assert len(antinef_lift(start)[1].steps) == 713
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,3 +172,80 @@ def test_support_lift_is_the_subgraph_fundamental_cycle(g, data):
 def test_support_lift_refuses_an_unknown_vertex(g_app):
     with pytest.raises(UserError, match="unknown vertex in support"):
         antinef_lift(g_app.basis_cycle("a1"), support={"a1", "zzz"})
+
+
+def _unit_step_lift(eulers, edges, start, support):
+    """The lift one E_v at a time, on pairings built from the edge list:
+    each step adds E_v at an eligible vertex of largest pairing. Returns
+    the endpoint and the number of steps."""
+    neighbours = {v: [] for v in eulers}
+    for u, w in edges:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    z = dict(start)
+    pair = {v: e * z[v] + sum(z[w] for w in neighbours[v])
+            for v, e in eulers.items()}
+    count = 0
+    while support:
+        v = max(support, key=pair.__getitem__)
+        if pair[v] <= 0:
+            break
+        z[v] += 1
+        pair[v] += eulers[v]
+        for w in neighbours[v]:
+            pair[w] += 1
+        count += 1
+    return z, count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_lift_equals_the_unit_step_lift(data):
+    """The batched sweeps reach the endpoint of an independent unit-step
+    lift with as many unit steps, each in the support."""
+    n = data.draw(st.integers(1, 12))
+    labels = [f"v{i}" for i in range(n)]
+    eulers = dict(zip(labels, data.draw(
+        st.lists(st.integers(-4, -1), min_size=n, max_size=n))))
+    edges = [(labels[i], labels[data.draw(st.integers(0, i - 1))])
+             for i in range(1, n)]
+    try:
+        g = build_graph({"vertices": list(eulers.items()), "edges": edges})
+    except GraphValidationError:
+        assume(False)
+    den = data.draw(st.sampled_from([1, 2, 3, 7]))
+    start = dict(zip(labels, (Fraction(c, den) for c in data.draw(
+        st.lists(st.integers(-8, 8), min_size=n, max_size=n)))))
+    support = data.draw(st.none() | st.sets(st.sampled_from(labels)))
+    lifted, trace = antinef_lift(g.cycle(start), support)
+    eligible = labels if support is None else sorted(support)
+    expected, count = _unit_step_lift(eulers, edges, start, eligible)
+    assert dict(lifted.items()) == expected
+    assert len(trace.steps) == count
+    assert set(trace.steps) <= set(eligible)
+    if count <= 200:
+        assert trace.replay()
+
+
+def test_large_lifts_on_g_app(g_app):
+    """k E_a1 for k = 10^2, 10^3, 10^4: the unit steps, the 10^4 endpoint,
+    and a replay of the 10^3 trace on integer pairings."""
+    lifts = {k: antinef_lift(k * g_app.basis_cycle("a1"))
+             for k in (100, 1000, 10000)}
+    assert {k: len(trace.steps) for k, (_, trace) in lifts.items()} \
+        == {100: 1305, 1000: 13005, 10000: 130005}
+    assert lifts[10000][0] == g_app.cycle({
+        "a1": 10000, "a2": 19167, "a3": 28334, "a4": 23334, "a5": 18334,
+        "a6": 13334, "a7": 8334, "a8": 3334, "a9": 1667, "u": 14167})
+    end, trace = lifts[1000]
+    z = dict.fromkeys(g_app.vertices, 0)
+    z["a1"] = 1000
+    pair = {v: g_app.euler[v] * z[v] + sum(z[w] for w in g_app.adjacency[v])
+            for v in g_app.vertices}
+    for v in trace.steps:
+        assert pair[v] > 0
+        z[v] += 1
+        pair[v] += g_app.euler[v]
+        for w in g_app.adjacency[v]:
+            pair[w] += 1
+    assert end == g_app.cycle(z)

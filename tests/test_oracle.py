@@ -96,9 +96,12 @@ def _unused_top_level_imports(source: str) -> list[str]:
 
 
 def test_no_unused_top_level_imports():
-    """A linter-free check: every top-level import in the package is used."""
+    """A linter-free check: every top-level import in the package and in
+    the test modules is used."""
     package = Path(oracle_module.__file__).parent
-    unused = {path.name: names for path in sorted(package.glob("*.py"))
+    modules = [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unused = {f"{path.parent.name}/{path.name}": names
+              for path in sorted(modules)
               if (names := _unused_top_level_imports(path.read_text()))}
     assert not unused, f"unused imports: {unused}"
     assert _unused_top_level_imports("import os\nimport sys\nsys.exit()\n") \
