@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (Cycle, ResolutionGraph, _times_a, build_graph,
-                   canonical_cycle, chi, intersection_form)
+                   canonical_cycle, chi, dual_cycle, intersection_form)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -144,7 +144,6 @@ def _safe_upper(graph: ResolutionGraph, l: Cycle) -> tuple[int, ...]:
     maximum vertex degree plus max(l_v / x_v), the rounded-up cycle
     c_v = l_v + ceil(t x_v - l_v) stays antinef (the rounding perturbs each
     pairing by less than deg_v) and dominates l."""
-    from .core import dual_cycle
     x = graph.zero_cycle()
     for v in graph.vertices:
         x = x + dual_cycle(graph, v)
@@ -236,10 +235,12 @@ def _ellipsoid(graph: ResolutionGraph, lprime: Cycle, bound):
     return (b, radius2, *_own_ldl(m))
 
 
-def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
-                  cap: int) -> tuple[list[tuple[Cycle, int]], int]:
+def _chi_sublevel(graph: ResolutionGraph, bound: Fraction, cap: int,
+                  upper: tuple[int, ...] | None = None
+                  ) -> tuple[list[tuple[Cycle, int]], int]:
     """All integral l >= 0 with chi(l) <= bound, each with chi(l) as a
     numerator over one denominator: returns ([(l, k)], den), chi(l) = k/den.
+    With `upper` (integers in vertex order), only those with l <= upper.
 
     The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
     coordinate by coordinate from the last one down (Fincke-Pohst), each
@@ -249,9 +250,10 @@ def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
     The walk runs on integers: with S the lcm of the denominators of the
     u_ij and b_j, and L that of the d_i and of R, it carries S^2 c_i,
     the weights L d_i and the budget scaled by L S^4, and takes each
-    interval from one isqrt. Every rec call counts one visited node
-    against `cap`, leaves included; the remaining budget at a leaf is
-    (R - (l-b)^T M (l-b)) L S^4, so chi(l) = bound - remainder/(2 L S^4)."""
+    interval from one isqrt, cut to upper_i. Every rec call counts one
+    visited node against `cap`, leaves included; the remaining budget at a
+    leaf is (R - (l-b)^T M (l-b)) L S^4, so
+    chi(l) = bound - remainder/(2 L S^4)."""
     n = len(graph.vertices)
     b, radius2, d, u = _ellipsoid(graph, graph.zero_cycle(), bound)
     if radius2 < 0:
@@ -285,7 +287,8 @@ def _chi_sublevel(graph: ResolutionGraph, bound: Fraction,
         c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
         w = weight[i]
         t = math.isqrt(budget // w)  # |S^2 x - c| <= t
-        for value in range(max(-((t - c) // s2), 0), (c + t) // s2 + 1):
+        hi = (c + t) // s2 if upper is None else min((c + t) // s2, upper[i])
+        for value in range(max(-((t - c) // s2), 0), hi + 1):
             xs[i] = value
             sx[i] = s * value - sb[i]
             e = s2 * value - c
@@ -313,11 +316,12 @@ def brute_min_chi(graph: ResolutionGraph,
 
 def brute_minimally_elliptic(graph: ResolutionGraph,
                              cap: int = DEFAULT_CAP) -> Cycle:
-    """Unique minimum of {0 < l <= Z_min : chi(l) = 0}, by direct search
-    (the chi <= 0 locus is a finite ellipsoid; filter it to the box)."""
+    """Unique minimum of {0 < l <= Z_min : chi(l) = 0}, by direct search:
+    the chi <= 0 locus is a finite ellipsoid, walked only below the
+    oracle's own Z_min (integral, so its numerators are its coefficients)."""
     zmin = brute_fundamental_cycle(graph, cap)
-    points, _ = _chi_sublevel(graph, Fraction(0), cap)
-    hits = [l for l, k in points if k == 0 and not l.is_zero() and l <= zmin]
+    points, _ = _chi_sublevel(graph, Fraction(0), cap, zmin.num)
+    hits = [l for l, k in points if k == 0 and not l.is_zero()]
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
                         "cycle (graph is not elliptic)")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 from hypothesis import strategies as st
 
@@ -55,6 +58,21 @@ def full_subgraph(graph, vertices):
     return build_graph({"vertices": [(v, graph.euler[v]) for v in keep],
                         "edges": [tuple(e) for e in graph.edges
                                   if e <= keep]})
+
+
+def package_imports(module):
+    """The resgraph modules `module` imports anywhere in its source, function
+    bodies included, as dotted names."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            names = [("resgraph." if node.level else "") + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        imported.update(n for n in names if n.startswith("resgraph"))
+    return imported
 
 
 def random_tree(rng, max_vertices=8, euler_lo=-5, euler_hi=-2):

@@ -10,13 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgraph import fixtures
 from resgraph.cli import _parse_lprime, _parse_trivializable
+from resgraph.core import canonical_cycle, is_numerically_gorenstein
+from resgraph.criteria import extension_criterion
+from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
 from resgraph.graphio import (FORMAT_VERSION, MinimalResolutionWarning,
                               cycle_to_data, format_fraction, graph_to_data,
                               parse_fraction, parse_graph, parse_graph_data)
+from resgraph.laufer import classify
 from resgraph.strata import AnalyticParams
+
+from conftest import package_imports
 
 
 def test_parse_fraction():
@@ -184,7 +191,8 @@ def test_cycle_to_data_drops_zeros(g_app):
 
 
 def test_all_fixtures_load_and_validate():
-    """Every bundled fixture loads; its embedded validation ran en route."""
+    """Every bundled fixture loads and parses to a graph; what each one is
+    bundled for is pinned by test_fixture_facts."""
     for name in FIXTURE_NAMES:
         gf = load_fixture(name)
         assert gf.graph.vertices
@@ -192,6 +200,48 @@ def test_all_fixtures_load_and_validate():
     assert not is_fixture_name("nope")
     with pytest.raises(UserError):
         load_fixture("nope")
+
+
+# name: (classification, minimal, numerically Gorenstein, m, extension
+# criterion verdict); None where the fixture is not bundled for the fact.
+# The sequence has length m + 1.
+FIXTURE_FACTS = {
+    "g_app": ("elliptic", True, True, 1, None),
+    "g_new": ("elliptic", True, False, 1, None),
+    "g_noecc": ("elliptic", True, True, 1, None),
+    "g_pole": ("other", False, None, None, None),
+    "g_left": ("elliptic", True, True, 3, True),
+    "g_right": ("elliptic", True, True, 3, False),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_facts(name):
+    """The facts each fixture is bundled for, so that a slip in the data
+    (g_left and g_right were transcribed from a figure) fails here; the
+    cycles stored with a fixture are the computed ones."""
+    kind, minimal, gorenstein, m, verdict = FIXTURE_FACTS[name]
+    gf = load_fixture(name)
+    graph = gf.graph
+    assert classify(graph).kind == kind
+    assert graph.is_minimal() is minimal
+    if kind != "elliptic":
+        assert gf.cycles == {}
+        return
+    seq = elliptic_sequence(graph)
+    assert is_numerically_gorenstein(graph) is gorenstein
+    assert seq.m == m
+    if verdict is not None:
+        assert extension_criterion(graph, seq).verdict is verdict
+    stored = ({"canonical": canonical_cycle(graph), "pre_term": seq.pre_term}
+              if name == "g_new" else {})
+    assert gf.cycles == stored
+
+
+def test_fixture_loader_computes_nothing():
+    """Loading a fixture parses its data and nothing more: the loader reads
+    nothing of the package but the parser and the errors."""
+    assert package_imports(fixtures) == {"resgraph.graphio", "resgraph.errors"}
 
 
 def test_g_new_stored_cycles_match_computed(g_new):

@@ -199,6 +199,14 @@ def test_brute_against_elliptic_fixture(name, request):
     assert found == antinef_in_class_below_ZK(g)
 
 
+def test_brute_minimally_elliptic_on_g_right(g_right):
+    """The chi <= 0 walk stays below the oracle's Z_min, so on the 26-vertex
+    fixture it ends inside 10^6 nodes (the whole ellipsoid passes them)."""
+    from resgraph.ellseq import minimally_elliptic_cycle
+    assert brute_minimally_elliptic(g_right, cap=10 ** 6) == \
+        minimally_elliptic_cycle(g_right)
+
+
 @pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
                                   "g_right"])
 def test_brute_subsupports_are_the_sequence_supports(name, request):

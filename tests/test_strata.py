@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import inspect
 from fractions import Fraction
@@ -23,7 +22,7 @@ from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
                              fixed_component_candidates, h1_on_image, pg,
                              reduction_index, strata_index_sets, w_strata)
 
-from conftest import random_trees
+from conftest import package_imports, random_trees
 
 
 @pytest.fixture(scope="module")
@@ -315,13 +314,4 @@ def test_walker_keeps_its_traced_shape():
     walker = quadform.enumerate_ellipsoid_points
     assert inspect.isgeneratorfunction(walker)
     assert "partial_filter" in inspect.signature(walker).parameters
-    imported = set()
-    for node in ast.walk(ast.parse(inspect.getsource(quadform))):
-        if isinstance(node, ast.ImportFrom):
-            names = [("resgraph." if node.level else "") + (node.module or "")]
-        elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        else:
-            continue
-        imported.update(n for n in names if n.startswith("resgraph"))
-    assert imported == {"resgraph.core"}
+    assert package_imports(quadform) == {"resgraph.core"}
