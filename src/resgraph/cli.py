@@ -244,26 +244,9 @@ def _cmd_oracle_verify(args) -> dict:
 def _cmd_enumerate(args) -> dict:
     if args.euler_min > args.euler_max or args.euler_max > -1:
         raise UserError("need euler-min <= euler-max <= -1")
-    cap = _enum_cap(default=10 ** 5)
-    # the shapes on n vertices are sieved from the n^(n-2) Pruefer
-    # sequences before the first is yielded; the scan stops once it holds
-    # Otter's count t(n), so the sum below is an upper bound on the walk
-    sequences = 0
-    for n in range(1, args.max_vertices + 1):
-        sequences += n ** (n - 2) if n > 2 else 1
-        if sequences > cap:
-            raise ResourceCapExceeded(
-                f"enumeration up to {n} vertices walks {sequences} Pruefer "
-                f"sequences, over cap {cap}; lower the bounds or raise "
-                f"{CAP_ENV}")
-    graphs = []
-    for g in oracle.enumerate_trees(args.max_vertices,
-                                    range(args.euler_min, args.euler_max + 1)):
-        graphs.append(g)
-        if len(graphs) > cap:
-            raise ResourceCapExceeded(
-                f"enumeration exceeded cap {cap}; lower the bounds or raise "
-                f"{CAP_ENV}")
+    graphs = list(oracle.enumerate_trees(
+        args.max_vertices, range(args.euler_min, args.euler_max + 1),
+        cap=_enum_cap(default=10 ** 5)))
     return {
         "count": len(graphs),
         "graphs": [{"vertices": [[v, g.euler[v]] for v in g.vertices],
@@ -365,6 +348,10 @@ def run(argv) -> int:
         return 2
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(f"resource cap: the graph is too deep for the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 3
     if args.format == "json":
         print(json.dumps(report, indent=2))

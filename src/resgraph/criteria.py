@@ -89,10 +89,9 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
     required = [i for i in members if len(graph._neighbours[i]) > 1]
     estar_v = dual_cycle(graph, v)
 
-    # every E*_w(branch) lies in (1/det) L, det the branch's determinant, and
-    # det E*_w(branch) is one subtree solve; so the simplex walk and the
-    # integrality sieve stay in integers: the weights become iw_w = det m_w
-    # and sum a_w m_w = 1 becomes sum a_w iw_w = det
+    # det E*_w(branch), det the branch's determinant, is one subtree solve,
+    # so the search runs on integers: with iw_w = det m_w, the simplex
+    # sum a_w m_w = 1 becomes sum a_w iw_w = det
     det = sub[contact]
     triples = []
     for w in members:
@@ -103,33 +102,33 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
                             [full[i] for i in members]))
     iw, _, vecs = zip(*sorted(triples, reverse=True))
 
-    def solutions(idx: int, remaining: int, acc: list[int]):
-        # walk only the simplex sum a_w * m_w <= 1, not the whole box
-        if idx == len(iw):
-            if remaining == 0:
-                yield tuple(acc)
-            return
+    def first(idx: int, remaining: int, total: list[int]) -> Cycle | None:
+        # the first point of the simplex, in lexicographic order, whose
+        # total = det C = sum a_w det E*_w(branch) on the members is
+        # integral; the last multiplier is forced: one divmod, not a loop
+        if idx == len(iw) - 1:
+            a, rest = divmod(remaining, iw[-1])
+            if rest:
+                return None
+            total = [t + a * c for t, c in zip(total, vecs[-1])]
+            if any(t % det for t in total):
+                return None
+            placed = dict(zip(members, total))
+            lifted = Cycle(graph, tuple(placed.get(i, 0) // det
+                                        for i in range(n)))
+            # defensive re-validation of the defining linear conditions
+            pairs = _times_a(graph, (estar_v + lifted).num)
+            if pairs[node] or any(pairs[i] for i in required):
+                return None
+            return lifted
         for a in range(remaining // iw[idx] + 1):
-            acc.append(a)
-            yield from solutions(idx + 1, remaining - a * iw[idx], acc)
-            acc.pop()
+            found = first(idx + 1, remaining - a * iw[idx],
+                          [t + a * c for t, c in zip(total, vecs[idx])])
+            if found is not None:
+                return found
+        return None
 
-    for combo in solutions(0, det, []):
-        total = [0] * len(members)
-        for a, vec in zip(combo, vecs):
-            if a:
-                for j, c in enumerate(vec):
-                    total[j] += a * c
-        if any(t % det for t in total):
-            continue
-        placed = dict(zip(members, total))
-        lifted = Cycle(graph, tuple(placed.get(i, 0) // det for i in range(n)))
-        # defensive re-validation of the defining linear conditions
-        pairs = _times_a(graph, (estar_v + lifted).num)
-        if pairs[node] or any(pairs[i] for i in required):
-            continue
-        return lifted
-    return None
+    return first(0, det, [0] * len(members))
 
 
 def monomial_condition(graph: ResolutionGraph) -> CriterionReport:

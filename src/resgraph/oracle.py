@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -23,7 +22,6 @@ from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
 __all__ = [
-    "SearchBox",
     "brute_min_antinef",
     "brute_fundamental_cycle",
     "brute_min_chi",
@@ -40,36 +38,10 @@ DEFAULT_CAP = 10 ** 7
 SUBSET_BUDGET = 10 ** 5  # connected subsets; g_right has 16 343
 
 
-@dataclass(frozen=True)
-class SearchBox:
-    """Inclusive per-coordinate integer bounds for a boxed search.
-
-    `cap` budgets the number of partial assignments a search through the box
-    may visit (the raw volume may legitimately be much larger; the searches
-    prune with the antinef inequalities, which are part of the searched
-    predicate itself, not of the algorithms under test)."""
-
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    cap: int = DEFAULT_CAP
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise UserError("search box bounds have mismatched lengths")
-        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
-            raise UserError("search box has an empty coordinate range")
-
-    @property
-    def volume(self) -> int:
-        out = 1
-        for lo, hi in zip(self.lower, self.upper):
-            out *= hi - lo + 1
-        return out
-
-
-def _antinef_hits(graph: ResolutionGraph, base: Cycle,
-                  box: SearchBox) -> Iterator[tuple[int, ...]]:
-    """All integer z in `box` with base + z antinef, by depth-first search.
+def _antinef_hits(graph: ResolutionGraph, base: Cycle, lower: Sequence[int],
+                  upper: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
+    """All integer z with lower <= z <= upper (inclusive, per coordinate)
+    and base + z antinef, by depth-first search.
 
     The search keeps a per-coordinate interval and restores bounds
     consistency after every assignment: the inequality at vertex j is
@@ -83,7 +55,9 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
     The inequalities are scaled by the base's denominator D, so the search
     runs on integers: p_j + D e_j z_j + D sum_{w ~ j} z_w <= 0 with
     p_j = D (base, E_j). Every rec call, one per partial assignment that
-    survives propagation, counts one visited node against box.cap."""
+    survives propagation, counts one visited node against `cap`. The
+    antinef pruning is part of the searched predicate itself, not of the
+    algorithms under test."""
     n = len(graph.vertices)
     adj = graph._neighbours
     scale = base.den
@@ -118,9 +92,9 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
     def rec(i: int, lo: list[int], hi: list[int]) -> Iterator[tuple[int, ...]]:
         nonlocal visited
         visited += 1
-        if visited > box.cap:
+        if visited > cap:
             raise ResourceCapExceeded(
-                f"boxed antinef search exceeded its budget ({box.cap})")
+                f"boxed antinef search exceeded its budget ({cap})")
         if i == n:
             yield tuple(lo)
             return
@@ -131,8 +105,8 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle,
             if propagate(nlo, nhi):
                 yield from rec(i + 1, nlo, nhi)
 
-    lo0 = list(box.lower)
-    hi0 = list(box.upper)
+    lo0 = list(lower)
+    hi0 = list(upper)
     if propagate(lo0, hi0):
         yield from rec(0, lo0, hi0)
 
@@ -167,8 +141,7 @@ def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
     kind = "nonzero antinef element" if nonzero else "antinef element"
 
     def hits(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        box = SearchBox(zero, upper, cap)
-        return (h for h in _antinef_hits(graph, base, box)
+        return (h for h in _antinef_hits(graph, base, zero, upper, cap)
                 if h != zero or not nonzero)
 
     upper = _safe_upper(graph, base)
@@ -358,8 +331,8 @@ def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
         upper.append((p + t) // q)
         if lower[-1] > upper[-1]:
             return []
-    box = SearchBox(lower=tuple(lower), upper=tuple(upper), cap=DEFAULT_CAP)
-    hits = (graph.from_vector(z) for z in _antinef_hits(graph, -lprime, box))
+    hits = (graph.from_vector(z) for z in
+            _antinef_hits(graph, -lprime, lower, upper, DEFAULT_CAP))
     return [l for l in hits if chi(l) + intersection_form(l, lprime) <= bound]
 
 
@@ -370,10 +343,9 @@ def brute_lemci(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     frac(Z_K) + [0, floor(Z_K)]^V."""
     zk = canonical_cycle(graph)
     frac = zk - zk.floor()
-    box = SearchBox(lower=tuple(0 for _ in graph.vertices),
-                    upper=tuple(int(c) for c in zk.floor().coeffs), cap=cap)
-    return sorted((frac + graph.from_vector(z)
-                   for z in _antinef_hits(graph, frac, box)),
+    upper = [int(c) for c in zk.floor().coeffs]
+    return sorted((frac + graph.from_vector(z) for z in
+                   _antinef_hits(graph, frac, [0] * len(upper), upper, cap)),
                   key=lambda c: c.coeffs)
 
 
@@ -482,16 +454,18 @@ def _free_tree_count(n: int) -> int:
     return r[n] - pairs // 2
 
 
-def _tree_shapes(n: int) -> list[dict[int, list[int]]]:
+def _tree_shapes(n: int, count=lambda: None) -> list[dict[int, list[int]]]:
     """All unlabelled trees on n vertices, as adjacency dicts: the first
     tree of each shape in Pruefer-sequence order. The scan stops once it
-    holds Otter's count of shapes."""
+    holds Otter's count of shapes; `count()` is called once per sequence
+    scanned."""
     if n == 1:
         return [{0: []}]
     total = _free_tree_count(n)
     shapes = []
     seen = set()
     for seq in itertools.product(range(n), repeat=n - 2):
+        count()
         adj: dict[int, list[int]] = {i: [] for i in range(n)}
         for u, v in _pruefer_edges(seq, n):
             adj[u].append(v)
@@ -505,21 +479,34 @@ def _tree_shapes(n: int) -> list[dict[int, list[int]]]:
     return shapes
 
 
-def enumerate_trees(max_vertices: int,
-                    euler_range) -> Iterator[ResolutionGraph]:
+def enumerate_trees(max_vertices: int, euler_range,
+                    cap: int = DEFAULT_CAP) -> Iterator[ResolutionGraph]:
     """All non-isomorphic negative-definite weighted trees with at most
-    max_vertices vertices and euler numbers from euler_range."""
+    max_vertices vertices and euler numbers from euler_range. Each Pruefer
+    sequence scanned and each euler assignment walked counts one against
+    `cap`."""
     euler_values = sorted(set(euler_range))
     if not euler_values or any(not isinstance(e, int) or e > -1
                                for e in euler_values):
         raise UserError("euler_range must be a nonempty set of integers <= -1")
+    scanned = 0
+
+    def count() -> None:
+        nonlocal scanned
+        scanned += 1
+        if scanned > cap:
+            raise ResourceCapExceeded(
+                f"tree enumeration exceeded cap {cap} (Pruefer sequences "
+                f"and euler assignments scanned)")
+
     for n in range(1, max_vertices + 1):
         names = [f"v{i + 1}" for i in range(n)]
-        for adj in _tree_shapes(n):
+        for adj in _tree_shapes(n, count):
             centres = _centres(adj)
             edges = [(names[u], names[v]) for u in adj for v in adj[u] if u < v]
             seen = set()
             for assignment in itertools.product(euler_values, repeat=n):
+                count()
                 key = _canonical_form(adj, assignment, centres)
                 if key in seen:
                     continue

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 
 import pytest
 
 from resgraph import cli
 from resgraph.cli import run
+from resgraph.core import build_graph
 from resgraph.errors import InvariantViolation
 from resgraph.graphio import graph_to_data
 
@@ -191,16 +194,48 @@ def test_cap_env_resource_exit(capsys, monkeypatch):
     monkeypatch.setenv("RESGRAPH_ENUM_CAP", "2")
     code, out, err = invoke(capsys, "enumerate", "--max-vertices", "4")
     assert code == 3 and "resource cap" in err
-    # 5 Pruefer sequences up to 3 vertices pass the cap, the 11 graphs do not
+    # the cap counts Pruefer sequences and euler assignments as they are
+    # scanned: 2 assignments at n = 1, then 1 sequence and 4 assignments at
+    # n = 2 pass 5
     monkeypatch.setenv("RESGRAPH_ENUM_CAP", "5")
     code, out, err = invoke(capsys, "enumerate", "--max-vertices", "3",
                             "--euler-min", "-3", "--euler-max", "-2")
     assert code == 3 and "exceeded cap 5" in err
-    # at the default cap, sizes up to 8 already walk 280 393 sequences, so
-    # 9 vertices is refused before any work
+    # a wide euler range is refused by its assignments, not by a count of
+    # output graphs: the 12 ** 3 assignments at n = 3 pass the cap
+    monkeypatch.setenv("RESGRAPH_ENUM_CAP", "1000")
+    code, out, err = invoke(capsys, "enumerate", "--max-vertices", "3",
+                            "--euler-min", "-12", "--euler-max", "-1")
+    assert code == 3 and "exceeded cap 1000" in err and not out
+    # at the default cap, 8 vertices runs: the scan stops at Otter's count
     monkeypatch.delenv("RESGRAPH_ENUM_CAP")
-    code, out, err = invoke(capsys, "enumerate", "--max-vertices", "9")
-    assert code == 3 and "280393 Pruefer sequences" in err and not out
+    data = invoke_json(capsys, "enumerate", "--max-vertices", "8")
+    assert data["count"] == 3352
+
+
+def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path, g_app):
+    """The strata walker and the oracle's boxed search recurse once per
+    vertex. On g_app with a -2 chain at a9 just past the recursion limit
+    (lowered here so that the chain, and the run, stay short) both commands
+    exit 3 with one line naming the limit, not a traceback."""
+    chain = [f"c{i:03d}" for i in range(250)]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(graph_to_data(build_graph({
+        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
+        + [(c, -2) for c in chain],
+        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
+        + list(zip(chain, chain[1:]))}))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        results = [invoke(capsys, command, str(path))
+                   for command in ("strata", "oracle-verify")]
+    finally:
+        sys.setrecursionlimit(limit)
+    for code, out, err in results:
+        assert code == 3 and not out
+        assert err.startswith("resource cap:") and "recursion limit" in err
+        assert err.count("\n") == 1
 
 
 def test_bad_subcommand(capsys):

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import functools
+import itertools
 
-from resgraph.core import dual_cycle, intersection_form
+import pytest
+from hypothesis import assume, given, settings
+
+import resgraph.criteria as criteria_module
+from resgraph.core import (Cycle, _subtree_solve, _times_a, dual_cycle,
+                           intersection_form)
 from resgraph.criteria import (extension_criterion, glue_classify,
                                monomial_condition, supports_ecc,
                                supports_wecc)
 from resgraph.errors import UserError
+
+from conftest import random_trees
 
 
 def test_extension_criterion_app(g_app):
@@ -43,6 +51,72 @@ def test_monomial_condition_noecc_violation_at_c8(g_noecc):
     report = monomial_condition(g_noecc)
     assert not report.verdict
     assert "c8" in {r["node"] for r in report.violations}
+
+
+SIEVE_BUDGET = 50_000
+
+
+def _sieve_branch_solution(graph, v, rooting, members, calls):
+    """Reference for the branch search: every point of the simplex
+    sum a_w iw_w = det in lexicographic order (ends sorted by (iw, id,
+    vector) descending), and the first whose det C is integral and passes
+    the re-validation of the defining linear conditions. A draw whose sieve
+    passes SIEVE_BUDGET generator calls (`calls` counts them over the whole
+    graph) is rejected: the walk is exponential in the number of ends."""
+    _, parent, sub, kids, _ = rooting
+    n = len(graph.vertices)
+    node, contact = graph._index[v], members[0]
+    det = sub[contact]
+    required = [i for i in members if len(graph._neighbours[i]) > 1]
+    triples = []
+    for w in members:
+        if len(graph._neighbours[w]) == 1:
+            full = _subtree_solve(members, parent, sub, kids,
+                                  [int(i == w) for i in range(n)])
+            triples.append((full[contact], graph.vertices[w],
+                            [full[i] for i in members]))
+    iw, _, vecs = zip(*sorted(triples, reverse=True))
+
+    def points(idx, remaining, total):
+        # yields det C = sum a_w det E*_w(branch) for each simplex point
+        assume(next(calls) < SIEVE_BUDGET)
+        if idx == len(iw):
+            if remaining == 0:
+                yield total
+            return
+        for a in range(remaining // iw[idx] + 1):
+            yield from points(idx + 1, remaining - a * iw[idx],
+                              [t + a * c for t, c in zip(total, vecs[idx])])
+
+    for total in points(0, det, [0] * len(members)):
+        if any(t % det for t in total):
+            continue
+        placed = dict(zip(members, total))
+        lifted = Cycle(graph, tuple(placed.get(i, 0) // det
+                                    for i in range(n)))
+        pairs = _times_a(graph, (dual_cycle(graph, v) + lifted).num)
+        if not pairs[node] and not any(pairs[i] for i in required):
+            return lifted
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_trees(min_vertices=8, max_vertices=12, min_euler=-6))
+def test_monomial_search_matches_the_simplex_sieve(graph):
+    """Every (node, branch) witness or violation of the recursion equals
+    that of the full simplex sieve, on trees beyond the pinned corpus's
+    7 vertices."""
+    assume(graph is not None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria_module, "_monomial_branch_solution",
+                      functools.partial(_sieve_branch_solution,
+                                        calls=itertools.count()))
+        reference = monomial_condition(graph)
+    # the recursion walks the same points without the last loop, so it
+    # makes fewer calls than the sieve it is compared with
+    report = monomial_condition(graph)
+    assert report.witnesses == reference.witnesses
+    assert report.violations == reference.violations
 
 
 def test_supports_wecc_equals_ecc(g_app, g_noecc):

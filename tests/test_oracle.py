@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import resgraph.oracle as oracle_module
 from resgraph.core import build_graph, canonical_cycle, chi, is_antinef
 from resgraph.errors import ResourceCapExceeded, UserError
-from resgraph.oracle import (SearchBox, _chi_sublevel, _connected_subsets,
+from resgraph.oracle import (_chi_sublevel, _connected_subsets,
                              _minus_a, _own_ldl, brute_fundamental_cycle,
                              brute_lemci, brute_min_antinef, brute_min_chi,
                              brute_minimally_elliptic, brute_subsupports,
@@ -156,14 +156,6 @@ def test_no_unused_module_level_names():
                 "def _helper(): return _TOKEN\n",
         "b.py": "from a import LIMIT\nimport a\nprint(a._helper())\n",
     }) == ["a.py: NOTE (line 2)"]
-
-
-def test_search_box_validation():
-    with pytest.raises(UserError):
-        SearchBox(lower=(0, 0), upper=(1,))
-    with pytest.raises(UserError):
-        SearchBox(lower=(2,), upper=(1,))
-    assert SearchBox(lower=(0, 0), upper=(2, 3)).volume == 12
 
 
 def test_single_vertex_hand_values(single_vertex):

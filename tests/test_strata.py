@@ -203,6 +203,16 @@ def test_walker_matches_oracle_on_g_left(g_left):
         _check_walker(g_left, lprimes[kind], 1)
 
 
+@pytest.mark.slow
+def test_walker_matches_oracle_on_g_right(g_right):
+    """24 vertices again; the oracle's box here holds hundreds of antinef
+    points outside the ellipsoid, so this takes 1-6 s and runs only under
+    `python -m pytest -m slow`."""
+    lprimes = _lprimes(g_right)
+    for kind in ("zero", "estar"):
+        _check_walker(g_right, lprimes[kind], 1)
+
+
 # det 10; its whole chi <= 1 sublevel set passes 10^6 points, while the
 # antinef part the walker returns has 71
 _DET10 = build_graph({
