@@ -430,6 +430,21 @@ def is_antinef(l: Cycle) -> bool:
     return all(p <= 0 for p in _times_a(l.graph, l.num))
 
 
+def _antinef_cover(l: Cycle) -> list[int]:
+    """Integers z >= 0 with l + z antinef and nonzero: z_v = ceil(t x_v - l_v)
+    for x = sum_v E*_v and t = max(1, the largest degree, max_v l_v / x_v).
+
+    y = l + z is t x + r with r in [0, 1)^V, and (x, E_v) = -1, so
+    (y, E_v) = -t + e_v r_v + sum_{w ~ v} r_w < -t + deg v <= 0, or
+    (y, E_v) <= -t < 0 at a vertex with no neighbours; y >= t x > 0."""
+    g = l.graph
+    x = g._tree_solve([1] * len(g.vertices))  # det * sum_v E*_v
+    t = max(1, max(map(len, g._neighbours)),
+            *(Fraction(c * g.det, l.den * xv) for c, xv in zip(l.num, x)))
+    return [math.ceil(t * xv / g.det - Fraction(c, l.den))
+            for c, xv in zip(l.num, x)]
+
+
 def same_class(l1: Cycle, l2: Cycle) -> bool:
     """Same class in L'/L, i.e. l1 - l2 is integral."""
     return (l1 - l2).is_integral()

@@ -15,8 +15,8 @@ from .core import (Cycle, ResolutionGraph, _rooting, _subtree_solve,
                    _times_a, build_graph, canonical_cycle, dual_cycle,
                    is_numerically_gorenstein)
 from .ellseq import EllipticSequence, elliptic_sequence
-from .errors import GraphValidationError, InvariantViolation, UserError
-from .laufer import classify, fundamental_cycle, require_elliptic_minimal
+from .errors import GraphValidationError, InvariantViolation, UserError, quote
+from .laufer import classify, require_elliptic_minimal
 
 __all__ = [
     "CriterionReport",
@@ -205,11 +205,11 @@ def glue_classify(graph: ResolutionGraph, v: str, e_new: int) -> GlueReport:
     extension; when the extension stays elliptic, the gluing constraints on
     the base graph are asserted: m_v(Z_min) = 1 and v not in B_1, plus (in
     the numerically Gorenstein case) v is an end-vertex with m_v(Z_K) = 1."""
-    require_elliptic_minimal(graph)
+    zmin = require_elliptic_minimal(graph).zmin
     if v not in graph._index:
-        raise UserError(f"unknown vertex: {v!r}")
+        raise UserError(f"unknown vertex: {quote(v)}")
     if not isinstance(e_new, int) or e_new > -2:
-        raise UserError(f"euler number of the new vertex must be <= -2, got {e_new!r}")
+        raise UserError(f"euler number of the new vertex must be <= -2, got {quote(e_new)}")
     new_id = "_glued"
     while new_id in graph._index:
         new_id += "_"
@@ -227,7 +227,6 @@ def glue_classify(graph: ResolutionGraph, v: str, e_new: int) -> GlueReport:
     conditions: dict = {}
     if cls.kind == "elliptic":
         seq = elliptic_sequence(graph)
-        zmin = fundamental_cycle(graph)
         conditions["m_v_zmin"] = zmin.coefficient(v)
         conditions["v_in_B1"] = seq.depths[v] >= 1
         ok = conditions["m_v_zmin"] == 1 and not conditions["v_in_B1"]

@@ -14,7 +14,7 @@ import warnings
 from functools import lru_cache
 from importlib import resources
 
-from .errors import UserError
+from .errors import UserError, quote
 from .graphio import GraphFile, MinimalResolutionWarning, parse_graph_data
 
 __all__ = ["FIXTURE_NAMES", "is_fixture_name", "load_fixture"]
@@ -32,7 +32,7 @@ def load_fixture(name: str) -> GraphFile:
     key = name.lower()
     if key not in FIXTURE_NAMES:
         raise UserError(
-            f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+            f"unknown fixture {quote(name)}; available: {', '.join(FIXTURE_NAMES)}")
     data = json.loads(
         resources.files("resgraph.data").joinpath(f"{key}.json").read_text())
     with warnings.catch_warnings():

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Cycle, ResolutionGraph, _times_a, chi, intersection_form
+from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a, chi,
+                   intersection_form)
 from .errors import InvariantViolation, UserError, quote
 
 __all__ = [
@@ -107,20 +108,13 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
 
 def _step_bound(l: Cycle) -> int:
     """An upper bound on the steps of the lift of l: sum_v (y_v - l_v) for
-    an antinef y in l + L_{>=0}, since no step passes such a y.
-
-    x = det * sum_v E*_v is integral and (x, E_v) = -det. For the least
-    integer t with t x >= l and t det >= every degree, y = l + ceil(t x - l)
-    has y - t x in [0, 1)^V, so (y, E_v) < -t det + deg v <= 0.
+    the antinef y = l + `core._antinef_cover(l)` in l + L_{>=0}, since no
+    step passes such a y.
 
     It also bounds a lift restricted to a support B, as y' = l + (y - l)|_B
     is antinef on B: for v in B, (y', E_v) = (y, E_v) - sum_{w not in B}
     (y_w - l_w)(E_w, E_v) <= (y, E_v), so no step on B passes y'."""
-    g = l.graph
-    x = g._tree_solve([1] * len(g.vertices))
-    t = max(-(-max(len(ws) for ws in g._neighbours) // g.det),
-            *(-(-c // (l.den * xv)) for c, xv in zip(l.num, x)))
-    return sum(-((c - t * xv * l.den) // l.den) for c, xv in zip(l.num, x))
+    return sum(_antinef_cover(l))
 
 
 def fundamental_cycle(graph: ResolutionGraph) -> Cycle:

@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (Cycle, ResolutionGraph, _times_a, build_graph,
-                   canonical_cycle, chi, dual_cycle, intersection_form)
+from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a,
+                   build_graph, canonical_cycle, chi, intersection_form)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -111,27 +111,12 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle, lower: Sequence[int],
         yield from rec(0, lo0, hi0)
 
 
-def _safe_upper(graph: ResolutionGraph, l: Cycle) -> tuple[int, ...]:
-    """A box [0, upper]^V certain to contain an antinef element of l + L_{>=0}.
-
-    x = sum_v E*_v pairs to -1 with every basis cycle; for t at least the
-    maximum vertex degree plus max(l_v / x_v), the rounded-up cycle
-    c_v = l_v + ceil(t x_v - l_v) stays antinef (the rounding perturbs each
-    pairing by less than deg_v) and dominates l."""
-    x = graph.zero_cycle()
-    for v in graph.vertices:
-        x = x + dual_cycle(graph, v)
-    t = max(1, max(graph.degree(v) for v in graph.vertices))
-    t += max([math.ceil(lv / xv) for lv, xv in zip(l.coeffs, x.coeffs)
-              if lv > 0], default=0)
-    return tuple(math.ceil(t * xv - lv) for xv, lv in zip(x.coeffs, l.coeffs))
-
-
 def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
     """Minimum of (base + L_{>=0}) cap S' by exhaustive boxed search; with
     `nonzero`, of (base + L_{>=0} - {0}) cap S'.
 
-    The first depth-first hit inside a provably hit-containing box is the
+    The box [0, z], z = `core._antinef_cover(base)`, holds a hit: base + z
+    is antinef and nonzero. The first depth-first hit inside it is the
     lexicographic minimum, which coincides with the componentwise minimum
     whenever one exists; the claim is then certified by enumerating every
     hit below it and checking that their meet is the hit itself (meets of
@@ -144,7 +129,7 @@ def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
         return (h for h in _antinef_hits(graph, base, zero, upper, cap)
                 if h != zero or not nonzero)
 
-    upper = _safe_upper(graph, base)
+    upper = tuple(_antinef_cover(base))
     first = next(hits(upper), None)
     if first is None:
         raise InvariantViolation(f"safe search box contained no {kind}",

@@ -42,9 +42,11 @@ def enumerate_ellipsoid_points(
     center: Cycle,
     radius2: Fraction,
     partial_filter: Callable[[int, list[int]], bool | None] | None = None,
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield every integer x >= 0 with (x - center)^T (-A) (x - center)
-    <= radius2, as a tuple in vertex order.
+    <= radius2, as a tuple in vertex order, with its slack
+    radius2 - (x - center)^T (-A) (x - center), which is the walk's
+    remaining budget at x.
 
     Coordinates are assigned in the block order of the walk rooting
     (`graph._walk_rooting()`), each over its range of values in increasing
@@ -63,12 +65,14 @@ def enumerate_ellipsoid_points(
     bound = Fraction(radius2) * s * s
     scale = math.lcm(*(d * p for d, p in zip(sub, kids)))
     coeff = [bound.denominator * scale // (d * p) for d, p in zip(sub, kids)]
+    # a leaf's budget over `unit` is radius2 - (x - center)^T M (x - center)
+    unit = bound.denominator * scale * s * s
     ws = [0] * len(order)
     xs = [0] * len(order)
 
-    def rec(k: int, budget: int) -> Iterator[tuple[int, ...]]:
+    def rec(k: int, budget: int) -> Iterator[tuple]:
         if k == len(order):
-            yield tuple(xs)
+            yield tuple(xs), Fraction(budget, unit)
             return
         v = order[k]
         p = parent[v]

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
+from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle,
                    estar_support, intersection_form, is_antinef,
                    is_numerically_gorenstein)
 from .ellseq import EllipticSequence
-from .errors import InvariantViolation, UserError
+from .errors import InvariantViolation, UserError, quote
 from .laufer import fundamental_cycle
 from .quadform import enumerate_ellipsoid_points
 
@@ -64,7 +64,7 @@ class AnalyticParams:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise UserError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise UserError(f"mode must be one of {MODES}, got {quote(self.mode)}")
         if self.mode != "custom" and self.trivializable:
             raise UserError(
                 "trivializable cycles may only be supplied in custom mode")
@@ -75,21 +75,18 @@ class AnalyticParams:
                     "every trivializable cycle must be a nonzero integral "
                     "effective antinef cycle")
 
-    def check_alpha(self, seq: EllipticSequence) -> None:
-        seq.pg(self.alpha)
-
 
 def depth(seq: EllipticSequence, v: str) -> int:
     """max{j : v in B_j}, or -1 if v is outside B_0."""
     if v not in seq.graph._index:
-        raise UserError(f"unknown vertex: {v!r}")
+        raise UserError(f"unknown vertex: {quote(v)}")
     return seq.depths[v]
 
 
 def dim_V(seq: EllipticSequence, vertex_set, params: AnalyticParams) -> int:
     """Flag dimension of V(I): 0 for empty I, else the maximum over u in I
     of max(0, depth(u) - alpha + 1)."""
-    params.check_alpha(seq)
+    seq.pg(params.alpha)  # refuses an alpha outside [0, m]
     return max((max(0, depth(seq, u) - params.alpha + 1) for u in vertex_set),
                default=0)
 
@@ -167,7 +164,7 @@ def fixed_component_candidates(seq: EllipticSequence, params: AnalyticParams
     bundles: {0, C_0, ..., C_m}; when the minimally elliptic cycle has
     self-intersection -1 and the structure is non-Gorenstein (alpha >= 1),
     the exceptional candidate 2 Z_min is appended, flagged."""
-    params.check_alpha(seq)
+    seq.pg(params.alpha)  # refuses an alpha outside [0, m]
     graph = seq.graph
     if not is_numerically_gorenstein(graph):
         raise UserError("fixed-component candidates require a numerically "
@@ -204,13 +201,15 @@ class StrataReport:
 
 
 def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
-                      ) -> list[Cycle]:
+                      ) -> list[tuple[Cycle, Fraction]]:
     """All integral l >= 0 with chi(l) + (l, l') <= bound and l - l'
-    antinef, enumerated exactly inside the defining ellipsoid.
+    antinef, enumerated exactly inside the defining ellipsoid, each with
+    its slack bound - chi(l) - (l, l').
 
     Completing the square: with M = -A and b = Z_K/2 + l',
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
-    set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b.
+    set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b, and
+    the slack is half the walker's R - (l-b)^T M (l-b).
     The antinef inequalities of l - l' prune the walk as each coordinate is
     assigned. The walker assigns the vertices in the block order of its
     rooting: a vertex comes after its parent and its earlier siblings,
@@ -264,8 +263,9 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
                 return None
         return not fails(*own[i], xs)
 
-    return [Cycle(graph, point) for point in enumerate_ellipsoid_points(
-        graph, b, radius2, partial_filter=partial_filter)]
+    return [(Cycle(graph, point), left / 2)
+            for point, left in enumerate_ellipsoid_points(
+                graph, b, radius2, partial_filter=partial_filter)]
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
@@ -294,22 +294,23 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     """Solve the compatibility system for every level k down from pg.
 
     Candidates come from the finite ellipsoid {l >= 0 : chi(l)+(l,l') <= pg};
-    each candidate determines its level through (ii). Rule (iii) is applied
-    from the top level down: a candidate is excluded when its subspace is
-    already indexed at a higher level, where subspace containment is decided
-    by equal flag dimensions plus a T-decomposable difference (and, in wecc
-    mode, by flag-dimension comparison alone, since every subspace then
-    passes through the origin and lies in the flag). Excluded candidates are
-    retained with a reference to their excluder; per-level entries of
-    maximal dimension are flagged."""
+    each candidate determines its level through (ii), k = slack - dim V,
+    with the slack pg - chi(l) - (l, l') that the walk leaves. Rule (iii)
+    is applied from the top level down: a candidate is excluded when its
+    subspace is already indexed at a higher level, where subspace
+    containment is decided by equal flag dimensions plus a T-decomposable
+    difference (and, in wecc mode, by flag-dimension comparison alone,
+    since every subspace then passes through the origin and lies in the
+    flag). Excluded candidates are retained with a reference to their
+    excluder; per-level entries of maximal dimension are flagged."""
     _require_chern(lprime)
     total = pg(seq, params)
     wecc = params.mode == "wecc"
     pool = params.trivializable if params.mode == "custom" else ()
     by_level: dict[int, list[tuple[Cycle, int]]] = {}
-    for l in _candidate_cycles(seq.graph, lprime, total):
+    for l, slack in _candidate_cycles(seq.graph, lprime, total):
         dim = dim_V(seq, estar_support(l - lprime), params)
-        k = total - dim - chi(l) - intersection_form(l, lprime)
+        k = slack - dim
         if k.denominator == 1 and k >= 0:
             by_level.setdefault(int(k), []).append((l, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}

@@ -92,13 +92,15 @@ def random_tree(rng, max_vertices=8, euler_lo=-5, euler_hi=-2):
 
 
 @st.composite
-def random_trees(draw, min_vertices=1, max_vertices=8, min_euler=-5):
-    """Random trees, Euler numbers min_euler..-2, labels in random order, so
-    that the rooted orders and the walk's tie-breaks vary; None when the
-    draw is not negative definite."""
+def random_trees(draw, min_vertices=1, max_vertices=8, min_euler=-5,
+                 max_euler=-2):
+    """Random trees, Euler numbers min_euler..max_euler, labels in random
+    order, so that the rooted orders and the walk's tie-breaks vary; None
+    when the draw is not negative definite."""
     n = draw(st.integers(min_vertices, max_vertices))
     labels = draw(st.permutations([f"v{i}" for i in range(n)]))
-    eulers = draw(st.lists(st.integers(min_euler, -2), min_size=n, max_size=n))
+    eulers = draw(st.lists(st.integers(min_euler, max_euler), min_size=n,
+                           max_size=n))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
     try:
         return build_graph({"vertices": list(zip(labels, eulers)),

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resgraph.core import (Cycle, _rooting, _subtree_solve, build_graph,
-                           canonical_cycle, chi, dual_cycle,
+from resgraph.core import (Cycle, _antinef_cover, _rooting, _subtree_solve,
+                           build_graph, canonical_cycle, chi, dual_cycle,
                            estar_coordinates, estar_support,
                            intersection_form, is_antinef,
                            is_numerically_gorenstein, same_class)
@@ -284,6 +284,36 @@ def test_is_antinef(g_app):
     assert is_antinef(g_app.zero_cycle())
     assert is_antinef(fundamental_cycle(g_app))
     assert not is_antinef(g_app.basis_cycle("a1"))
+
+
+def _check_cover(l):
+    """_antinef_cover(l) is integral and >= 0, and lifts l to a nonzero
+    antinef cycle."""
+    z = _antinef_cover(l)
+    assert all(isinstance(c, int) and c >= 0 for c in z)
+    y = l + l.graph.from_vector(z)
+    assert is_antinef(y) and not y.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_trees(max_vertices=10, min_euler=-4, max_euler=-1), st.data())
+def test_antinef_cover_random_trees(graph, data):
+    """Rational starts of either sign; -1 curves included."""
+    assume(graph is not None)
+    n = len(graph.vertices)
+    den = data.draw(st.sampled_from([1, 2, 3, 7]))
+    _check_cover(graph.from_vector(Fraction(c, den) for c in data.draw(
+        st.lists(st.integers(-8, 8), min_size=n, max_size=n))))
+
+
+def test_antinef_cover_one_vertex_and_zero(single_vertex, g_app):
+    """A vertex with no neighbours still gets a nonzero cover: t >= 1."""
+    minus_one = build_graph({"vertices": [("v", -1)], "edges": []})
+    for graph in (single_vertex, minus_one, g_app):
+        _check_cover(graph.zero_cycle())
+    assert _antinef_cover(single_vertex.zero_cycle()) == [1]
+    assert _antinef_cover(minus_one.zero_cycle()) == [1]
+    assert _antinef_cover(single_vertex.cycle({"v": Fraction(-5, 2)})) == [3]
 
 
 @settings(max_examples=60, deadline=None)

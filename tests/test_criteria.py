@@ -154,3 +154,21 @@ def test_glue_classify_input_errors(g_app):
         glue_classify(g_app, "missing", -2)
     with pytest.raises(UserError):
         glue_classify(g_app, "a9", -1)
+
+
+def test_refusals_quote_a_long_vertex_id(g_app):
+    """A 10 000-character vertex id is cut down in the refusal, not echoed."""
+    from resgraph.ellseq import elliptic_sequence
+    from resgraph.fixtures import load_fixture
+    from resgraph.strata import AnalyticParams, depth
+    long_id = "v" * 10_000
+    refusals = [lambda: depth(elliptic_sequence(g_app), long_id),
+                lambda: glue_classify(g_app, long_id, -2),
+                lambda: glue_classify(g_app, "a9", int("9" * 4000)),
+                lambda: AnalyticParams(mode=long_id),
+                lambda: load_fixture(long_id)]
+    for refuse in refusals:
+        with pytest.raises(UserError) as info:
+            refuse()
+        message = str(info.value)
+        assert len(message) < 200 and "characters)" in message

@@ -110,42 +110,48 @@ def test_no_unused_top_level_imports():
 
 def _unused_module_names(sources: dict[str, str]) -> list[str]:
     """Private (_x) and UPPER_CASE names defined at the top level of some
-    module that no module reads: by name, as an attribute, through an
-    import, or as an __all__ entry."""
+    module that nothing outside their own definition reads: by name, as an
+    attribute, through an import, or as an __all__ entry. A function that
+    only calls itself counts as unused."""
     defined = []
-    read = set()
+    readers: dict[str, set] = {}  # name -> the top-level statements reading it
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
+        for k, top in enumerate(ast.parse(source).body):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = (top.targets if isinstance(top, ast.Assign)
+                           else [top.target])
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
-                continue
-            defined += [(module, name, node.lineno) for name in names
+                names = []
+            defined += [(module, k, name, top.lineno) for name in names
                         if not name.startswith("__")
                         and (name.startswith("_") or name.isupper())]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-            elif (isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)
-                  and node.value.isidentifier()):
-                read.add(node.value)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.isidentifier()):
+                    name = node.value
+                else:
+                    continue
+                readers.setdefault(name, set()).add((module, k))
     return sorted(f"{module}: {name} (line {line})"
-                  for module, name, line in defined if name not in read)
+                  for module, k, name, line in defined
+                  if not readers.get(name, set()) - {(module, k)})
 
 
 def test_no_unused_module_level_names():
-    """A linter-free check: every private or UPPER_CASE top-level name in
-    the package is read somewhere in the package."""
+    """A linter-free dead-code audit: every private or UPPER_CASE top-level
+    name in the package is read somewhere in the package outside its own
+    definition."""
     package = Path(oracle_module.__file__).parent
     sources = {path.name: path.read_text()
                for path in sorted(package.glob("*.py"))}
@@ -153,9 +159,15 @@ def test_no_unused_module_level_names():
     assert not unused, f"unused module-level names: {unused}"
     assert _unused_module_names({
         "a.py": "LIMIT = 3\nNOTE = 'x'\n_TOKEN = object()\n"
-                "def _helper(): return _TOKEN\n",
+                "def _helper(): return _TOKEN\n"
+                "def _walk(n): return _walk(n - 1)\n",
         "b.py": "from a import LIMIT\nimport a\nprint(a._helper())\n",
-    }) == ["a.py: NOTE (line 2)"]
+    }) == ["a.py: NOTE (line 2)", "a.py: _walk (line 5)"]
+    # a helper left behind after its last caller moved to core is caught
+    leftover = dict(sources)
+    leftover["oracle.py"] += "\n\ndef _safe_upper(graph, l):\n    return ()\n"
+    assert any(": _safe_upper (line" in name
+               for name in _unused_module_names(leftover))
 
 
 def test_single_vertex_hand_values(single_vertex):

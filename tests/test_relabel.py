@@ -145,8 +145,8 @@ def test_random_trees_candidates_and_strata_permute(case, bound):
     lprimes = (graph.zero_cycle(), -dual_cycle(graph, graph.vertices[0]))
     for lprime in lprimes:
         walked = _candidate_cycles(renamed, move(lprime), bound)
-        assert set(walked) == set(map(move, _candidate_cycles(graph, lprime,
-                                                              bound)))
+        assert set(walked) == {(move(l), slack) for l, slack
+                               in _candidate_cycles(graph, lprime, bound)}
     if classify(graph).kind != "elliptic":
         return
     event("elliptic")

@@ -178,8 +178,12 @@ def _lprimes(graph):
 
 def _check_walker(graph, lprime, bound):
     """The candidates are the oracle's antinef sublevel set
-    {l >= 0 : l - l' antinef, chi(l) + (l, l') <= bound}, each found once."""
-    walked = _candidate_cycles(graph, lprime, bound)
+    {l >= 0 : l - l' antinef, chi(l) + (l, l') <= bound}, each found once
+    and with its slack bound - chi(l) - (l, l')."""
+    candidates = _candidate_cycles(graph, lprime, bound)
+    for l, slack in candidates:
+        assert slack == bound - chi(l) - intersection_form(l, lprime)
+    walked = [l for l, _ in candidates]
     assert len(set(walked)) == len(walked)
     expected = brute_antinef_sublevel(graph, lprime, bound)
     assert len(set(expected)) == len(expected)
@@ -299,8 +303,9 @@ def test_walker_stops_a_range_on_none(g_app):
     {l >= 0 : chi(l) <= 1}, 849 points."""
     center = canonical_cycle(g_app) * Fraction(1, 2)
     radius2 = 2 - intersection_form(center, center)
-    every = list(quadform.enumerate_ellipsoid_points(g_app, center, radius2))
-    assert len(set(every)) == len(every)
+    every = [x for x, _ in quadform.enumerate_ellipsoid_points(
+        g_app, center, radius2)]
+    assert len(every) == 849 and len(set(every)) == len(every)
     for v in range(len(g_app.vertices)):
         values = sorted({x[v] for x in every})
         assert len(values) > 1
@@ -312,16 +317,26 @@ def test_walker_stops_a_range_on_none(g_app):
                 assert not (stopped and i == v)
                 stopped = i == v and xs[i] > c
                 return None if stopped else True
-            kept = list(quadform.enumerate_ellipsoid_points(
-                g_app, center, radius2, partial_filter=stop))
+            kept = [x for x, _ in quadform.enumerate_ellipsoid_points(
+                g_app, center, radius2, partial_filter=stop)]
             assert kept == [x for x in every if x[v] <= c]
 
 
-def test_walker_keeps_its_traced_shape():
-    """Tools that time the walker per next() and count the calls to its
-    partial_filter argument rely on this shape, and on quadform reading
-    nothing of the package but core."""
+def test_walker_keeps_its_traced_shape(g_app):
+    """Tools that time the walker per next(), count the items it yields and
+    count the calls to its partial_filter argument rely on this shape, and
+    on quadform reading nothing of the package but core. Each item is a
+    point with its slack radius2 - (x - c)^T (-A) (x - c)."""
     walker = quadform.enumerate_ellipsoid_points
     assert inspect.isgeneratorfunction(walker)
     assert "partial_filter" in inspect.signature(walker).parameters
     assert package_imports(quadform) == {"resgraph.core"}
+    center = canonical_cycle(g_app) * Fraction(1, 2)
+    radius2 = Fraction(5, 2)
+    items = list(walker(g_app, center, radius2))
+    assert items
+    for point, left in items:
+        assert isinstance(point, tuple) and isinstance(left, Fraction)
+        assert len(point) == len(g_app.vertices)
+        offset = g_app.from_vector(point) - center
+        assert left == radius2 + intersection_form(offset, offset) >= 0
