@@ -79,6 +79,8 @@ def _parse_pairs(text: str, graph: ResolutionGraph) -> dict[str, Fraction]:
         v = v.strip()
         if v not in graph._index:
             raise UserError(f"unknown vertex in --lprime: {quote(v)}")
+        if v in out:
+            raise UserError(f"repeated vertex in --lprime: {quote(v)}")
         out[v] = parse_fraction(raw.strip())
     if not out:
         raise UserError("empty cycle expression")

@@ -21,9 +21,10 @@ The walk uses `core`'s block order, in which the children of each vertex
 are assigned together, one after another, so a filter on the parent's
 inequality sees every earlier sibling. It is rooted at the widest leaf,
 the leaf with the largest (M^-1)_vv, a rule chosen by counting filter
-calls from every root of the fixtures. Each coordinate's range is walked
-in increasing order, so the caller's `partial_filter` may keep a value,
-skip it, or stop the rest of the range.
+calls from every root of the fixtures. Each coordinate's range is one
+integer interval, walked in increasing order; the caller's
+`partial_filter` narrows the range to an interval of its own, once per
+range, before any value of it is tried.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def enumerate_ellipsoid_points(
     graph: ResolutionGraph,
     center: Cycle,
     radius2: Fraction,
-    partial_filter: Callable[[int, list[int]], bool | None] | None = None,
+    partial_filter: (Callable[[int, list[int]], tuple[int, int | None]]
+                     | None) = None,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield every integer x >= 0 with (x - center)^T (-A) (x - center)
     <= radius2, as a tuple in vertex order, with its slack
@@ -50,11 +52,11 @@ def enumerate_ellipsoid_points(
 
     Coordinates are assigned in the block order of the walk rooting
     (`graph._walk_rooting()`), each over its range of values in increasing
-    order. After the coordinate of vertex index i is assigned,
-    `partial_filter(i, xs)` is called with the vertex-indexed assignment
-    list `xs` (entries of vertices not yet assigned are not valid). It
-    returns True to keep the value, False to skip it, or None to stop the
-    range: no larger value of this coordinate may pass either.
+    order. Before the range of vertex index i is walked,
+    `partial_filter(i, xs)` narrows the range: it is called with the
+    vertex-indexed assignment list `xs` (entries of i and of the vertices
+    after it are not valid) and returns the interval (lo, hi) of values it
+    admits, hi None when it admits every value from lo up.
     """
     if radius2 < 0:
         return
@@ -80,15 +82,14 @@ def enumerate_ellipsoid_points(
         off = -sub[v] * cn[v] - (kids[v] * ws[p] if p >= 0 else 0)
         a = sub[v] * s
         t_max = math.isqrt(budget // coeff[v])  # exact: |T_v| <= t_max
-        high = (t_max - off) // a
-        for value in range(max(0, -((t_max + off) // a)), high + 1):
+        low, high = max(0, -((t_max + off) // a)), (t_max - off) // a
+        if partial_filter is not None:
+            lo, hi = partial_filter(v, xs)
+            low = max(low, lo)
+            if hi is not None:
+                high = min(high, hi)
+        for value in range(low, high + 1):
             xs[v] = value
-            if partial_filter is not None:
-                keep = partial_filter(v, xs)
-                if keep is None:
-                    break
-                if not keep:
-                    continue
             t = a * value + off
             ws[v] = s * value - cn[v]
             yield from rec(k + 1, budget - coeff[v] * t * t)

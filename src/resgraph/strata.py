@@ -23,7 +23,6 @@ from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle,
                    is_numerically_gorenstein)
 from .ellseq import EllipticSequence
 from .errors import InvariantViolation, UserError, quote
-from .laufer import fundamental_cycle
 from .quadform import enumerate_ellipsoid_points
 
 __all__ = [
@@ -165,15 +164,14 @@ def fixed_component_candidates(seq: EllipticSequence, params: AnalyticParams
     self-intersection -1 and the structure is non-Gorenstein (alpha >= 1),
     the exceptional candidate 2 Z_min is appended, flagged."""
     seq.pg(params.alpha)  # refuses an alpha outside [0, m]
-    graph = seq.graph
-    if not is_numerically_gorenstein(graph):
+    if not is_numerically_gorenstein(seq.graph):
         raise UserError("fixed-component candidates require a numerically "
                         "Gorenstein graph")
     # numerically Gorenstein: C_{-1} = 0, so the sums are {0, C_0, ..., C_m}
     out = [FixedComponentCandidate(c) for c in seq.sums]
     c = seq.fundamental_cycles[-1]
     if intersection_form(c, c) == -1 and params.alpha >= 1:
-        out.append(FixedComponentCandidate(2 * fundamental_cycle(graph),
+        out.append(FixedComponentCandidate(2 * seq.fundamental_cycles[0],
                                            exceptional=True))
     return out
 
@@ -210,17 +208,19 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
     set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b, and
     the slack is half the walker's R - (l-b)^T M (l-b).
-    The antinef inequalities of l - l' prune the walk as each coordinate is
-    assigned. The walker assigns the vertices in the block order of its
-    rooting: a vertex comes after its parent and its earlier siblings,
-    before its children. An unassigned child c of an assigned vertex v
-    counts at a lower bound that every antinef completion meets: with
-    X = den*x, eliminating the inequalities of the subtree below c, as the
-    leaf elimination does the form, gives D_c X_c >= P_c X_v - low_c. So
-    x_i's own inequality reads D_i X_i >= P_i X_parent - low_i; if x_i
-    fails it, it is too small and the value is skipped. If x_i fails an
-    assigned neighbour's inequality, where its coefficient is positive,
-    every larger value fails too, and the range stops."""
+    The antinef inequalities of l - l' cut each coordinate's range to one
+    interval. The walker assigns the vertices in an order that puts every
+    parent before its children, so when x_i's range is walked, its children
+    are unassigned. An unassigned child c of an assigned vertex v counts at
+    a lower bound that every antinef completion meets: with X = den*x,
+    eliminating the inequalities of the subtree below c, as the leaf
+    elimination does the form, gives D_c X_c >= P_c X_v - low_c. With all
+    of its children there, x_i's own inequality reads
+    D_i X_i >= P_i X_parent - low_i, a floor on x_i. x_i's coefficient is
+    positive only in its parent p's inequality, which with p's later
+    children at their bounds reads den*(a_p x_p + P_p sum_w x_w) <= top_p
+    over p's assigned neighbours w, i among them: a ceiling on x_i. Every
+    other inequality waits for a later coordinate."""
     b = canonical_cycle(graph) * Fraction(1, 2) + lprime
     radius2 = 2 * Fraction(bound) - intersection_form(b, b)
     # with l' = num/den, (l - l', E_j) <= 0 reads
@@ -234,34 +234,27 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     for c in reversed(order):
         low[c] = kids[c] * cap[c] + sum(kids[c] // sub[w] * low[w]
                                         for w in children[c])
-    assigned = [False] * len(order)
+    # the parent's inequality as x_i's range is walked: (a_p, the other
+    # assigned neighbours w of p, top_p); children[p] is in walk order
+    ceiling: list[tuple] = [()] * len(order)
+    for p in order:
+        for n, i in enumerate(children[p]):
+            later = children[p][n + 1:]
+            ceiling[i] = (
+                kids[p] * graph.euler[graph.vertices[p]]
+                + sum(kids[p] // sub[c] * kids[c] for c in later),
+                children[p][:n] + ([parent[p]] if parent[p] >= 0 else []),
+                kids[p] * cap[p] + sum(kids[p] // sub[c] * low[c]
+                                       for c in later))
 
-    def test(j: int) -> tuple:
-        """j's inequality times P_j with its unassigned children at their
-        bounds, as den * (a x_j + P_j sum_w x_w) <= top over the assigned
-        neighbours w: (j, a, P_j, the w, top)."""
-        pending = [c for c in children[j] if not assigned[c]]
-        return (j, kids[j] * graph.euler[graph.vertices[j]]
-                + sum(kids[j] // sub[c] * kids[c] for c in pending), kids[j],
-                [w for w in graph._neighbours[j] if assigned[w]],
-                kids[j] * cap[j] + sum(kids[j] // sub[c] * low[c]
-                                       for c in pending))
-
-    own: list[tuple] = [()] * len(order)
-    stops: list[list[tuple]] = [[] for _ in order]
-    for i in order:
-        assigned[i] = True
-        own[i] = test(i)
-        stops[i] = [test(j) for j in own[i][3]]
-
-    def fails(j, a, p, ws, top, xs) -> bool:
-        return den * (a * xs[j] + p * sum(xs[w] for w in ws)) > top
-
-    def partial_filter(i: int, xs: list[int]) -> bool | None:
-        for test_j in stops[i]:
-            if fails(*test_j, xs):
-                return None
-        return not fails(*own[i], xs)
+    def partial_filter(i: int, xs: list[int]) -> tuple[int, int | None]:
+        p = parent[i]
+        if p < 0:
+            return -(low[i] // (den * sub[i])), None
+        a, ws, top = ceiling[i]
+        return (-((low[i] - den * kids[i] * xs[p]) // (den * sub[i])),
+                (top - den * (a * xs[p] + kids[p] * sum(xs[w] for w in ws)))
+                // (den * kids[p]))
 
     return [(Cycle(graph, point), left / 2)
             for point, left in enumerate_ellipsoid_points(

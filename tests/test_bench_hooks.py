@@ -1,12 +1,16 @@
-"""The benchmark's tracer wraps package functions by name; a rename in the
-package must fail here, not only when the benchmark runs."""
+"""The benchmark's tracer wraps package functions by name and counts what
+crosses their boundary; a rename in the package, or a counter that no
+longer counts the work, must fail here, not only when the benchmark runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
+
+from resgraph import quadform, strata
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -38,3 +42,32 @@ def test_traced_functions_exist():
         module, name = qualified.split(".")
         fn = getattr(importlib.import_module(f"resgraph.{module}"), name)
         assert inspect.isgeneratorfunction(fn), qualified
+
+
+def test_tracer_counts_the_walker_work(monkeypatch, g_left):
+    """The tracer's own hooks on the walker count what the walk does: one
+    filter call per range and one point per item, the same as a count
+    taken here. The strata walk on g_left at l' = 0, bound 4, asks for
+    3 957 ranges and yields 485 points."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    name = "quadform.enumerate_ellipsoid_points"
+    walker = quadform.enumerate_ellipsoid_points
+    traced = tracer.wrap_generator(name, walker,
+                                   **tracer._hooks(name, walker))
+    calls = 0
+
+    def counting_walker(graph, center, radius2, partial_filter=None):
+        def counted(i, xs):
+            nonlocal calls
+            calls += 1
+            return partial_filter(i, xs)
+        return traced(graph, center, radius2, partial_filter=counted)
+
+    monkeypatch.setattr(strata, "enumerate_ellipsoid_points", counting_walker)
+    walked = strata._candidate_cycles(g_left, g_left.zero_cycle(), 4)
+    assert (calls, len(walked)) == (3_957, 485)
+    assert tracer.counters["quadform.filter_calls"] == calls
+    assert tracer.counters["quadform.points"] == len(walked)

@@ -181,6 +181,15 @@ def test_user_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("lprime", ["estar:a1=1,a1=2", "a1=1, a1 =2",
+                                    "cycle:a1=1,a2=1,a1=1"])
+def test_lprime_refuses_a_repeated_vertex(capsys, lprime):
+    """A vertex named twice is refused rather than read as its last value."""
+    code, out, err = invoke(capsys, "wstrata", "g_app", "--lprime", lprime)
+    assert (code, out) == (1, "")
+    assert err == "error: repeated vertex in --lprime: 'a1'\n"
+
+
 def test_cap_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("RESGRAPH_ENUM_CAP", "abc")
     code, out, err = invoke(capsys, "enumerate", "--max-vertices", "2")

@@ -266,15 +266,17 @@ def _filter_calls(monkeypatch, graph, lprime, bound):
 
 
 @pytest.mark.parametrize("name, points, cap", [
-    # 9 773 and 9 799 calls. The depth-first walk from the least-degree
-    # root, with a filter that only read complete neighbourhoods, made
-    # 405 457 and 166 274; counting unassigned children at 0 rather than
-    # at their subtree bounds makes 30 968 and 44 000
-    ("g_left", 485, 15_000),
-    ("g_right", 412, 15_000),
-    # 58 867 calls from the widest leaf, v2; 154 880 from the graph's own
-    # root, v10, so the walk keeps its own rooting
-    ("det1364_tree", 3_753, 75_000)])
+    # 3 957 and 3 964 calls, one per range; a verdict per value made 9 773
+    # and 9 799. The depth-first walk from the least-degree root, with a
+    # filter that only read complete neighbourhoods, made 405 457 and
+    # 166 274; counting unassigned children at 0 rather than at their
+    # subtree bounds made 30 968 and 44 000
+    ("g_left", 485, 5_000),
+    ("g_right", 412, 5_000),
+    # 6 788 calls from the widest leaf, v2 (58 867 with a verdict per
+    # value); 154 880 per value from the graph's own root, v10, so the walk
+    # keeps its own rooting
+    ("det1364_tree", 3_753, 8_500)])
 def test_walker_work_at_bound_4(monkeypatch, request, name, points, cap):
     graph = request.getfixturevalue(name)
     walked, calls = _filter_calls(monkeypatch, graph, graph.zero_cycle(), 4)
@@ -283,43 +285,48 @@ def test_walker_work_at_bound_4(monkeypatch, request, name, points, cap):
 
 
 def test_walker_work_far_from_the_origin(monkeypatch, g_app):
-    """l' = -12 E*_a9 puts the center far out along one leaf: 3 142 filter
-    calls for these 4 points. The walk from the least-degree root with the
-    complete-neighbourhood filter made 1 316 980. The cap also needs both
-    parts of the filter: skipping the values that overflow a neighbour
-    instead of stopping there makes 4 807, and counting unassigned children
-    at 0 makes 44 862."""
+    """l' = -12 E*_a9 puts the center far out along one leaf: 700 filter
+    calls for these 4 points, one per range (3 142 with a verdict per
+    value). The walk from the least-degree root with the
+    complete-neighbourhood filter made 1 316 980 per value. The cap also
+    needs both ends of each interval: without the floor the walk makes
+    85 750 calls, without the ceiling 5 506 575."""
     lprime = -12 * dual_cycle(g_app, "a9")
     walked, calls = _filter_calls(monkeypatch, g_app, lprime, 2)
     assert len(walked) == 4
-    assert calls <= 4_000
+    assert calls <= 900
 
 
-def test_walker_stops_a_range_on_none(g_app):
-    """None from the filter ends the range of the coordinate just assigned:
-    stopping once x_v > c yields exactly the points with x_v <= c, in the
-    same order. After a stop the walk backtracks, so the next filter call
-    is at an earlier vertex, not at v again. The ellipsoid is
+def test_walker_cuts_each_range_to_the_filter_interval(g_app):
+    """The filter's interval at v cuts x_v's range and nothing else: (0, c)
+    yields exactly the points with x_v <= c and (c, None) exactly those
+    with x_v >= c, in the same order, for every c from one below the least
+    value to one above the largest. The filter is asked once per range,
+    never twice for the same v and assigned prefix. The ellipsoid is
     {l >= 0 : chi(l) <= 1}, 849 points."""
     center = canonical_cycle(g_app) * Fraction(1, 2)
     radius2 = 2 - intersection_form(center, center)
     every = [x for x, _ in quadform.enumerate_ellipsoid_points(
         g_app, center, radius2)]
     assert len(every) == 849 and len(set(every)) == len(every)
-    for v in range(len(g_app.vertices)):
+    order = g_app._walk_rooting()[0]
+    for v in order:
         values = sorted({x[v] for x in every})
         assert len(values) > 1
-        for c in values[:-1]:
-            stopped = False
+        for c in range(values[0] - 1, values[-1] + 2):
+            for cut, keep in (((0, c), lambda x: x[v] <= c),
+                              ((c, None), lambda x: x[v] >= c)):
+                asked = set()
 
-            def stop(i, xs):
-                nonlocal stopped
-                assert not (stopped and i == v)
-                stopped = i == v and xs[i] > c
-                return None if stopped else True
-            kept = [x for x, _ in quadform.enumerate_ellipsoid_points(
-                g_app, center, radius2, partial_filter=stop)]
-            assert kept == [x for x in every if x[v] <= c]
+                def narrow(i, xs):
+                    key = (i, tuple(xs[u] for u in order[:order.index(i)]))
+                    assert key not in asked
+                    asked.add(key)
+                    return cut if i == v else (0, None)
+                kept = [x for x, _ in quadform.enumerate_ellipsoid_points(
+                    g_app, center, radius2, partial_filter=narrow)]
+                assert kept == [x for x in every if keep(x)]
+                assert any(i == v for i, _ in asked)
 
 
 def test_walker_keeps_its_traced_shape(g_app):
