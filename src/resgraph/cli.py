@@ -30,8 +30,9 @@ from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
                       format_fraction, parse_cycle, parse_fraction,
                       parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
-from .strata import (AnalyticParams, fixed_component_candidates, h1_on_image,
-                     pg, reduction_index, strata_index_sets, w_strata)
+from .strata import (MODES, AnalyticParams, fixed_component_candidates,
+                     h1_on_image, pg, reduction_index, strata_index_sets,
+                     w_strata)
 
 __all__ = ["main", "run"]
 
@@ -301,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         if analytic:
             p.add_argument("--alpha", type=int, default=0,
                            help="minimal Gorenstein index (default 0)")
-            p.add_argument("--mode", choices=("generic", "wecc", "custom"),
-                           default="generic")
+            p.add_argument("--mode", choices=MODES, default="generic")
             p.add_argument("--trivializable", metavar="FILE",
                            help="JSON list of trivializable cycles "
                                 "(custom mode)")

@@ -63,32 +63,8 @@ class ResolutionGraph:
         (self._order, self._parent, self._subdet, self._childdet,
          self.det) = _rooting(self._neighbours, self._pivots,
                               degrees.index(min(degrees)))
-        self._walk: tuple | None = None
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
-
-    def _walk_rooting(self) -> tuple:
-        """The rooting of the ellipsoid walk, as `_rooting` returns it: from
-        the widest leaf, the leaf v that maximizes (M^-1)_vv = det(T-v)/det
-        for M = -A, least index on ties; cached.
-
-        det(T-v) = P_v U_v, with U_v = det(T minus the subtree below v) read
-        off the graph's own elimination: U = 1 at its root and, for a child
-        c of p, det = D_c U_c - P_c U_p P_p / D_c, so U_c is an exact
-        quotient."""
-        if self._walk is None:
-            order, parent = self._order, self._parent
-            sub, kids = self._subdet, self._childdet
-            upper = [1] * len(order)
-            for c in order[1:]:
-                p = parent[c]
-                upper[c] = ((self.det * sub[c] + kids[c] * upper[p] * kids[p])
-                            // (sub[c] * sub[c]))
-            leaves = [i for i, ws in enumerate(self._neighbours)
-                      if len(ws) <= 1]
-            root = max(leaves, key=lambda v: (kids[v] * upper[v], -v))
-            self._walk = _rooting(self._neighbours, self._pivots, root)
-        return self._walk
 
     def _tree_solve(self, rhs: list[int]) -> list[int]:
         """det * x for -A x = rhs (integer rhs), on the whole tree."""

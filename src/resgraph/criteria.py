@@ -36,13 +36,12 @@ class CriterionReport:
     neighbour lists for the extension criterion)."""
 
     name: str
-    verdict: bool
     violations: tuple[dict, ...] = ()
     witnesses: tuple[dict, ...] = ()
 
-    def __post_init__(self):
-        if self.verdict != (not self.violations):
-            raise InvariantViolation("report verdict disagrees with violations")
+    @property
+    def verdict(self) -> bool:
+        return not self.violations
 
 
 def extension_criterion(graph: ResolutionGraph,
@@ -64,10 +63,8 @@ def extension_criterion(graph: ResolutionGraph,
             violations.append(record)
         elif outside:
             witnesses.append(record)
-    return CriterionReport(name="extension-criterion",
-                           verdict=not violations,
-                           violations=tuple(violations),
-                           witnesses=tuple(witnesses))
+    return CriterionReport("extension-criterion", tuple(violations),
+                           tuple(witnesses))
 
 
 def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
@@ -160,10 +157,8 @@ def monomial_condition(graph: ResolutionGraph) -> CriterionReport:
             else:
                 record["cycle"] = solution
                 witnesses.append(record)
-    return CriterionReport(name="monomial-condition",
-                           verdict=not violations,
-                           violations=tuple(violations),
-                           witnesses=tuple(witnesses))
+    return CriterionReport("monomial-condition", tuple(violations),
+                           tuple(witnesses))
 
 
 def criteria_reports(graph: ResolutionGraph

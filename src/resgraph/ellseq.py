@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle, chi,
                    is_numerically_gorenstein)
-from .errors import InvariantViolation, UserError
+from .errors import InvariantViolation, UserError, quote
 from .laufer import (antinef_lift, minimal_class_representative,
                      require_elliptic_minimal)
 
@@ -82,9 +82,10 @@ class EllipticSequence:
 
     def pg(self, alpha: int, j: int = 0) -> int:
         """p_g of the j-th contraction for the minimal Gorenstein index
-        0 <= alpha <= m; j = 0 gives p_g itself, m + 1 - alpha."""
-        if not 0 <= alpha <= self.m:
-            raise UserError(f"alpha must lie in [0, {self.m}], got {alpha}")
+        0 <= alpha <= m, an int; j = 0 gives p_g itself, m + 1 - alpha."""
+        if type(alpha) is not int or not 0 <= alpha <= self.m:
+            raise UserError(
+                f"alpha must lie in [0, {self.m}], got {quote(alpha)}")
         return self.m + 1 - max(j, alpha)
 
     def validate(self) -> None:

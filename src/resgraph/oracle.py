@@ -260,10 +260,15 @@ def brute_min_chi(graph: ResolutionGraph,
                   cap: int = DEFAULT_CAP) -> tuple[Fraction, list[Cycle]]:
     """(min chi over integral l > 0, list of argmins).
 
-    chi(E_v) = 1 for any vertex, so the minimum is at most 1 and the whole
-    chi <= 1 sublevel set suffices; chi is read off the walk."""
-    points, den = _chi_sublevel(graph, Fraction(1), cap)
-    candidates = [(l, k) for l, k in points if not l.is_zero()]
+    chi(E_v) = 1 for any vertex, so the minimum is at most 1, and when it
+    is at most 0 the minimum and every argmin lie in the chi <= 0 sublevel
+    set. That set is walked first, and the chi <= 1 set only when it holds
+    nothing but 0 (the rational case); chi is read off the walk."""
+    for bound in (0, 1):
+        points, den = _chi_sublevel(graph, Fraction(bound), cap)
+        candidates = [(l, k) for l, k in points if not l.is_zero()]
+        if candidates:
+            break
     if not candidates:
         raise InvariantViolation("chi sublevel set missed the basis cycles")
     best = min(k for _, k in candidates)

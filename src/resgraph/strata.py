@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, _times_a, canonical_cycle,
-                   estar_support, intersection_form, is_antinef,
-                   is_numerically_gorenstein)
+from .core import (Cycle, ResolutionGraph, canonical_cycle, estar_support,
+                   intersection_form, is_antinef, is_numerically_gorenstein)
 from .ellseq import EllipticSequence
 from .errors import InvariantViolation, UserError, quote
-from .quadform import enumerate_ellipsoid_points
+from .quadform import antinef_points
 
 __all__ = [
     "AnalyticParams",
@@ -193,72 +192,24 @@ class StrataReport:
     levels: dict[int, tuple[StrataEntry, ...]]
     notes: tuple[str, ...] = ()
 
-    def entries(self, k: int, include_excluded: bool = False):
-        return [e for e in self.levels.get(k, ())
-                if include_excluded or e.excluded_by is None]
+    def entries(self, k: int):
+        return [e for e in self.levels.get(k, ()) if e.excluded_by is None]
 
 
 def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
                       ) -> list[tuple[Cycle, Fraction]]:
     """All integral l >= 0 with chi(l) + (l, l') <= bound and l - l'
-    antinef, enumerated exactly inside the defining ellipsoid, each with
-    its slack bound - chi(l) - (l, l').
+    antinef, each with its slack bound - chi(l) - (l, l').
 
     Completing the square: with M = -A and b = Z_K/2 + l',
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
-    set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b, and
-    the slack is half the walker's R - (l-b)^T M (l-b).
-    The antinef inequalities of l - l' cut each coordinate's range to one
-    interval. The walker assigns the vertices in an order that puts every
-    parent before its children, so when x_i's range is walked, its children
-    are unassigned. An unassigned child c of an assigned vertex v counts at
-    a lower bound that every antinef completion meets: with X = den*x,
-    eliminating the inequalities of the subtree below c, as the leaf
-    elimination does the form, gives D_c X_c >= P_c X_v - low_c. With all
-    of its children there, x_i's own inequality reads
-    D_i X_i >= P_i X_parent - low_i, a floor on x_i. x_i's coefficient is
-    positive only in its parent p's inequality, which with p's later
-    children at their bounds reads den*(a_p x_p + P_p sum_w x_w) <= top_p
-    over p's assigned neighbours w, i among them: a ceiling on x_i. Every
-    other inequality waits for a later coordinate."""
+    set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b, cut by
+    the antinef cone at l' (`quadform.antinef_points`), and the slack is
+    half the walk's R - (l-b)^T M (l-b)."""
     b = canonical_cycle(graph) * Fraction(1, 2) + lprime
     radius2 = 2 * Fraction(bound) - intersection_form(b, b)
-    # with l' = num/den, (l - l', E_j) <= 0 reads
-    # e_j X_j + sum_{w ~ j} X_w <= cap_j
-    den, cap = lprime.den, _times_a(graph, lprime.num)
-    order, parent, sub, kids, _ = graph._walk_rooting()
-    children: list[list[int]] = [[] for _ in order]
-    for c in order[1:]:
-        children[parent[c]].append(c)
-    low = [0] * len(order)
-    for c in reversed(order):
-        low[c] = kids[c] * cap[c] + sum(kids[c] // sub[w] * low[w]
-                                        for w in children[c])
-    # the parent's inequality as x_i's range is walked: (a_p, the other
-    # assigned neighbours w of p, top_p); children[p] is in walk order
-    ceiling: list[tuple] = [()] * len(order)
-    for p in order:
-        for n, i in enumerate(children[p]):
-            later = children[p][n + 1:]
-            ceiling[i] = (
-                kids[p] * graph.euler[graph.vertices[p]]
-                + sum(kids[p] // sub[c] * kids[c] for c in later),
-                children[p][:n] + ([parent[p]] if parent[p] >= 0 else []),
-                kids[p] * cap[p] + sum(kids[p] // sub[c] * low[c]
-                                       for c in later))
-
-    def partial_filter(i: int, xs: list[int]) -> tuple[int, int | None]:
-        p = parent[i]
-        if p < 0:
-            return -(low[i] // (den * sub[i])), None
-        a, ws, top = ceiling[i]
-        return (-((low[i] - den * kids[i] * xs[p]) // (den * sub[i])),
-                (top - den * (a * xs[p] + kids[p] * sum(xs[w] for w in ws)))
-                // (den * kids[p]))
-
     return [(Cycle(graph, point), left / 2)
-            for point, left in enumerate_ellipsoid_points(
-                graph, b, radius2, partial_filter=partial_filter)]
+            for point, left in antinef_points(graph, b, radius2, lprime)]
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:

@@ -59,14 +59,15 @@ def test_tracer_counts_the_walker_work(monkeypatch, g_left):
                                    **tracer._hooks(name, walker))
     calls = 0
 
-    def counting_walker(graph, center, radius2, partial_filter=None):
+    def counting_walker(rooting, center, radius2, partial_filter):
         def counted(i, xs):
             nonlocal calls
             calls += 1
             return partial_filter(i, xs)
-        return traced(graph, center, radius2, partial_filter=counted)
+        return traced(rooting, center, radius2, partial_filter=counted)
 
-    monkeypatch.setattr(strata, "enumerate_ellipsoid_points", counting_walker)
+    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
+                        counting_walker)
     walked = strata._candidate_cycles(g_left, g_left.zero_cycle(), 4)
     assert (calls, len(walked)) == (3_957, 485)
     assert tracer.counters["quadform.filter_calls"] == calls

@@ -17,6 +17,7 @@ from resgraph.core import (Cycle, _antinef_cover, _rooting, _subtree_solve,
 from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.oracle import _minus_a, _own_ldl
+from resgraph.quadform import walk_rooting
 
 from conftest import full_subgraph, random_trees
 
@@ -398,7 +399,7 @@ def _check_rooted_order(g, names, neighbours):
     _check_block_order(names, neighbours, g._order, g._parent)
     assert names[g._order[0]] == min(names,
                                      key=lambda v: (len(neighbours[v]), v))
-    walk_order, walk_parent = g._walk_rooting()[:2]
+    walk_order, walk_parent = walk_rooting(g)[:2]
     _check_block_order(names, neighbours, walk_order, walk_parent)
     leaves = [v for v in names if len(neighbours[v]) <= 1]
     assert names[walk_order[0]] == min(
@@ -424,7 +425,7 @@ def _check_kernel(spec, coeffs):
     x = coeffs[:len(names)]
     for order, parent, sub, kids, det in (
             (g._order, g._parent, g._subdet, g._childdet, g.det),
-            g._walk_rooting()):
+            walk_rooting(g)):
         assert det == g.det
         below = [{i} for i in range(len(names))]
         for i in reversed(order[1:]):

@@ -24,7 +24,7 @@ from resgraph.oracle import (_chi_sublevel, _connected_subsets,
                              brute_minimally_elliptic, brute_subsupports,
                              enumerate_trees, verify)
 
-from conftest import random_trees
+from conftest import random_tree, random_trees
 
 
 def test_oracle_module_is_independent():
@@ -70,6 +70,24 @@ def test_fast_modules_use_one_graph_per_query():
                 f"{path.name}:{node.lineno} defines or uses embed")
     graph = build_graph({"vertices": [("v", -2)], "edges": []})
     assert not hasattr(graph, "embed") and not hasattr(graph, "subgraph")
+
+
+def test_one_module_owns_the_strata_walk():
+    """quadform owns the walk's rooting and its antinef cut: strata imports
+    no private name of core and never names the walker, and the graph holds
+    no walk state."""
+    from resgraph import strata
+    tree = ast.parse(inspect.getsource(strata))
+    private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "core"
+               for a in node.names if a.name.startswith("_")]
+    assert not private, f"strata imports private names of core: {private}"
+    named = {getattr(node, attr, None) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name")}
+    assert "enumerate_ellipsoid_points" not in named
+    graph = build_graph({"vertices": [("v", -2)], "edges": []})
+    for name in ("_walk_rooting", "_walk"):
+        assert not hasattr(graph, name), name
 
 
 def _unused_top_level_imports(source: str) -> list[str]:
@@ -385,6 +403,46 @@ def test_min_chi_pole(g_pole):
     value, argmins = brute_min_chi(g_pole)
     assert value == -1
     assert argmins and all(chi(l) == -1 for l in argmins)
+
+
+def _min_chi_on_chi_le_1(graph):
+    """The reference for brute_min_chi: (min, argmins) read off the whole
+    chi <= 1 sublevel set."""
+    points, den = _chi_sublevel(graph, Fraction(1), oracle_module.DEFAULT_CAP)
+    nonzero = [(l, k) for l, k in points if not l.is_zero()]
+    best = min(k for _, k in nonzero)
+    return Fraction(best, den), sorted((l for l, k in nonzero if k == best),
+                                       key=lambda l: l.num)
+
+
+@pytest.mark.parametrize("name", ["single_vertex", "g_app", "g_new",
+                                  "g_noecc", "g_pole"])
+def test_min_chi_matches_the_chi_le_1_walk(name, request):
+    """brute_min_chi walks chi <= 0 first and chi <= 1 only when that set
+    holds nothing but 0; the answer is the whole chi <= 1 set's."""
+    graph = request.getfixturevalue(name)
+    assert brute_min_chi(graph) == _min_chi_on_chi_le_1(graph)
+
+
+def test_min_chi_matches_the_chi_le_1_walk_on_random_trees():
+    """400 seeded trees of up to 9 vertices, -1 curves included; the seed
+    gives minima 1, 0, -1 and -2, so both walks are taken."""
+    rng = random.Random(1)
+    minima = set()
+    for _ in range(400):
+        graph = random_tree(rng, 9, -4, -1)
+        found = brute_min_chi(graph)
+        assert found == _min_chi_on_chi_le_1(graph)
+        minima.add(found[0])
+    assert minima == {1, 0, -1, -2}
+
+
+@pytest.mark.slow
+def test_verify_g_right_is_all_ok(g_right):
+    """With chi <= 0 walked first, every check on the 26-vertex fixture,
+    the classification included, ends inside the default cap."""
+    report = verify(g_right)
+    assert report and set(report.values()) == {"ok"}
 
 
 def test_enumerate_trees_counts():

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resgraph import quadform, strata
+from resgraph import quadform
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            intersection_form)
 from resgraph.ellseq import elliptic_sequence
@@ -137,6 +138,23 @@ def test_w_strata_wandering(g_app, seq_app):
     assert wander.count_max == 1
 
 
+@pytest.mark.parametrize("alpha", [0.5, True, "1"])
+def test_alpha_must_be_an_int(g_app, seq_app, alpha):
+    """Every strata entry point refuses an alpha that is not an int, bool
+    included, through EllipticSequence.pg, with the value quoted."""
+    params = AnalyticParams(alpha=alpha)
+    lprime = g_app.zero_cycle()
+    for call in (lambda: w_strata(seq_app, lprime, params),
+                 lambda: strata_index_sets(seq_app, lprime, params),
+                 lambda: h1_on_image(seq_app, lprime, params),
+                 lambda: pg(seq_app, params),
+                 lambda: dim_V(seq_app, {"a1"}, params),
+                 lambda: fixed_component_candidates(seq_app, params)):
+        with pytest.raises(UserError, match=r"alpha must lie in \[0, 1\], "
+                           f"got {re.escape(repr(alpha))}$"):
+            call()
+
+
 def test_strata_reports_pinned():
     """Pins the reports on the five elliptic fixtures by a SHA-256 of every
     entry's (k, l, chern, dim, maximal, excluded_by), level by level from
@@ -253,14 +271,15 @@ def _filter_calls(monkeypatch, graph, lprime, bound):
     calls = 0
     walker = quadform.enumerate_ellipsoid_points
 
-    def counting_walker(graph, center, radius2, partial_filter=None):
+    def counting_walker(rooting, center, radius2, partial_filter):
         def counted(i, xs):
             nonlocal calls
             calls += 1
             return partial_filter(i, xs)
-        return walker(graph, center, radius2, partial_filter=counted)
+        return walker(rooting, center, radius2, partial_filter=counted)
 
-    monkeypatch.setattr(strata, "enumerate_ellipsoid_points", counting_walker)
+    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
+                        counting_walker)
     walked = _candidate_cycles(graph, lprime, bound)
     return walked, calls
 
@@ -306,10 +325,11 @@ def test_walker_cuts_each_range_to_the_filter_interval(g_app):
     {l >= 0 : chi(l) <= 1}, 849 points."""
     center = canonical_cycle(g_app) * Fraction(1, 2)
     radius2 = 2 - intersection_form(center, center)
+    rooting = quadform.walk_rooting(g_app)
     every = [x for x, _ in quadform.enumerate_ellipsoid_points(
-        g_app, center, radius2)]
+        rooting, center, radius2, lambda i, xs: (0, None))]
     assert len(every) == 849 and len(set(every)) == len(every)
-    order = g_app._walk_rooting()[0]
+    order = rooting[0]
     for v in order:
         values = sorted({x[v] for x in every})
         assert len(values) > 1
@@ -324,7 +344,7 @@ def test_walker_cuts_each_range_to_the_filter_interval(g_app):
                     asked.add(key)
                     return cut if i == v else (0, None)
                 kept = [x for x, _ in quadform.enumerate_ellipsoid_points(
-                    g_app, center, radius2, partial_filter=narrow)]
+                    rooting, center, radius2, partial_filter=narrow)]
                 assert kept == [x for x in every if keep(x)]
                 assert any(i == v for i, _ in asked)
 
@@ -336,11 +356,13 @@ def test_walker_keeps_its_traced_shape(g_app):
     point with its slack radius2 - (x - c)^T (-A) (x - c)."""
     walker = quadform.enumerate_ellipsoid_points
     assert inspect.isgeneratorfunction(walker)
-    assert "partial_filter" in inspect.signature(walker).parameters
+    parameter = inspect.signature(walker).parameters["partial_filter"]
+    assert parameter.default is inspect.Parameter.empty  # required
     assert package_imports(quadform) == {"resgraph.core"}
     center = canonical_cycle(g_app) * Fraction(1, 2)
     radius2 = Fraction(5, 2)
-    items = list(walker(g_app, center, radius2))
+    items = list(walker(quadform.walk_rooting(g_app), center, radius2,
+                        lambda i, xs: (0, None)))
     assert items
     for point, left in items:
         assert isinstance(point, tuple) and isinstance(left, Fraction)
