@@ -12,6 +12,7 @@ argument lists non-negative generators); the tool negates internally.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -290,6 +291,7 @@ def _scalar(v) -> str:
     return str(v)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="resgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,3 +366,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a,
                    build_graph, canonical_cycle, chi, intersection_form)
@@ -179,26 +179,24 @@ def _own_ldl(matrix: Sequence[Sequence[int]]):
     return d, u
 
 
-def _ellipsoid(graph: ResolutionGraph, lprime: Cycle, bound):
-    """(b, R, d, u) for the set chi(l) + (l, l') <= bound: with M = -A and
+def _ellipsoid(graph: ResolutionGraph, lprime: Cycle):
+    """(b, b^T M b, d, u) for the sets chi(l) + (l, l') <= t: with M = -A and
     b = Z_K/2 + l', chi(l) + (l, l') = ((l-b)^T M (l-b) - b^T M b) / 2, so
-    the set is the ellipsoid (l-b)^T M (l-b) <= R = 2*bound + b^T M b, empty
-    when R < 0; M = U^T D U from `_own_ldl`."""
+    each is the ellipsoid (l-b)^T M (l-b) <= R = 2t + b^T M b, empty when
+    R < 0; M = U^T D U from `_own_ldl`."""
     m = _minus_a(graph)
     n = len(m)
     b = [c / 2 + p for c, p in zip(canonical_cycle(graph).coeffs,
                                     lprime.coeffs)]
-    radius2 = 2 * Fraction(bound) + sum(
-        b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
-    return (b, radius2, *_own_ldl(m))
+    btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
+    return (b, btmb, *_own_ldl(m))
 
 
-def _chi_sublevel(graph: ResolutionGraph, bound: Fraction, cap: int,
+def _chi_sublevel(graph: ResolutionGraph, cap: int,
                   upper: tuple[int, ...] | None = None
-                  ) -> tuple[list[tuple[Cycle, int]], int]:
-    """All integral l >= 0 with chi(l) <= bound, each with chi(l) as a
-    numerator over one denominator: returns ([(l, k)], den), chi(l) = k/den.
-    With `upper` (integers in vertex order), only those with l <= upper.
+                  ) -> Callable[[int], Iterator[tuple[Cycle, int]]]:
+    """walk(t) yields each integral l >= 0 with chi(l) <= t, and the integer
+    chi(l), lazily; with `upper` (integers in vertex order), only l <= upper.
 
     The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
     coordinate by coordinate from the last one down (Fincke-Pohst), each
@@ -206,75 +204,69 @@ def _chi_sublevel(graph: ResolutionGraph, bound: Fraction, cap: int,
     c_i = b_i - sum_{j>i} u_ij (l_j - b_j) read off the remaining budget.
 
     The walk runs on integers: with S the lcm of the denominators of the
-    u_ij and b_j, and L that of the d_i and of R, it carries S^2 c_i,
+    u_ij and b_j, and L that of the d_i and of b^T M b, it carries S^2 c_i,
     the weights L d_i and the budget scaled by L S^4, and takes each
-    interval from one isqrt, cut to upper_i. Every rec call counts one
-    visited node against `cap`, leaves included; the remaining budget at a
-    leaf is (R - (l-b)^T M (l-b)) L S^4, so
-    chi(l) = bound - remainder/(2 L S^4)."""
+    interval from one isqrt, cut to upper_i. All of this is set up once;
+    each walk sets only its radius. Every rec call counts one visited node
+    of its walk against `cap`, leaves included; the remaining budget at a
+    leaf is (R - (l-b)^T M (l-b)) L S^4 = 2 L S^4 (t - chi(l))."""
     n = len(graph.vertices)
-    b, radius2, d, u = _ellipsoid(graph, graph.zero_cycle(), bound)
-    if radius2 < 0:
-        return [], 1
+    b, btmb, d, u = _ellipsoid(graph, graph.zero_cycle())
     s = math.lcm(*(x.denominator for x in b),
                  *(x.denominator for row in u for x in row))
     s2 = s * s
-    lcm_l = math.lcm(radius2.denominator, *(x.denominator for x in d))
+    lcm_l = math.lcm(btmb.denominator, *(x.denominator for x in d))
     scale = lcm_l * s2 * s2
     sb = [int(x * s) for x in b]
     su = [[int(x * s) for x in row] for row in u]
     centre = [x * s for x in sb]  # S^2 b_i
     weight = [int(x * lcm_l) for x in d]  # L d_i
     chi_den = 2 * scale
-    top = int(chi_den * Fraction(bound))
-    xs = [0] * n
-    sx = [0] * n  # S l_j - S b_j for the assigned j
-    out: list[tuple[Cycle, int]] = []
-    visited = 0
+    cut = upper or [math.inf] * n
 
-    def rec(i: int, budget: int):
-        nonlocal visited
-        visited += 1
-        if visited > cap:
-            raise ResourceCapExceeded(
-                f"chi sublevel enumeration exceeded its budget ({cap})")
-        if i < 0:
-            out.append((Cycle(graph, tuple(xs)), top - budget))
-            return
-        row = su[i]
-        c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
-        w = weight[i]
-        t = math.isqrt(budget // w)  # |S^2 x - c| <= t
-        hi = (c + t) // s2 if upper is None else min((c + t) // s2, upper[i])
-        for value in range(max(-((t - c) // s2), 0), hi + 1):
-            xs[i] = value
-            sx[i] = s * value - sb[i]
-            e = s2 * value - c
-            rec(i - 1, budget - w * e * e)
+    def walk(t: int) -> Iterator[tuple[Cycle, int]]:
+        xs = [0] * n
+        sx = [0] * n  # S l_j - S b_j for the assigned j
+        visited = 0
 
-    rec(n - 1, int(radius2 * scale))
-    return out, chi_den
+        def rec(i: int, budget: int):
+            nonlocal visited
+            visited += 1
+            if visited > cap:
+                raise ResourceCapExceeded(
+                    f"chi sublevel enumeration exceeded its budget ({cap})")
+            if i < 0:
+                yield Cycle(graph, tuple(xs)), t - budget // chi_den
+                return
+            row = su[i]
+            c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
+            w = weight[i]
+            r = math.isqrt(budget // w)  # |S^2 x - c| <= r
+            for value in range(max(-((r - c) // s2), 0),
+                               min((c + r) // s2, cut[i]) + 1):
+                xs[i] = value
+                sx[i] = s * value - sb[i]
+                e = s2 * value - c
+                yield from rec(i - 1, budget - w * e * e)
+
+        if 2 * t + btmb >= 0:  # R >= 0
+            yield from rec(n - 1, int((2 * t + btmb) * scale))
+
+    return walk
 
 
-def brute_min_chi(graph: ResolutionGraph,
-                  cap: int = DEFAULT_CAP) -> tuple[Fraction, list[Cycle]]:
-    """(min chi over integral l > 0, list of argmins).
-
-    chi(E_v) = 1 for any vertex, so the minimum is at most 1, and when it
-    is at most 0 the minimum and every argmin lie in the chi <= 0 sublevel
-    set. That set is walked first, and the chi <= 1 set only when it holds
-    nothing but 0 (the rational case); chi is read off the walk."""
-    for bound in (0, 1):
-        points, den = _chi_sublevel(graph, Fraction(bound), cap)
-        candidates = [(l, k) for l, k in points if not l.is_zero()]
-        if candidates:
-            break
-    if not candidates:
+def brute_min_chi(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> int:
+    """min chi over integral l > 0. chi is an integer on integral cycles
+    and chi(E_v) = 1, so the chi <= 1 walk is probed for a nonzero point,
+    then the chi <= chi(that point) - 1 walk, until one has none."""
+    walk = _chi_sublevel(graph, cap)
+    best, t = None, 1
+    while (found := next((k for l, k in walk(t) if not l.is_zero()),
+                         None)) is not None:
+        best, t = found, found - 1
+    if best is None:
         raise InvariantViolation("chi sublevel set missed the basis cycles")
-    best = min(k for _, k in candidates)
-    argmins = sorted((l for l, k in candidates if k == best),
-                     key=lambda l: l.num)
-    return Fraction(best, den), argmins
+    return best
 
 
 def brute_minimally_elliptic(graph: ResolutionGraph,
@@ -283,8 +275,8 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
     the chi <= 0 locus is a finite ellipsoid, walked only below the
     oracle's own Z_min (integral, so its numerators are its coefficients)."""
     zmin = brute_fundamental_cycle(graph, cap)
-    points, _ = _chi_sublevel(graph, Fraction(0), cap, zmin.num)
-    hits = [l for l, k in points if k == 0 and not l.is_zero()]
+    hits = [l for l, k in _chi_sublevel(graph, cap, zmin.num)(0)
+            if k == 0 and not l.is_zero()]
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
                         "cycle (graph is not elliptic)")
@@ -304,7 +296,8 @@ def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
     ellipsoid of `_ellipsoid`. That box, cut to l >= 0, is searched by
     `_antinef_hits` with base -l', and the hits filtered by the value."""
     n = len(graph.vertices)
-    b, radius2, d, u = _ellipsoid(graph, lprime, bound)
+    b, btmb, d, u = _ellipsoid(graph, lprime)
+    radius2 = 2 * Fraction(bound) + btmb
     if radius2 < 0:
         return []
     # (M^{-1})_ii = sum_k w_k^2 / d_k with M = U^T D U and U^T w = e_i
@@ -550,7 +543,7 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
           lambda: brute_min_antinef(cube_representative(zk), cap))
     cls = classify(graph)
     check("classification", lambda: cls.kind,
-          lambda: ("rational" if (v := brute_min_chi(graph, cap)[0]) == 1
+          lambda: ("rational" if (v := brute_min_chi(graph, cap)) == 1
                    else "elliptic" if v == 0 else "other"))
     if cls.kind == "elliptic" and graph.is_minimal():
         from .ellseq import (antinef_in_class_below_ZK, elliptic_sequence,

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +248,35 @@ def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path, g_app):
         assert code == 3 and not out
         assert err.startswith("resource cap:") and "recursion limit" in err
         assert err.count("\n") == 1
+
+
+def _python_m(*argv):
+    """(exit code, stdout) of `python -m resgraph.cli argv` in a new
+    process, with this package first on its path."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "resgraph.cli", *argv], capture_output=True,
+        text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    return proc.returncode, proc.stdout
+
+
+def test_python_m_runs_the_cli(capsys):
+    code, out, _ = invoke(capsys, "classify", "g_app")
+    assert code == 0 and "classification: elliptic" in out
+    assert _python_m("classify", "g_app") == (code, out)
+
+
+def test_a_refused_call_leaves_the_parser_as_it_was(capsys):
+    """The parser is built once per process; a call it refuses, with a
+    non-default --alpha already read, changes nothing that a later valid
+    call prints."""
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = invoke(capsys, "strata", "g_app", "--alpha", "1",
+                            "--mode", "bogus")
+    assert (code, out) == (1, "") and "invalid choice" in err
+    code, out, _ = invoke(capsys, "strata", "g_app", "--format", "json")
+    assert (code, out) == _python_m("strata", "g_app", "--format", "json")
 
 
 def test_bad_subcommand(capsys):
