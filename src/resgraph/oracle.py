@@ -16,8 +16,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a,
-                   build_graph, canonical_cycle, chi, intersection_form)
+from .core import (Cycle, ResolutionGraph, _antinef_cover, _rooting,
+                   _subtree_solve, _times_a, build_graph, canonical_cycle,
+                   chi, intersection_form)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -99,16 +100,23 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle, lower: Sequence[int],
             yield tuple(lo)
             return
         for value in range(lo[i], hi[i] + 1):
-            nlo = lo.copy()
-            nhi = hi.copy()
+            nlo, nhi = lo.copy(), hi.copy()
             nlo[i] = nhi[i] = value
             if propagate(nlo, nhi):
                 yield from rec(i + 1, nlo, nhi)
 
-    lo0 = list(lower)
-    hi0 = list(upper)
+    lo0, hi0 = list(lower), list(upper)
     if propagate(lo0, hi0):
         yield from rec(0, lo0, hi0)
+
+
+def _certified_meet(hits: set[tuple[int, ...]], what: str) -> tuple[int, ...]:
+    """The meet of `hits`, certified to be a hit: their unique minimum."""
+    meet = tuple(map(min, zip(*hits)))
+    if meet not in hits:
+        raise InvariantViolation(f"{what} is not unique",
+                                 payload={"hits": sorted(hits)})
+    return meet
 
 
 def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
@@ -118,9 +126,9 @@ def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
     The box [0, z], z = `core._antinef_cover(base)`, holds a hit: base + z
     is antinef and nonzero. The first depth-first hit inside it is the
     lexicographic minimum, which coincides with the componentwise minimum
-    whenever one exists; the claim is then certified by enumerating every
-    hit below it and checking that their meet is the hit itself (meets of
-    antinef cycles are antinef, so the certificate is complete)."""
+    whenever one exists; the claim is then certified by `_certified_meet` on
+    every hit below it (meets of antinef cycles are antinef, so the
+    certificate is complete)."""
     graph = base.graph
     zero = (0,) * len(graph.vertices)
     kind = "nonzero antinef element" if nonzero else "antinef element"
@@ -134,12 +142,8 @@ def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
     if first is None:
         raise InvariantViolation(f"safe search box contained no {kind}",
                                  payload={"upper": upper})
-    below = list(hits(first))
-    meet = tuple(map(min, zip(*below)))
-    if meet not in below:
-        raise InvariantViolation(f"minimal {kind} is not unique",
-                                 payload={"hits": sorted(below)})
-    return base + graph.from_vector(meet)
+    return base + graph.from_vector(
+        _certified_meet(set(hits(first)), f"minimal {kind}"))
 
 
 def brute_min_antinef(l: Cycle, cap: int = DEFAULT_CAP) -> Cycle:
@@ -273,19 +277,15 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
                              cap: int = DEFAULT_CAP) -> Cycle:
     """Unique minimum of {0 < l <= Z_min : chi(l) = 0}, by direct search:
     the chi <= 0 locus is a finite ellipsoid, walked only below the
-    oracle's own Z_min (integral, so its numerators are its coefficients)."""
+    oracle's own Z_min (integral, so its numerators are its coefficients),
+    and certified by `_certified_meet` on the hits' numerators."""
     zmin = brute_fundamental_cycle(graph, cap)
-    hits = [l for l, k in _chi_sublevel(graph, cap, zmin.num)(0)
-            if k == 0 and not l.is_zero()]
+    hits = {l.num for l, k in _chi_sublevel(graph, cap, zmin.num)(0)
+            if k == 0 and not l.is_zero()}
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
                         "cycle (graph is not elliptic)")
-    minima = [h for h in hits if all(h <= other for other in hits)]
-    if len(minima) != 1:
-        raise InvariantViolation(
-            "minimally elliptic cycle is not a unique minimum",
-            payload={"hits": sorted(h.coeffs for h in hits)})
-    return minima[0]
+    return Cycle(graph, _certified_meet(hits, "minimally elliptic cycle"))
 
 
 def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
@@ -332,17 +332,16 @@ def brute_lemci(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
                   key=lambda c: c.coeffs)
 
 
-def _connected_subsets(graph: ResolutionGraph) -> Iterator[tuple[str, ...]]:
-    """Every nonempty connected vertex subset of the tree, each once.
+def _connected_subsets(graph: ResolutionGraph) -> Iterator[tuple[int, ...]]:
+    """Each nonempty connected vertex subset of the tree once, as indices.
 
     The subsets whose least vertex is r grow from (r,): the first vertex on
     the frontier (the undecided neighbours above r) is either barred for
     good or taken, when its other neighbours above r, new in a tree, join
     the frontier. An explicit stack keeps the depth flat."""
-    rank = {v: i for i, v in enumerate(graph.vertices)}
-    adj = graph.adjacency
-    for r in graph.vertices:
-        stack = [((r,), tuple((w, r) for w in adj[r] if rank[w] > rank[r]))]
+    adj = graph._neighbours
+    for r in range(len(adj)):
+        stack = [((r,), tuple((w, r) for w in adj[r] if w > r))]
         while stack:
             members, frontier = stack.pop()
             if not frontier:
@@ -351,24 +350,28 @@ def _connected_subsets(graph: ResolutionGraph) -> Iterator[tuple[str, ...]]:
             (v, came_from), rest = frontier[0], frontier[1:]
             stack.append((members, rest))
             stack.append((members + (v,), rest + tuple(
-                (w, v) for w in adj[v] if w != came_from and rank[w] > rank[r])))
+                (w, v) for w in adj[v] if w != came_from and w > r)))
 
 
 def brute_subsupports(graph: ResolutionGraph) -> list[frozenset[str]]:
     """All nonempty connected vertex subsets whose full subgraph has an
-    integral canonical cycle with full support. The subsets are counted
-    before any subgraph is built, so a refusal costs one bounded count."""
+    integral canonical cycle with full support: one `core._subtree_solve` on
+    the subset's own rooting gives det * Z_K, with no graph built. They are
+    counted before any is solved, so a refusal costs one bounded count."""
     beyond = itertools.islice(_connected_subsets(graph), SUBSET_BUDGET, None)
     if next(beyond, None) is not None:
         raise ResourceCapExceeded(f"subsupport oracle refuses graphs with "
                                   f"over {SUBSET_BUDGET} connected subsets")
     hits = []
-    for members in map(frozenset, _connected_subsets(graph)):
-        zk = canonical_cycle(build_graph({
-            "vertices": [(v, graph.euler[v]) for v in members],
-            "edges": [tuple(e) for e in graph.edges if e <= members]}))
-        if zk.is_integral() and zk.support() == members:
-            hits.append(members)
+    for members in _connected_subsets(graph):
+        local = {g: i for i, g in enumerate(members)}
+        pivots = [graph._pivots[g] for g in members]
+        order, parent, sub, kids, det = _rooting(
+            [[local[w] for w in graph._neighbours[g] if w in local]
+             for g in members], pivots, 0)
+        zk = _subtree_solve(order, parent, sub, kids, [p - 2 for p in pivots])
+        if all(z and not z % det for z in zk):
+            hits.append(frozenset(graph.vertices[g] for g in members))
     return sorted(hits, key=lambda s: (-len(s), sorted(s)))
 
 
@@ -377,11 +380,9 @@ def _pruefer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     for x in seq:
         degree[x] += 1
     edges = []
-    seq_list = list(seq)
     leaves = sorted(i for i in range(n) if degree[i] == 1)
-    for x in seq_list:
-        leaf = leaves.pop(0)
-        edges.append((leaf, x))
+    for x in seq:
+        edges.append((leaves.pop(0), x))
         degree[x] -= 1
         if degree[x] == 1:
             # keep the leaf pool sorted so the construction is deterministic
@@ -445,8 +446,7 @@ def _tree_shapes(n: int, count=lambda: None) -> list[dict[int, list[int]]]:
     if n == 1:
         return [{0: []}]
     total = _free_tree_count(n)
-    shapes = []
-    seen = set()
+    shapes, seen = [], set()
     for seq in itertools.product(range(n), repeat=n - 2):
         count()
         adj: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -467,20 +467,24 @@ def enumerate_trees(max_vertices: int, euler_range,
     """All non-isomorphic negative-definite weighted trees with at most
     max_vertices vertices and euler numbers from euler_range. Each Pruefer
     sequence scanned and each euler assignment walked counts one against
-    `cap`."""
-    euler_values = sorted(set(euler_range))
-    if not euler_values or any(not isinstance(e, int) or e > -1
-                               for e in euler_values):
+    `cap`. A range of more values than `cap` is refused while it is read."""
+    over = (f"tree enumeration exceeded cap {cap} (Pruefer sequences and "
+            f"euler assignments scanned)")
+    values = set()
+    for e in euler_range:
+        values.add(e)
+        if max_vertices >= 1 and len(values) > cap:
+            raise ResourceCapExceeded(over)
+    if not values or any(not isinstance(e, int) or e > -1 for e in values):
         raise UserError("euler_range must be a nonempty set of integers <= -1")
+    euler_values = sorted(values)
     scanned = 0
 
     def count() -> None:
         nonlocal scanned
         scanned += 1
         if scanned > cap:
-            raise ResourceCapExceeded(
-                f"tree enumeration exceeded cap {cap} (Pruefer sequences "
-                f"and euler assignments scanned)")
+            raise ResourceCapExceeded(over)
 
     for n in range(1, max_vertices + 1):
         names = [f"v{i + 1}" for i in range(n)]
@@ -502,14 +506,6 @@ def enumerate_trees(max_vertices: int, euler_range,
                         raise
 
 
-def _expect(report: dict, name: str, fast, brute):
-    if fast != brute:
-        raise InvariantViolation(
-            f"oracle disagreement: {name}",
-            payload={"fast": fast, "brute": brute})
-    report[name] = "ok"
-
-
 def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
     """Run every oracle against its fast counterpart on one graph.
 
@@ -524,12 +520,16 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
 
     def check(name: str, fast_fn, brute_fn) -> None:
         try:
-            _expect(report, name, fast_fn(), brute_fn())
+            fast, brute = fast_fn(), brute_fn()
         except ResourceCapExceeded as exc:
             report[name] = f"skipped: {exc}"
+            return
+        if fast != brute:
+            raise InvariantViolation(f"oracle disagreement: {name}",
+                                     payload={"fast": fast, "brute": brute})
+        report[name] = "ok"
 
-    n = len(graph.vertices)
-    ones = graph.from_vector([1] * n)
+    ones = graph.from_vector([1] * len(graph.vertices))
     fast_lift, trace = antinef_lift(ones)
     if not trace.replay():
         raise InvariantViolation("computation sequence trace does not replay")

@@ -223,6 +223,11 @@ def test_cap_env_resource_exit(capsys, monkeypatch):
     monkeypatch.delenv("RESGRAPH_ENUM_CAP")
     data = invoke_json(capsys, "enumerate", "--max-vertices", "8")
     assert data["count"] == 3352
+    # a range of 10 ** 12 values is refused once 10 ** 5 + 1 of them are read
+    code, out, err = invoke(capsys, "enumerate", "--max-vertices", "1",
+                            "--euler-min", str(-10 ** 12), "--euler-max", "-1")
+    assert code == 3 and "tree enumeration exceeded cap 100000" in err
+    assert not out
 
 
 def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path, g_app):

@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 
 import resgraph.oracle as oracle_module
 from resgraph.core import build_graph, canonical_cycle, chi, is_antinef
-from resgraph.errors import ResourceCapExceeded, UserError
-from resgraph.oracle import (_chi_sublevel, _connected_subsets,
-                             _minus_a, _own_ldl, brute_fundamental_cycle,
-                             brute_lemci, brute_min_antinef, brute_min_chi,
+from resgraph.errors import (InvariantViolation, ResourceCapExceeded,
+                             UserError)
+from resgraph.oracle import (_certified_meet, _chi_sublevel,
+                             _connected_subsets, _minus_a, _own_ldl,
+                             brute_fundamental_cycle, brute_lemci,
+                             brute_min_antinef, brute_min_chi,
                              brute_minimally_elliptic, brute_subsupports,
                              enumerate_trees, verify)
 
-from conftest import random_tree, random_trees
+from conftest import full_subgraph, random_tree, random_trees
 
 
 def test_oracle_module_is_independent():
@@ -262,7 +264,8 @@ def _subtree_count(g):
 @given(random_trees(max_vertices=12))
 def test_connected_subsets_are_each_connected_subset_once(g):
     assume(g is not None)
-    subsets = [frozenset(s) for s in _connected_subsets(g)]
+    subsets = [frozenset(g.vertices[i] for i in s)
+               for s in _connected_subsets(g)]
     assert len(set(subsets)) == len(subsets) == _subtree_count(g)
     for s in subsets:
         start = min(s)
@@ -273,6 +276,51 @@ def test_connected_subsets_are_each_connected_subset_once(g):
                     seen.add(w)
                     stack.append(w)
         assert seen == s
+
+
+def _subsupports_by_build(g):
+    """Reference: each connected subset's full subgraph built and validated
+    by build_graph, and its canonical cycle read off."""
+    hits = []
+    for s in _connected_subsets(g):
+        members = frozenset(g.vertices[i] for i in s)
+        zk = canonical_cycle(full_subgraph(g, members))
+        if zk.is_integral() and zk.support() == members:
+            hits.append(members)
+    return sorted(hits, key=lambda s: (-len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_pole",
+                                  "g_left", "g_right"])
+def test_subsupports_match_the_built_subgraphs(name, request):
+    g = request.getfixturevalue(name)
+    assert brute_subsupports(g) == _subsupports_by_build(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees(max_vertices=11, min_euler=-6, max_euler=-1))
+def test_subsupports_match_the_built_subgraphs_on_random_trees(g):
+    assume(g is not None)
+    assert brute_subsupports(g) == _subsupports_by_build(g)
+
+
+def test_oracle_builds_graphs_only_in_enumerate_trees():
+    """The per-subset solve needs no graph: build_graph is called only where
+    the enumerated trees are made."""
+    tree = ast.parse(inspect.getsource(oracle_module))
+    callers = {top.name for top in tree.body
+               if isinstance(top, ast.FunctionDef)
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "build_graph"}
+    assert callers == {"enumerate_trees"}
+
+
+def test_certified_meet():
+    """The meet of the hits is returned when it is a hit, and refused
+    otherwise, whichever caller asks."""
+    assert _certified_meet({(1, 2), (1, 3), (2, 2)}, "x") == (1, 2)
+    with pytest.raises(InvariantViolation, match="^x is not unique$"):
+        _certified_meet({(1, 2), (2, 1)}, "x")
 
 
 def test_resource_caps(g_app):
@@ -444,8 +492,7 @@ def test_min_chi_keeps_no_sublevel_set():
     assert brute_min_chi(graph, cap=10 ** 5) == -11
 
 
-@pytest.mark.parametrize("name", [
-    "g_left", pytest.param("g_right", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", ["g_left", "g_right"])
 def test_verify_is_all_ok_on_large_fixtures(name, request):
     """Every check on the 24- and 26-vertex fixtures, the classification
     included, ends inside the default cap."""
@@ -471,6 +518,16 @@ def test_enumerate_trees_validation():
         list(enumerate_trees(3, []))
     with pytest.raises(UserError):
         list(enumerate_trees(3, [0]))
+
+
+def test_enumerate_trees_refuses_a_range_wider_than_the_cap():
+    """At n = 1 each Euler number is one assignment, so a range of more
+    values than the cap is refused after cap + 1 of them are read, not
+    after the whole range is held; a range of exactly cap values runs."""
+    with pytest.raises(ResourceCapExceeded, match="exceeded cap 100 "):
+        next(enumerate_trees(1, range(-10 ** 12, 0), cap=100))
+    assert len(list(enumerate_trees(1, range(-100, 0), cap=100))) == 100
+    assert list(enumerate_trees(0, range(-200, 0), cap=100)) == []
 
 
 def test_enumerate_trees_sequence_is_pinned():
