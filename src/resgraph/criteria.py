@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .core import (Cycle, ResolutionGraph, _rooting, _subtree_solve,
                    _times_a, build_graph, canonical_cycle, dual_cycle,
@@ -79,53 +80,113 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
     end-vertices w of the graph inside the branch, with a_w = -(C, E_w) a
     non-negative integer, and the condition at v pins
     sum_w a_w m_w = 1 for m_w = coefficient of E*_w(branch) at the contact.
-    That bounds each a_w, so the search is finite."""
+    That bounds each a_w, so the search is finite. Such a C is integral
+    once its coefficients at the ends w are: every (C, E_u) is an integer,
+    so each coefficient is an integer combination of those below it."""
     _, parent, sub, kids, _ = rooting
     n = len(graph.vertices)
     node, contact = graph._index[v], members[0]
     required = [i for i in members if len(graph._neighbours[i]) > 1]
+    ends = [i for i in members if len(graph._neighbours[i]) == 1]
     estar_v = dual_cycle(graph, v)
 
     # det E*_w(branch), det the branch's determinant, is one subtree solve,
     # so the search runs on integers: with iw_w = det m_w, the simplex
-    # sum a_w m_w = 1 becomes sum a_w iw_w = det
+    # sum a_w m_w = 1 becomes sum a_w iw_w = det, and det C is tracked at
+    # the ends only
     det = sub[contact]
-    triples = []
-    for w in members:
-        if len(graph._neighbours[w]) == 1:
-            full = _subtree_solve(members, parent, sub, kids,
-                                  [int(i == w) for i in range(n)])
-            triples.append((full[contact], graph.vertices[w],
-                            [full[i] for i in members]))
-    iw, _, vecs = zip(*sorted(triples, reverse=True))
+    rows = []
+    for w in ends:
+        full = _subtree_solve(members, parent, sub, kids,
+                              [int(i == w) for i in range(n)])
+        rows.append((full[contact], graph.vertices[w], full,
+                     [full[i] for i in ends]))
+    iw, names, fulls, vecs = zip(*sorted(rows, reverse=True))
+    chosen = [0] * len(iw)
+
+    def witness() -> Cycle:
+        # the defining linear conditions hold at every integral point of
+        # the simplex, so a failure here is a bug, never a dead end: one
+        # cached as a failed state could hide a later witness
+        total = [0] * n
+        for a, full in zip(chosen, fulls):
+            total = [t + a * f for t, f in zip(total, full)]
+        lifted = Cycle(graph, tuple(t // det for t in total))
+        pairs = _times_a(graph, (estar_v + lifted).num)
+        if pairs[node] or any(pairs[i] for i in required):
+            raise InvariantViolation(
+                "a monomial branch cycle fails its defining conditions",
+                payload={"node": v, "branch": sorted(
+                    graph.vertices[i] for i in members),
+                    "multipliers": dict(zip(names, chosen))})
+        return lifted
+
+    if len(iw) == 1:
+        a, rest = divmod(det, iw[0])
+        if rest or a * vecs[0][0] % det:
+            return None
+        chosen[0] = a
+        return witness()
+
+    # the last two multipliers in closed form: a iw_p + b iw_q = remaining
+    # holds for a = a0 + s j, b = b0 - r j (j >= 0), and each j adds `step`
+    # to det C at the ends, mod det. Bezout gives lam . step = g_step mod
+    # det for g_step = gcd(det, *step), so j step = c forces
+    # j = lam . c / g_step mod det / g_step, the order of `step`: the least
+    # j that can make C integral is one candidate, checked in full
+    last = len(iw) - 2
+    (p, q), (vp, vq) = iw[last:], vecs[last:]
+    g = gcd(p, q)
+    s, r = q // g, p // g
+    inverse = pow(r, -1, s)
+    step = [(s * x - r * y) % det for x, y in zip(vp, vq)]
+    g_step, lam = det, [0] * len(ends)
+    for i, d in enumerate(step):  # gcd(g_step, d) = x g_step + y d
+        h = gcd(g_step, d)
+        y = pow(d // h, -1, g_step // h)
+        x = (h - y * d) // g_step
+        lam = [x * k % det for k in lam]
+        lam[i], g_step = y, h
+
+    # whether first(idx, remaining, total) finishes depends only on idx,
+    # remaining and total mod det: the states known to finish nowhere
+    failed = set()
+    # the ends from idx on make only multiples of tail[idx]
+    tail = [gcd(*iw[i:]) for i in range(len(iw))]
 
     def first(idx: int, remaining: int, total: list[int]) -> Cycle | None:
         # the first point of the simplex, in lexicographic order, whose
-        # total = det C = sum a_w det E*_w(branch) on the members is
-        # integral; the last multiplier is forced: one divmod, not a loop
-        if idx == len(iw) - 1:
-            a, rest = divmod(remaining, iw[-1])
-            if rest:
+        # total = det C = sum a_w det E*_w(branch) at the ends is integral
+        if idx == last:
+            if remaining % g:
                 return None
-            total = [t + a * c for t, c in zip(total, vecs[-1])]
-            if any(t % det for t in total):
+            a = remaining // g * inverse % s
+            b = (remaining - a * p) // q
+            c = -sum(k * (t + a * x + b * y)
+                     for k, t, x, y in zip(lam, total, vp, vq)) % det
+            if c % g_step:
                 return None
-            placed = dict(zip(members, total))
-            lifted = Cycle(graph, tuple(placed.get(i, 0) // det
-                                        for i in range(n)))
-            # defensive re-validation of the defining linear conditions
-            pairs = _times_a(graph, (estar_v + lifted).num)
-            if pairs[node] or any(pairs[i] for i in required):
+            a, b = a + s * (c // g_step), b - r * (c // g_step)
+            if b < 0 or any((t + a * x + b * y) % det
+                            for t, x, y in zip(total, vp, vq)):
                 return None
-            return lifted
+            chosen[last:] = a, b
+            return witness()
+        key = (idx, remaining, tuple(t % det for t in total))
+        if key in failed:
+            return None
         for a in range(remaining // iw[idx] + 1):
+            if (remaining - a * iw[idx]) % tail[idx + 1]:
+                continue
+            chosen[idx] = a
             found = first(idx + 1, remaining - a * iw[idx],
                           [t + a * c for t, c in zip(total, vecs[idx])])
             if found is not None:
                 return found
+        failed.add(key)
         return None
 
-    return first(0, det, [0] * len(members))
+    return first(0, det, [0] * len(ends))
 
 
 def monomial_condition(graph: ResolutionGraph) -> CriterionReport:

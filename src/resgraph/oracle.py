@@ -467,16 +467,22 @@ def enumerate_trees(max_vertices: int, euler_range,
     """All non-isomorphic negative-definite weighted trees with at most
     max_vertices vertices and euler numbers from euler_range. Each Pruefer
     sequence scanned and each euler assignment walked counts one against
-    `cap`. A range of more values than `cap` is refused while it is read."""
+    `cap`. Each value is checked as it is read; a range of more values than
+    `cap` is refused then, and none is held when no tree has a vertex."""
     over = (f"tree enumeration exceeded cap {cap} (Pruefer sequences and "
             f"euler assignments scanned)")
-    values = set()
+    invalid = "euler_range must be a nonempty set of integers <= -1"
+    values, read = set(), False
     for e in euler_range:
-        values.add(e)
-        if max_vertices >= 1 and len(values) > cap:
-            raise ResourceCapExceeded(over)
-    if not values or any(not isinstance(e, int) or e > -1 for e in values):
-        raise UserError("euler_range must be a nonempty set of integers <= -1")
+        if not isinstance(e, int) or e > -1:
+            raise UserError(invalid)
+        read = True
+        if max_vertices >= 1:
+            values.add(e)
+            if len(values) > cap:
+                raise ResourceCapExceeded(over)
+    if not read:
+        raise UserError(invalid)
     euler_values = sorted(values)
     scanned = 0
 

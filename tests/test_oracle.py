@@ -8,6 +8,7 @@ import inspect
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -528,6 +529,22 @@ def test_enumerate_trees_refuses_a_range_wider_than_the_cap():
         next(enumerate_trees(1, range(-10 ** 12, 0), cap=100))
     assert len(list(enumerate_trees(1, range(-100, 0), cap=100))) == 100
     assert list(enumerate_trees(0, range(-200, 0), cap=100)) == []
+
+
+def test_enumerate_trees_holds_no_range_when_no_tree_has_a_vertex():
+    """At max_vertices = 0 a range of 10^6 values is checked as it is read
+    but not held; a bad value in it is still refused."""
+    tracemalloc.start()
+    try:
+        assert list(enumerate_trees(0, range(-10 ** 6, 0), cap=100)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    with pytest.raises(UserError):
+        list(enumerate_trees(0, range(-10 ** 6, 1), cap=100))
+    with pytest.raises(UserError):
+        list(enumerate_trees(0, []))
 
 
 def test_enumerate_trees_sequence_is_pinned():
