@@ -197,10 +197,12 @@ def _ellipsoid(graph: ResolutionGraph, lprime: Cycle):
 
 
 def _chi_sublevel(graph: ResolutionGraph, cap: int,
-                  upper: tuple[int, ...] | None = None
-                  ) -> Callable[[int], Iterator[tuple[Cycle, int]]]:
+                  upper: tuple[int, ...] | None = None,
+                  numerators: bool = False
+                  ) -> Callable[[int], Iterator[tuple[Cycle | tuple, int]]]:
     """walk(t) yields each integral l >= 0 with chi(l) <= t, and the integer
     chi(l), lazily; with `upper` (integers in vertex order), only l <= upper.
+    With `numerators`, each l is its coefficient tuple, not a `Cycle`.
 
     The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
     coordinate by coordinate from the last one down (Fincke-Pohst), each
@@ -228,7 +230,7 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
     chi_den = 2 * scale
     cut = upper or [math.inf] * n
 
-    def walk(t: int) -> Iterator[tuple[Cycle, int]]:
+    def walk(t: int) -> Iterator[tuple[Cycle | tuple, int]]:
         xs = [0] * n
         sx = [0] * n  # S l_j - S b_j for the assigned j
         visited = 0
@@ -240,7 +242,9 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
                 raise ResourceCapExceeded(
                     f"chi sublevel enumeration exceeded its budget ({cap})")
             if i < 0:
-                yield Cycle(graph, tuple(xs)), t - budget // chi_den
+                point = tuple(xs)
+                yield (point if numerators else Cycle(graph, point),
+                       t - budget // chi_den)
                 return
             row = su[i]
             c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
@@ -263,9 +267,9 @@ def brute_min_chi(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> int:
     """min chi over integral l > 0. chi is an integer on integral cycles
     and chi(E_v) = 1, so the chi <= 1 walk is probed for a nonzero point,
     then the chi <= chi(that point) - 1 walk, until one has none."""
-    walk = _chi_sublevel(graph, cap)
+    walk = _chi_sublevel(graph, cap, numerators=True)
     best, t = None, 1
-    while (found := next((k for l, k in walk(t) if not l.is_zero()),
+    while (found := next((k for l, k in walk(t) if any(l)),
                          None)) is not None:
         best, t = found, found - 1
     if best is None:
@@ -280,8 +284,8 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
     oracle's own Z_min (integral, so its numerators are its coefficients),
     and certified by `_certified_meet` on the hits' numerators."""
     zmin = brute_fundamental_cycle(graph, cap)
-    hits = {l.num for l, k in _chi_sublevel(graph, cap, zmin.num)(0)
-            if k == 0 and not l.is_zero()}
+    walk = _chi_sublevel(graph, cap, zmin.num, numerators=True)
+    hits = {l for l, k in walk(0) if k == 0 and any(l)}
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
                         "cycle (graph is not elliptic)")
@@ -468,10 +472,14 @@ def enumerate_trees(max_vertices: int, euler_range,
     max_vertices vertices and euler numbers from euler_range. Each Pruefer
     sequence scanned and each euler assignment walked counts one against
     `cap`. Each value is checked as it is read; a range of more values than
-    `cap` is refused then, and none is held when no tree has a vertex."""
+    `cap` is refused then, and none is held when no tree has a vertex, nor
+    read past its ends when it is a `range`."""
     over = (f"tree enumeration exceeded cap {cap} (Pruefer sequences and "
             f"euler assignments scanned)")
     invalid = "euler_range must be a nonempty set of integers <= -1"
+    if isinstance(euler_range, range) and max_vertices < 1:
+        # a range is monotone: all its values pass iff both its ends do
+        euler_range = (*euler_range[:1], *euler_range[-1:])
     values, read = set(), False
     for e in euler_range:
         if not isinstance(e, int) or e > -1:

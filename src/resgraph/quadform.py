@@ -26,13 +26,24 @@ inequality sees every earlier sibling. It is rooted at the widest leaf
 of the fixtures. Each coordinate's range is one integer interval, walked
 in increasing order; a `partial_filter` narrows the range to an interval
 of its own, once per range, before any value of it is tried.
+
+The strata solver also cuts by level. A candidate l enters a stratum only
+if its slack pg - chi(l) - (l, l') is at least dim V(I(l - l')), the
+largest w_j = max(0, depth(j) - alpha + 1) over the j with
+(l - l', E_j) != 0. That pairing is final once j and all its neighbours
+are assigned: in the block order at j's last child, or at j itself when j
+has no children. From then on every completion has dim >= w_j if it is
+nonzero, and the walk's remaining budget (twice the slack at a leaf) only
+falls along a path. So a value that leaves less budget than 2 w_j, over
+the nonzero final pairings, leads to no candidate and is dropped; the
+walk keeps exactly the points of level k >= 0, in the uncut walk's order.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import Cycle, ResolutionGraph, _rooting, _times_a
 
@@ -59,9 +70,12 @@ def walk_rooting(graph: ResolutionGraph) -> tuple:
 
 
 def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
-                   apex: Cycle) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+                   apex: Cycle, weights: Sequence[int] | None = None
+                   ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """The walker's (point, slack) items, from the widest leaf, for the
-    points x with x - apex antinef.
+    points x with x - apex antinef; with vertex-indexed `weights` w >= 0,
+    only those whose slack is at least 2 max{w_j : (x - apex, E_j) != 0}
+    (0 when x = apex).
 
     The antinef inequalities of x - apex cut each coordinate's range to one
     interval. With apex = num/den and X = den*x, (x - apex, E_j) <= 0 reads
@@ -76,7 +90,15 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
     inequality, which with p's later children at their bounds reads
     den*(a_p x_p + P_p sum_w x_w) <= top_p over p's assigned neighbours w,
     i among them: a ceiling on x_i. Every other inequality waits for a
-    later coordinate."""
+    later coordinate.
+
+    The weights cut by level (module docstring). x_i completes at most two
+    pairings: its own when it has no children, which is then exactly the
+    inequality of its floor, and its parent's when it is the last child,
+    which is then exactly the inequality of its ceiling. So each vanishes
+    only at that end of x_i's interval, and only when the end is exact;
+    the filter names that value (None when no integer value is one) with
+    its 2 w_j, and any other value must leave the walk that much budget."""
     order, parent, sub, kids, _ = rooting = walk_rooting(graph)
     den, cap = apex.den, _times_a(graph, apex.num)
     children: list[list[int]] = [[] for _ in order]
@@ -99,14 +121,30 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
                 kids[p] * cap[p] + sum(kids[p] // sub[c] * low[c]
                                        for c in later))
 
-    def partial_filter(i: int, xs: list[int]) -> tuple[int, int | None]:
+    # 2 w_j for the pairings x_i completes: its own when it has no
+    # children, its parent's when it is the last child (0 for none)
+    completes: list[tuple] = [()] * len(order)
+    for i in order if weights is not None else ():
         p = parent[i]
-        if p < 0:
-            return -(low[i] // (den * sub[i])), None
-        a, ws, top = ceiling[i]
-        return (-((low[i] - den * kids[i] * xs[p]) // (den * sub[i])),
-                (top - den * (a * xs[p] + kids[p] * sum(xs[w] for w in ws)))
-                // (den * kids[p]))
+        own = 0 if children[i] else 2 * weights[i]
+        up = 2 * weights[p] if p >= 0 and children[p][-1] == i else 0
+        completes[i] = (own, up) if own or up else ()
+
+    def partial_filter(i: int, xs: list[int]) -> tuple:
+        p = parent[i]
+        # r and t are nonzero when the floor and the ceiling are not exact
+        floor, r = divmod(low[i] - (den * kids[i] * xs[p] if p >= 0 else 0),
+                          den * sub[i])
+        lo, hi, t = -floor, None, None
+        if p >= 0:
+            a, ws, top = ceiling[i]
+            hi, t = divmod(top - den * (a * xs[p]
+                                        + kids[p] * sum(xs[w] for w in ws)),
+                           den * kids[p])
+        if not completes[i]:
+            return lo, hi
+        own, up = completes[i]
+        return lo, hi, ((own, None if r else lo), (up, None if t else hi))
 
     return enumerate_ellipsoid_points(rooting, center, radius2,
                                       partial_filter)
@@ -114,7 +152,7 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
 
 def enumerate_ellipsoid_points(
     rooting: tuple, center: Cycle, radius2: Fraction,
-    partial_filter: Callable[[int, list[int]], tuple[int, int | None]],
+    partial_filter: Callable[[int, list[int]], tuple],
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield every integer x >= 0 with (x - center)^T (-A) (x - center)
     <= radius2 that `partial_filter` admits, as a tuple in vertex order,
@@ -127,7 +165,11 @@ def enumerate_ellipsoid_points(
     `partial_filter(i, xs)` narrows the range: it is called with the
     vertex-indexed assignment list `xs` (entries of i and of the vertices
     after it are not valid) and returns the interval (lo, hi) of values it
-    admits, hi None when it admits every value from lo up.
+    admits, hi None when it admits every value from lo up. It may return
+    (lo, hi, cuts) instead, with pairs (need, zero): every value other than
+    `zero` (None for every value) must leave a budget of at least `need`,
+    and so must every point below it, since the budget only falls along a
+    path.
     """
     if radius2 < 0:
         return
@@ -143,7 +185,8 @@ def enumerate_ellipsoid_points(
     ws = [0] * len(order)
     xs = [0] * len(order)
 
-    def rec(k: int, budget: int) -> Iterator[tuple]:
+    def rec(k: int, budget: int, need: int) -> Iterator[tuple]:
+        # every point below must leave `need` of the budget
         if k == len(order):
             yield tuple(xs), Fraction(budget, unit)
             return
@@ -152,15 +195,29 @@ def enumerate_ellipsoid_points(
         # T_v = D_v w_v - P_v w_p = a*x_v + off, and coeff_v*T_v^2 <= budget
         off = -sub[v] * cn[v] - (kids[v] * ws[p] if p >= 0 else 0)
         a = sub[v] * s
-        t_max = math.isqrt(budget // coeff[v])  # exact: |T_v| <= t_max
-        lo, hi = partial_filter(v, xs)
+        # exact: coeff_v*T_v^2 <= budget - need iff |T_v| <= t_max
+        t_max = math.isqrt((budget - need) // coeff[v])
+        narrowed = partial_filter(v, xs)
+        lo, hi = narrowed[0], narrowed[1]
         high = (t_max - off) // a
         if hi is not None:
             high = min(high, hi)
-        for value in range(max(0, -((t_max + off) // a), lo), high + 1):
-            xs[v] = value
+        start = max(0, -((t_max + off) // a), lo)
+        if start > high:
+            return
+        cuts = [(w * unit, zero) for w, zero in narrowed[2]
+                if w * unit > need] if len(narrowed) > 2 else ()
+        for value in range(start, high + 1):
             t = a * value + off
+            left = budget - coeff[v] * t * t
+            floor = need
+            for w, zero in cuts:
+                if w > floor and value != zero:
+                    floor = w
+            if left < floor:
+                continue
+            xs[v] = value
             ws[v] = s * value - cn[v]
-            yield from rec(k + 1, budget - coeff[v] * t * t)
+            yield from rec(k + 1, left, floor)
 
-    yield from rec(0, bound.numerator * scale)
+    yield from rec(0, bound.numerator * scale, 0)

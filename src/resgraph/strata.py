@@ -196,10 +196,13 @@ class StrataReport:
         return [e for e in self.levels.get(k, ()) if e.excluded_by is None]
 
 
-def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
+def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int,
+                      weights: list[int] | None = None
                       ) -> list[tuple[Cycle, Fraction]]:
     """All integral l >= 0 with chi(l) + (l, l') <= bound and l - l'
-    antinef, each with its slack bound - chi(l) - (l, l').
+    antinef, each with its slack bound - chi(l) - (l, l'); with
+    vertex-indexed `weights`, only those whose slack is at least the
+    largest weight on the E*-support of l - l'.
 
     Completing the square: with M = -A and b = Z_K/2 + l',
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
@@ -208,8 +211,8 @@ def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int
     half the walk's R - (l-b)^T M (l-b)."""
     b = canonical_cycle(graph) * Fraction(1, 2) + lprime
     radius2 = 2 * Fraction(bound) - intersection_form(b, b)
-    return [(Cycle(graph, point), left / 2)
-            for point, left in antinef_points(graph, b, radius2, lprime)]
+    return [(Cycle(graph, point), left / 2) for point, left
+            in antinef_points(graph, b, radius2, lprime, weights)]
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
@@ -239,7 +242,10 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
 
     Candidates come from the finite ellipsoid {l >= 0 : chi(l)+(l,l') <= pg};
     each candidate determines its level through (ii), k = slack - dim V,
-    with the slack pg - chi(l) - (l, l') that the walk leaves. Rule (iii)
+    with the slack pg - chi(l) - (l, l') that the walk leaves. dim V is
+    the largest weight max(0, depth(j) - alpha + 1) on the E*-support of
+    l - l', so the walk, given the weights, yields only the l with k >= 0
+    (`quadform.antinef_points`). Rule (iii)
     is applied from the top level down: a candidate is excluded when its
     subspace is already indexed at a higher level, where subspace
     containment is decided by equal flag dimensions plus a T-decomposable
@@ -251,11 +257,13 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     total = pg(seq, params)
     wecc = params.mode == "wecc"
     pool = params.trivializable if params.mode == "custom" else ()
+    weights = [max(0, seq.depths[v] - params.alpha + 1)
+               for v in seq.graph.vertices]
     by_level: dict[int, list[tuple[Cycle, int]]] = {}
-    for l, slack in _candidate_cycles(seq.graph, lprime, total):
+    for l, slack in _candidate_cycles(seq.graph, lprime, total, weights):
         dim = dim_V(seq, estar_support(l - lprime), params)
         k = slack - dim
-        if k.denominator == 1 and k >= 0:
+        if k.denominator == 1:
             by_level.setdefault(int(k), []).append((l, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}
     accepted_above: list[StrataEntry] = []

@@ -357,3 +357,11 @@ def test_undecodable_trivializable_file_is_a_user_error(capsys, tmp_path,
     code, out, err = invoke(capsys, "strata", "g_app", "--mode", "custom",
                             "--trivializable", str(path))
     assert code == 1 and err.startswith("error: ") and out == ""
+
+
+def test_enumerate_with_no_vertices_reads_no_range(capsys):
+    """At --max-vertices 0 the Euler range is only checked, at its ends: a
+    range of 10^18 values prints 0 graphs and exits 0 at once."""
+    data = invoke_json(capsys, "enumerate", "--max-vertices", "0",
+                       "--euler-min", str(-10 ** 18), "--euler-max", "-1")
+    assert data == {"count": 0, "graphs": []}

@@ -650,3 +650,70 @@ def test_verify_reports_skipped_checks_under_a_small_cap(g_app):
     assert len(skipped) == 6 and "classification" in skipped
     assert {k for k, v in report.items() if v == "ok"} == {
         "gorenstein-subsupports", "elliptic-sequence"}
+
+
+def test_chi_walk_yields_numerators_on_request(g_app):
+    """With `numerators` the chi walk lists the same points, in the same
+    order and with the same chi, as coefficient tuples."""
+    walk = _chi_sublevel(g_app, oracle_module.DEFAULT_CAP)
+    tuples = _chi_sublevel(g_app, oracle_module.DEFAULT_CAP, numerators=True)
+    for t in (0, 1):
+        points = list(tuples(t))
+        assert points and all(isinstance(l, tuple) for l, _ in points)
+        assert points == [(l.num, k) for l, k in walk(t)]
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_noecc", "g_pole"])
+def test_chi_searches_build_no_cycle_per_point(monkeypatch, request, name):
+    """brute_min_chi reads only the chi of a nonzero point and
+    brute_minimally_elliptic only the numerators of its hits, so neither
+    builds a Cycle per point: the first builds none, the second one, its
+    answer."""
+    graph = request.getfixturevalue(name)
+    expected = brute_min_chi(graph)
+    built = 0
+    real = oracle_module.Cycle
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle_module, "Cycle", counting)
+    assert brute_min_chi(graph) == expected
+    assert built == 0
+    if expected == 0:
+        monkeypatch.undo()
+        cycle = brute_minimally_elliptic(graph)
+        monkeypatch.setattr(oracle_module, "Cycle", counting)
+        assert brute_minimally_elliptic(graph) == cycle
+        assert built == 1
+
+
+def _enumerate_outcome(max_vertices, values, cap):
+    try:
+        return [(g.vertices, tuple(g.euler[v] for v in g.vertices))
+                for g in enumerate_trees(max_vertices, values, cap=cap)]
+    except (UserError, ResourceCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_enumerate_trees_checks_a_range_at_its_ends():
+    """With no vertex to label, a range is checked at its ends, not value
+    by value, so 10^18 values pass or fail at once; with one, it is read
+    only up to the cap. Every outcome, refusals and their order included,
+    is the one the value-by-value check gives the same values."""
+    huge = range(-10 ** 18, 0)
+    assert list(enumerate_trees(0, huge, cap=100)) == []
+    with pytest.raises(UserError):
+        list(enumerate_trees(0, range(-10 ** 18, 1)))
+    with pytest.raises(UserError):
+        list(enumerate_trees(0, range(0, -10 ** 18, -1)))
+    with pytest.raises(ResourceCapExceeded, match="exceeded cap 100 "):
+        next(enumerate_trees(1, huge, cap=100))
+    for start, stop, step, max_vertices, cap in itertools.product(
+            range(-6, 2), range(-6, 2), (1, 2, -1, -3), (0, 1, 2), (0, 2, 3)):
+        values = range(start, stop, step)
+        assert (_enumerate_outcome(max_vertices, values, cap)
+                == _enumerate_outcome(max_vertices, tuple(values), cap)), \
+            (values, max_vertices, cap)

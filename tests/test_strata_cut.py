@@ -1,0 +1,165 @@
+"""The strata walk cut by level: the same candidates as the uncut walk,
+for far less work."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resgraph import quadform
+from resgraph.core import build_graph, dual_cycle, estar_support
+from resgraph.ellseq import elliptic_sequence
+from resgraph.fixtures import load_fixture
+from resgraph.laufer import classify, fundamental_cycle
+from resgraph.strata import (AnalyticParams, _candidate_cycles, dim_V,
+                             strata_index_sets)
+
+from conftest import random_tree
+
+MODES = ("generic", "wecc", "custom")
+
+
+def _params(graph, alpha, mode):
+    trivializable = (fundamental_cycle(graph),) if mode == "custom" else ()
+    return AnalyticParams(alpha=alpha, mode=mode, trivializable=trivializable)
+
+
+def _lprimes(graph):
+    """l' = 0, -E*_v for the first vertex and -2 E*_w for the last."""
+    return (graph.zero_cycle(), -dual_cycle(graph, graph.vertices[0]),
+            -2 * dual_cycle(graph, graph.vertices[-1]))
+
+
+def _uncut_levels(seq, lprime, params):
+    """The reference: every candidate of the full sublevel set, levelled by
+    k = slack - dim V, kept when k is a non-negative integer, each level
+    in the solver's order."""
+    total = seq.pg(params.alpha)
+    levels = {}
+    for l, slack in _candidate_cycles(seq.graph, lprime, total):
+        dim = dim_V(seq, estar_support(l - lprime), params)
+        k = slack - dim
+        if k.denominator == 1 and k >= 0:
+            levels.setdefault(int(k), []).append((l.num, dim))
+    return {k: sorted(entries, key=lambda c: (-c[1], c[0]))
+            for k, entries in levels.items()}
+
+
+def _check_cut(seq, lprime, modes=MODES):
+    """For every alpha up to min(m, 2): the cut walk yields the uncut
+    candidates with slack >= dim V, in the uncut order, and every report
+    levels exactly the reference's candidates."""
+    graph = seq.graph
+    for alpha in range(min(seq.m, 2) + 1):
+        reference = None
+        for mode in modes:
+            params = _params(graph, alpha, mode)
+            report = strata_index_sets(seq, lprime, params)
+            got = {k: [(e.l.num, e.dim) for e in entries]
+                   for k, entries in report.levels.items() if entries}
+            if reference is None:
+                reference = _uncut_levels(seq, lprime, params)
+            assert got == reference, (alpha, mode)
+        total = seq.pg(alpha)
+        weights = [max(0, seq.depths[v] - alpha + 1) for v in graph.vertices]
+        kept = [(l, slack) for l, slack in _candidate_cycles(graph, lprime,
+                                                             total)
+                if slack >= dim_V(seq, estar_support(l - lprime),
+                                  AnalyticParams(alpha=alpha))]
+        assert _candidate_cycles(graph, lprime, total, weights) == kept
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
+                                  "g_right"])
+def test_cut_walk_matches_the_uncut_reference(name):
+    seq = elliptic_sequence(load_fixture(name).graph)
+    for lprime in _lprimes(seq.graph):
+        _check_cut(seq, lprime)
+
+
+def _elliptic_tree(seed):
+    """The first minimal elliptic tree of at least 3 vertices drawn from
+    `random_tree` with Euler numbers -3 and -2 under this seed."""
+    rng = random.Random(seed)
+    while True:
+        graph = random_tree(rng, 10, -3, -2)
+        if len(graph.vertices) >= 3 and classify(graph).kind == "elliptic":
+            return graph
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6).map(_elliptic_tree), st.integers(0, 2))
+def test_cut_walk_matches_the_uncut_reference_on_random_trees(graph, which):
+    seq = elliptic_sequence(graph)
+    _check_cut(seq, _lprimes(graph)[which], modes=("generic",))
+
+
+# -- the work the cut saves, counted at the walker's boundary -----------------
+
+def _walk_counts(monkeypatch):
+    """A counter of the walker's filter calls and yielded points, taken by
+    wrapping the walker and its partial_filter argument."""
+    counts = {"calls": 0, "points": 0}
+    walker = quadform.enumerate_ellipsoid_points
+
+    def counting_walker(rooting, center, radius2, partial_filter):
+        def counted(i, xs):
+            counts["calls"] += 1
+            return partial_filter(i, xs)
+        for item in walker(rooting, center, radius2, partial_filter=counted):
+            counts["points"] += 1
+            yield item
+
+    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
+                        counting_walker)
+    return counts
+
+
+@pytest.mark.parametrize("name, entries", [("g_left", 40), ("g_right", 38)])
+def test_cut_walk_yields_only_entries(monkeypatch, name, entries):
+    """At l' = 0 the uncut walk makes 3 957 / 3 964 filter calls for 485 /
+    412 points; cut by level it makes 590 / 552 and yields exactly the
+    report's entries."""
+    seq = elliptic_sequence(load_fixture(name).graph)
+    counts = _walk_counts(monkeypatch)
+    report = strata_index_sets(seq, seq.graph.zero_cycle(), AnalyticParams())
+    assert sum(len(level) for level in report.levels.values()) == entries
+    assert counts["points"] == entries
+    assert counts["calls"] <= 700
+
+
+def _g_app_with_chain(length):
+    g_app = load_fixture("g_app").graph
+    chain = [f"c{i}" for i in range(length)]
+    return build_graph({
+        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
+        + [(c, -2) for c in chain],
+        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
+        + list(zip(chain, chain[1:]))})
+
+
+def test_cut_adds_no_work_on_a_long_sequence(monkeypatch):
+    """g_app with an 8-vertex -2 chain at a9 has p_g 10; the uncut walk
+    makes 969 filter calls for its 62 entries, the cut walk 509."""
+    seq = elliptic_sequence(_g_app_with_chain(8))
+    assert seq.pg(0) == 10
+    counts = _walk_counts(monkeypatch)
+    report = strata_index_sets(seq, seq.graph.zero_cycle(), AnalyticParams())
+    assert sum(len(level) for level in report.levels.values()) == 62
+    assert counts["calls"] <= 969
+
+
+def test_cut_adds_no_work_far_from_the_origin(monkeypatch, g_app):
+    """l' = -100 E*_a1: the uncut walk makes 418 515 filter calls for this
+    one entry; the ellipsoid and the antinef cut, not the level, end
+    nearly every branch, so the level cut saves little there. It must not
+    add calls."""
+    seq = elliptic_sequence(g_app)
+    counts = _walk_counts(monkeypatch)
+    report = strata_index_sets(seq, -100 * dual_cycle(g_app, "a1"),
+                               AnalyticParams())
+    assert sum(len(level) for level in report.levels.values()) == 1
+    assert counts["calls"] <= 418_515 * 1.01
