@@ -197,12 +197,10 @@ def _ellipsoid(graph: ResolutionGraph, lprime: Cycle):
 
 
 def _chi_sublevel(graph: ResolutionGraph, cap: int,
-                  upper: tuple[int, ...] | None = None,
-                  numerators: bool = False
-                  ) -> Callable[[int], Iterator[tuple[Cycle | tuple, int]]]:
+                  upper: tuple[int, ...] | None = None
+                  ) -> Callable[[int], Iterator[tuple[Cycle, int]]]:
     """walk(t) yields each integral l >= 0 with chi(l) <= t, and the integer
     chi(l), lazily; with `upper` (integers in vertex order), only l <= upper.
-    With `numerators`, each l is its coefficient tuple, not a `Cycle`.
 
     The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
     coordinate by coordinate from the last one down (Fincke-Pohst), each
@@ -230,7 +228,7 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
     chi_den = 2 * scale
     cut = upper or [math.inf] * n
 
-    def walk(t: int) -> Iterator[tuple[Cycle | tuple, int]]:
+    def walk(t: int) -> Iterator[tuple[Cycle, int]]:
         xs = [0] * n
         sx = [0] * n  # S l_j - S b_j for the assigned j
         visited = 0
@@ -242,9 +240,7 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
                 raise ResourceCapExceeded(
                     f"chi sublevel enumeration exceeded its budget ({cap})")
             if i < 0:
-                point = tuple(xs)
-                yield (point if numerators else Cycle(graph, point),
-                       t - budget // chi_den)
+                yield Cycle(graph, tuple(xs)), t - budget // chi_den
                 return
             row = su[i]
             c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
@@ -267,9 +263,9 @@ def brute_min_chi(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> int:
     """min chi over integral l > 0. chi is an integer on integral cycles
     and chi(E_v) = 1, so the chi <= 1 walk is probed for a nonzero point,
     then the chi <= chi(that point) - 1 walk, until one has none."""
-    walk = _chi_sublevel(graph, cap, numerators=True)
+    walk = _chi_sublevel(graph, cap)
     best, t = None, 1
-    while (found := next((k for l, k in walk(t) if any(l)),
+    while (found := next((k for l, k in walk(t) if not l.is_zero()),
                          None)) is not None:
         best, t = found, found - 1
     if best is None:
@@ -284,8 +280,8 @@ def brute_minimally_elliptic(graph: ResolutionGraph,
     oracle's own Z_min (integral, so its numerators are its coefficients),
     and certified by `_certified_meet` on the hits' numerators."""
     zmin = brute_fundamental_cycle(graph, cap)
-    walk = _chi_sublevel(graph, cap, zmin.num, numerators=True)
-    hits = {l for l, k in walk(0) if k == 0 and any(l)}
+    hits = {l.num for l, k in _chi_sublevel(graph, cap, zmin.num)(0)
+            if k == 0 and not l.is_zero()}
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
                         "cycle (graph is not elliptic)")

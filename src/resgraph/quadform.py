@@ -96,9 +96,9 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
     pairings: its own when it has no children, which is then exactly the
     inequality of its floor, and its parent's when it is the last child,
     which is then exactly the inequality of its ceiling. So each vanishes
-    only at that end of x_i's interval, and only when the end is exact;
-    the filter names that value (None when no integer value is one) with
-    its 2 w_j, and any other value must leave the walk that much budget."""
+    only at that end of x_i's interval, and only when the end is exact.
+    Every other value must leave the walk a budget of 2 w_j, and the
+    filter says which values these are."""
     order, parent, sub, kids, _ = rooting = walk_rooting(graph)
     den, cap = apex.den, _times_a(graph, apex.num)
     children: list[list[int]] = [[] for _ in order]
@@ -121,30 +121,35 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
                 kids[p] * cap[p] + sum(kids[p] // sub[c] * low[c]
                                        for c in later))
 
-    # 2 w_j for the pairings x_i completes: its own when it has no
-    # children, its parent's when it is the last child (0 for none)
-    completes: list[tuple] = [()] * len(order)
+    # x_i's cut, fixed per vertex up to whether its floor and its ceiling
+    # are exact: (2 w of every value, of the values above lo, of those
+    # below hi, the largest of the three). A pairing whose end is not exact
+    # vanishes at no value, so its 2 w binds every value.
+    cuts: list[list | None] = [None] * len(order)
     for i in order if weights is not None else ():
         p = parent[i]
         own = 0 if children[i] else 2 * weights[i]
         up = 2 * weights[p] if p >= 0 and children[p][-1] == i else 0
-        completes[i] = (own, up) if own or up else ()
+        if own or up:
+            top = max(own, up)
+            # indexed [floor exact][ceiling exact]
+            cuts[i] = [[(top, 0, 0, top), (own, 0, up, top)],
+                       [(up, own, 0, top), (0, own, up, top)]]
 
     def partial_filter(i: int, xs: list[int]) -> tuple:
         p = parent[i]
-        # r and t are nonzero when the floor and the ceiling are not exact
+        # r and t are 0 when the floor and the ceiling are exact
         floor, r = divmod(low[i] - (den * kids[i] * xs[p] if p >= 0 else 0),
                           den * sub[i])
-        lo, hi, t = -floor, None, None
+        hi, t = None, 1
         if p >= 0:
             a, ws, top = ceiling[i]
-            hi, t = divmod(top - den * (a * xs[p]
-                                        + kids[p] * sum(xs[w] for w in ws)),
+            hi, t = divmod(top - den * (a * xs[p] + kids[p]
+                                        * sum(map(xs.__getitem__, ws))),
                            den * kids[p])
-        if not completes[i]:
-            return lo, hi
-        own, up = completes[i]
-        return lo, hi, ((own, None if r else lo), (up, None if t else hi))
+        if cuts[i] is None:
+            return -floor, hi
+        return -floor, hi, cuts[i][r == 0][t == 0]
 
     return enumerate_ellipsoid_points(rooting, center, radius2,
                                       partial_filter)
@@ -166,10 +171,11 @@ def enumerate_ellipsoid_points(
     vertex-indexed assignment list `xs` (entries of i and of the vertices
     after it are not valid) and returns the interval (lo, hi) of values it
     admits, hi None when it admits every value from lo up. It may return
-    (lo, hi, cuts) instead, with pairs (need, zero): every value other than
-    `zero` (None for every value) must leave a budget of at least `need`,
-    and so must every point below it, since the budget only falls along a
-    path.
+    (lo, hi, (every, above_lo, below_hi, top)) instead: each value must
+    then leave a slack of at least `every`, and of `above_lo` when it is
+    above lo and `below_hi` when it is below hi (`top` is the largest of
+    the three). So must every point below the value, since the slack only
+    falls along a path; the walker carries that need down.
     """
     if radius2 < 0:
         return
@@ -182,42 +188,54 @@ def enumerate_ellipsoid_points(
     coeff = [bound.denominator * scale // (d * p) for d, p in zip(sub, kids)]
     # a leaf's budget over `unit` is radius2 - (x - center)^T M (x - center)
     unit = bound.denominator * scale * s * s
-    ws = [0] * len(order)
-    xs = [0] * len(order)
+    # per step of the walk: T_v = D_v w_v - P_v w_p = a*x_v + off with
+    # a = D_v s and off = -D_v cn_v - P_v w_p; the root has no parent, so
+    # its P_v is taken as 0
+    steps = [(v, parent[v], sub[v] * s, sub[v] * cn[v],
+              kids[v] if parent[v] >= 0 else 0, coeff[v], cn[v])
+             for v in order]
+    depth = len(order)
+    ws = [0] * depth
+    xs = [0] * depth
 
     def rec(k: int, budget: int, need: int) -> Iterator[tuple]:
         # every point below must leave `need` of the budget
-        if k == len(order):
+        if k == depth:
             yield tuple(xs), Fraction(budget, unit)
             return
-        v = order[k]
-        p = parent[v]
-        # T_v = D_v w_v - P_v w_p = a*x_v + off, and coeff_v*T_v^2 <= budget
-        off = -sub[v] * cn[v] - (kids[v] * ws[p] if p >= 0 else 0)
-        a = sub[v] * s
-        # exact: coeff_v*T_v^2 <= budget - need iff |T_v| <= t_max
-        t_max = math.isqrt((budget - need) // coeff[v])
+        v, p, a, a_cn, kid, c, cn_v = steps[k]
+        off = -a_cn - kid * ws[p]
+        # exact: c*T_v^2 <= budget - need iff |T_v| <= t_max
+        t_max = math.isqrt((budget - need) // c)
         narrowed = partial_filter(v, xs)
         lo, hi = narrowed[0], narrowed[1]
         high = (t_max - off) // a
-        if hi is not None:
-            high = min(high, hi)
-        start = max(0, -((t_max + off) // a), lo)
+        if hi is not None and hi < high:
+            high = hi
+        start = -((t_max + off) // a)
+        if start < lo:
+            start = lo
+        if start < 0:
+            start = 0
         if start > high:
             return
-        cuts = [(w * unit, zero) for w, zero in narrowed[2]
-                if w * unit > need] if len(narrowed) > 2 else ()
+        # the need of a value at lo, at hi, and strictly between them
+        at_lo = at_hi = between = need
+        if len(narrowed) > 2 and narrowed[2][3] * unit > need:
+            every, above_lo, below_hi, top = narrowed[2]
+            every = max(need, every * unit)
+            between = max(need, top * unit)
+            at_lo = max(every, below_hi * unit if hi != lo else 0)
+            at_hi = max(every, above_lo * unit if hi != lo else 0)
         for value in range(start, high + 1):
             t = a * value + off
-            left = budget - coeff[v] * t * t
-            floor = need
-            for w, zero in cuts:
-                if w > floor and value != zero:
-                    floor = w
+            left = budget - c * t * t
+            floor = (at_lo if value == lo else at_hi if value == hi
+                     else between)
             if left < floor:
                 continue
             xs[v] = value
-            ws[v] = s * value - cn[v]
+            ws[v] = s * value - cn_v
             yield from rec(k + 1, left, floor)
 
     yield from rec(0, bound.numerator * scale, 0)

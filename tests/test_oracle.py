@@ -652,44 +652,6 @@ def test_verify_reports_skipped_checks_under_a_small_cap(g_app):
         "gorenstein-subsupports", "elliptic-sequence"}
 
 
-def test_chi_walk_yields_numerators_on_request(g_app):
-    """With `numerators` the chi walk lists the same points, in the same
-    order and with the same chi, as coefficient tuples."""
-    walk = _chi_sublevel(g_app, oracle_module.DEFAULT_CAP)
-    tuples = _chi_sublevel(g_app, oracle_module.DEFAULT_CAP, numerators=True)
-    for t in (0, 1):
-        points = list(tuples(t))
-        assert points and all(isinstance(l, tuple) for l, _ in points)
-        assert points == [(l.num, k) for l, k in walk(t)]
-
-
-@pytest.mark.parametrize("name", ["g_app", "g_noecc", "g_pole"])
-def test_chi_searches_build_no_cycle_per_point(monkeypatch, request, name):
-    """brute_min_chi reads only the chi of a nonzero point and
-    brute_minimally_elliptic only the numerators of its hits, so neither
-    builds a Cycle per point: the first builds none, the second one, its
-    answer."""
-    graph = request.getfixturevalue(name)
-    expected = brute_min_chi(graph)
-    built = 0
-    real = oracle_module.Cycle
-
-    def counting(*args):
-        nonlocal built
-        built += 1
-        return real(*args)
-
-    monkeypatch.setattr(oracle_module, "Cycle", counting)
-    assert brute_min_chi(graph) == expected
-    assert built == 0
-    if expected == 0:
-        monkeypatch.undo()
-        cycle = brute_minimally_elliptic(graph)
-        monkeypatch.setattr(oracle_module, "Cycle", counting)
-        assert brute_minimally_elliptic(graph) == cycle
-        assert built == 1
-
-
 def _enumerate_outcome(max_vertices, values, cap):
     try:
         return [(g.vertices, tuple(g.euler[v] for v in g.vertices))
