@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
@@ -28,7 +27,7 @@ from .errors import (InvariantViolation, ResourceCapExceeded, UserError,
                      quote)
 from .fixtures import is_fixture_name, load_fixture
 from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
-                      format_fraction, parse_cycle, parse_fraction,
+                      dump_json, format_fraction, parse_cycle, parse_fraction,
                       parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
 from .strata import (MODES, AnalyticParams, fixed_component_candidates,
@@ -358,7 +357,7 @@ def run(argv) -> int:
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(dump_json(report))
     else:
         _render_text(report)
     return 0

@@ -10,12 +10,14 @@ The on-disk format:
     }
 
 Rationals are always strings ("14/3" or "7"), never floats, both on input
-and in every report this package emits.
+and in every report this package emits. Reports are written by
+:func:`dump_json`, which refuses floats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -37,6 +39,7 @@ __all__ = [
     "parse_graph",
     "graph_to_data",
     "cycle_to_data",
+    "dump_json",
 ]
 
 FORMAT_VERSION = 1
@@ -124,7 +127,16 @@ def parse_graph(path) -> GraphFile:
 
 
 def cycle_to_data(cycle: Cycle) -> dict[str, str]:
-    return {v: format_fraction(c) for v, c in cycle.items() if c != 0}
+    """{vertex: "n" or "n/d"} over the nonzero coefficients in vertex order,
+    the strings str(Fraction) gives, read off the numerators: each is
+    reduced against the common denominator by one gcd, no Fraction built."""
+    den = cycle.den
+    out = {}
+    for v, n in zip(cycle.graph.vertices, cycle.num):
+        if n:
+            g = math.gcd(n, den)
+            out[v] = str(n // g) if g == den else f"{n // g}/{den // g}"
+    return out
 
 
 def graph_to_data(graph: ResolutionGraph, cycles=None) -> dict:
@@ -137,3 +149,51 @@ def graph_to_data(graph: ResolutionGraph, cycles=None) -> dict:
     if cycles:
         data["cycles"] = {name: cycle_to_data(c) for name, c in cycles.items()}
     return data
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def dump_json(value) -> str:
+    """The text of json.dumps(value, indent=2), in one pass, for the values
+    reports hold: dicts with str keys, lists, tuples, str, int, bool and
+    None. Any other value, floats and Fractions included, or a non-str key
+    raises TypeError. (CPython 3.11's json module encodes in pure Python
+    whenever an indent is set.)"""
+    if isinstance(value, (dict, list, tuple)):
+        return _json(value, "\n")
+    return _json([value], "\n")[4:-2]  # a bare scalar: a list's one item
+
+
+def _json(value, pad: str) -> str:
+    """A dict, list or tuple as indent-2 JSON whose closing bracket follows
+    `pad` (a newline and two spaces per enclosing level); scalar items are
+    written in place."""
+    if isinstance(value, dict):
+        items, start, end = value.values(), "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items, start, end = value, "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+    if not value:
+        return start + end
+    inner = pad + "  "
+    texts = []
+    for item in items:
+        if isinstance(item, str):
+            texts.append(_encode_str(item))
+        elif item is None:
+            texts.append("null")
+        elif item is True:
+            texts.append("true")
+        elif item is False:
+            texts.append("false")
+        elif isinstance(item, int):
+            texts.append(int.__repr__(item))
+        else:
+            texts.append(_json(item, inner))
+    if isinstance(value, dict):
+        # the C encoder raises TypeError on a non-str key
+        texts = [f"{_encode_str(k)}: {t}" for k, t in zip(value, texts)]
+    return start + inner + ("," + inner).join(texts) + pad + end

@@ -166,20 +166,28 @@ def _minus_a(graph: ResolutionGraph) -> list[list[int]]:
 
 
 def _own_ldl(matrix: Sequence[Sequence[int]]):
-    # deliberately re-implemented here (not shared with the fast path)
+    """(d, u) with matrix = U^T diag(d) U, U unit upper triangular and u its
+    strictly upper part, by symmetric Gaussian elimination in Fractions.
+    Pivot i updates only the entries (a, b) with both u_ia and u_ib nonzero,
+    the only ones it changes, so a sparse matrix costs little more than its
+    fill. Deliberately re-implemented here (not shared with the fast path)."""
     n = len(matrix)
     s = [[Fraction(x) for x in row] for row in matrix]
     d: list[Fraction] = []
     u = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        d.append(s[i][i])
-        if d[i] <= 0:
+        pivot = s[i][i]
+        if pivot <= 0:
             raise InvariantViolation("oracle LDL hit a non-positive pivot")
-        for j in range(i + 1, n):
-            u[i][j] = s[i][j] / d[i]
-        for a in range(i + 1, n):
-            for b in range(i + 1, n):
-                s[a][b] -= d[i] * u[i][a] * u[i][b]
+        d.append(pivot)
+        row = u[i]
+        nonzero = [j for j in range(i + 1, n) if s[i][j]]
+        for j in nonzero:
+            row[j] = s[i][j] / pivot
+        for a in nonzero:
+            scaled, target = pivot * row[a], s[a]
+            for b in nonzero:
+                target[b] -= scaled * row[b]
     return d, u
 
 
@@ -189,10 +197,10 @@ def _ellipsoid(graph: ResolutionGraph, lprime: Cycle):
     each is the ellipsoid (l-b)^T M (l-b) <= R = 2t + b^T M b, empty when
     R < 0; M = U^T D U from `_own_ldl`."""
     m = _minus_a(graph)
-    n = len(m)
     b = [c / 2 + p for c, p in zip(canonical_cycle(graph).coeffs,
                                     lprime.coeffs)]
-    btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
+    btmb = sum(b[i] * x * b[j] for i, row in enumerate(m)
+               for j, x in enumerate(row) if x)
     return (b, btmb, *_own_ldl(m))
 
 
@@ -210,10 +218,12 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
     The walk runs on integers: with S the lcm of the denominators of the
     u_ij and b_j, and L that of the d_i and of b^T M b, it carries S^2 c_i,
     the weights L d_i and the budget scaled by L S^4, and takes each
-    interval from one isqrt, cut to upper_i. All of this is set up once;
-    each walk sets only its radius. Every rec call counts one visited node
-    of its walk against `cap`, leaves included; the remaining budget at a
-    leaf is (R - (l-b)^T M (l-b)) L S^4 = 2 L S^4 (t - chi(l))."""
+    interval from one isqrt, cut to upper_i; each row of S u keeps only
+    its nonzero entries, so a centre costs one product per nonzero u_ij.
+    All of this is set up once; each walk sets only its radius. Every rec
+    call counts one visited node of its walk against `cap`, leaves
+    included; the remaining budget at a leaf is
+    (R - (l-b)^T M (l-b)) L S^4 = 2 L S^4 (t - chi(l))."""
     n = len(graph.vertices)
     b, btmb, d, u = _ellipsoid(graph, graph.zero_cycle())
     s = math.lcm(*(x.denominator for x in b),
@@ -222,7 +232,7 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
     lcm_l = math.lcm(btmb.denominator, *(x.denominator for x in d))
     scale = lcm_l * s2 * s2
     sb = [int(x * s) for x in b]
-    su = [[int(x * s) for x in row] for row in u]
+    su = [[(j, int(x * s)) for j, x in enumerate(row) if x] for row in u]
     centre = [x * s for x in sb]  # S^2 b_i
     weight = [int(x * lcm_l) for x in d]  # L d_i
     chi_den = 2 * scale
@@ -242,8 +252,7 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
             if i < 0:
                 yield Cycle(graph, tuple(xs)), t - budget // chi_den
                 return
-            row = su[i]
-            c = centre[i] - sum(row[j] * sx[j] for j in range(i + 1, n))
+            c = centre[i] - sum(a * sx[j] for j, a in su[i])
             w = weight[i]
             r = math.isqrt(budget // w)  # |S^2 x - c| <= r
             for value in range(max(-((r - c) // s2), 0),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import warnings
 from fractions import Fraction
@@ -10,17 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph import fixtures
+from resgraph import cli, fixtures
 from resgraph.cli import _parse_lprime, _parse_trivializable
-from resgraph.core import canonical_cycle, is_numerically_gorenstein
+from resgraph.core import Cycle, canonical_cycle, is_numerically_gorenstein
 from resgraph.criteria import extension_criterion
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
 from resgraph.graphio import (FORMAT_VERSION, MinimalResolutionWarning,
-                              cycle_to_data, format_fraction, graph_to_data,
-                              parse_fraction, parse_graph, parse_graph_data)
-from resgraph.laufer import classify
+                              cycle_to_data, dump_json, format_fraction,
+                              graph_to_data, parse_fraction, parse_graph,
+                              parse_graph_data)
+from resgraph.laufer import classify, fundamental_cycle
 from resgraph.strata import AnalyticParams
 
 from conftest import package_imports
@@ -188,6 +191,118 @@ def test_trivializable_file_fuzz_only_user_errors(g_app, tmp_path_factory,
 def test_cycle_to_data_drops_zeros(g_app):
     c = g_app.cycle({"a1": 1})
     assert cycle_to_data(c) == {"a1": "1"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-60, 60) | st.just(0), min_size=10, max_size=10),
+       st.integers(1, 72))
+def test_cycle_to_data_matches_the_fraction_form(g_app, num, den):
+    """The strings and key order of str(Fraction) over the nonzero
+    coefficients, on cycles with negative, zero and rational entries;
+    a common denominator like 6 over numerators 2 and 3 makes each single
+    coefficient reduce below it."""
+    cycle = Cycle(g_app, tuple(num), den)
+    expected = {v: str(c) for v, c in cycle.items() if c != 0}
+    data = cycle_to_data(cycle)
+    assert list(data.items()) == list(expected.items())
+
+
+def test_cycle_to_data_reduces_each_coefficient(g_app):
+    cycle = Cycle(g_app, (2, 3, 0, -4, 6, 0, 0, 0, 0, 1), 6)
+    assert cycle_to_data(cycle) == {"a1": "1/3", "a2": "1/2", "a4": "-2/3",
+                                    "a5": "1", "u": "1/6"}
+
+
+def test_cycle_to_data_builds_no_fraction():
+    """Cycles are formatted from their numerators: no Fraction and no
+    Fraction view of the cycle."""
+    body = ast.parse(inspect.getsource(cycle_to_data))
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    assert "Fraction" not in names and "format_fraction" not in names
+    assert not attrs & {"coeffs", "items", "coefficient"}
+
+
+# -- the report writer --------------------------------------------------------
+
+
+def _report(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _report_argvs(name, triv):
+    graph = load_fixture(name).graph
+    first, last = graph.vertices[0], graph.vertices[-1]
+    argvs = [[cmd, name] for cmd in ("classify", "invariants", "ellseq",
+                                     "criteria", "strata", "wstrata")]
+    argvs += [["ellseq", name, "--alpha", "1"],
+              ["strata", name, "--mode", "wecc"],
+              ["strata", name, "--lprime", f"estar:{first}=2"],
+              ["strata", name, "--mode", "custom", "--trivializable", triv,
+               "--lprime", f"estar:{last}=1"],
+              ["wstrata", name, "--lprime", f"estar:{first}=1/2"]]
+    if name == "g_app":
+        argvs.append(["oracle-verify", name])
+    return argvs
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_dump_json_matches_the_stdlib_on_every_report(name, tmp_path):
+    """Every subcommand's report on every bundled fixture is written byte
+    for byte as json.dumps(report, indent=2) writes it; the custom mode
+    takes the fixture's Z_min as its trivializable cycle."""
+    graph = load_fixture(name).graph
+    triv = tmp_path / "triv.json"
+    triv.write_text(json.dumps([cycle_to_data(fundamental_cycle(graph))]))
+    written = 0
+    for argv in _report_argvs(name, str(triv)):
+        try:
+            report = _report(argv)
+        except UserError:
+            assert classify(graph).kind != "elliptic", argv
+            continue
+        assert dump_json(report) == json.dumps(report, indent=2), argv
+        written += 1
+    assert written >= 2
+
+
+def test_dump_json_matches_the_stdlib_on_enumerate():
+    report = _report(["enumerate", "--max-vertices", "5"])
+    assert report["count"] > 0
+    assert dump_json(report) == json.dumps(report, indent=2)
+
+
+def test_cli_writes_json_without_the_stdlib_encoder():
+    assert not hasattr(cli, "json")
+
+
+json_text = st.text(st.characters(codec="utf-8") | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9",
+     "\U0001f600"]))
+report_values = st.recursive(
+    st.none() | st.booleans() | json_text
+    | st.integers() | st.integers(-10 ** 40, 10 ** 40),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_values)
+def test_dump_json_matches_the_stdlib(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), 0.5, float("nan"), {1, 2}, {1: "a"}, {None: 1},
+    {"a": [Fraction(3)]}, [{"b": 1.0}], {"c": {(1,): 2}}])
+def test_dump_json_refuses_other_types(value):
+    """Rationals are strings in every report, never floats or Fractions,
+    and object keys are strings."""
+    with pytest.raises(TypeError):
+        dump_json(value)
 
 
 def test_all_fixtures_load_and_validate():

@@ -95,7 +95,9 @@ def test_one_module_owns_the_strata_walk():
 
 def _unused_top_level_imports(source: str) -> list[str]:
     """Names bound by a top-level import that the module never reads and
-    does not list in __all__ (string annotations count as reads)."""
+    does not list in __all__. A string constant counts as a read only in
+    __all__ or in an annotation (the "Cycle" forward references), so a
+    string that happens to spell a module name hides no import."""
     tree = ast.parse(source)
     imported = {}
     for node in tree.body:
@@ -105,13 +107,23 @@ def _unused_top_level_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for a in node.names:
                 imported[a.asname or a.name] = node.lineno
-    used = set()
+    used, named_by_strings = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            used.add(node.value)  # "Cycle" annotations and __all__ entries
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            named_by_strings.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            named_by_strings.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            named_by_strings.append(node.value)
+    used.update(node.value for root in named_by_strings
+                for node in ast.walk(root)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -127,6 +139,11 @@ def test_no_unused_top_level_imports():
     assert not unused, f"unused imports: {unused}"
     assert _unused_top_level_imports("import os\nimport sys\nsys.exit()\n") \
         == ["os (line 1)"]
+    assert _unused_top_level_imports('import json\nX = ("text", "json")\n') \
+        == ["json (line 1)"]
+    assert _unused_top_level_imports(
+        'from a import B, C, D\n__all__ = ["B"]\n'
+        'def f(x: "C") -> "D": pass\n') == []
 
 
 def _unused_module_names(sources: dict[str, str]) -> list[str]:
@@ -314,6 +331,54 @@ def test_oracle_builds_graphs_only_in_enumerate_trees():
                for node in ast.walk(top) if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "build_graph"}
     assert callers == {"enumerate_trees"}
+
+
+def _dense_ldl(matrix):
+    """Reference for `_own_ldl`: the full triple loop over every entry."""
+    n = len(matrix)
+    s = [[Fraction(x) for x in row] for row in matrix]
+    d = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d.append(s[i][i])
+        if d[i] <= 0:
+            raise InvariantViolation("non-positive pivot")
+        for j in range(i + 1, n):
+            u[i][j] = s[i][j] / d[i]
+        for a in range(i + 1, n):
+            for b in range(i + 1, n):
+                s[a][b] -= d[i] * u[i][a] * u[i][b]
+    return d, u
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_pole",
+                                  "g_left", "g_right"])
+def test_own_ldl_matches_the_dense_elimination(name, request):
+    m = _minus_a(request.getfixturevalue(name))
+    assert _own_ldl(m) == _dense_ldl(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n,
+             max_size=n), min_size=n, max_size=n)))
+def test_own_ldl_matches_the_dense_elimination_off_trees(rows):
+    """B^T B + I is symmetric positive definite, with any pattern of
+    zeros: cycles and fill-in that no tree has."""
+    n = len(rows)
+    m = [[sum(rows[k][i] * rows[k][j] for k in range(n)) + (i == j)
+          for j in range(n)] for i in range(n)]
+    assert _own_ldl(m) == _dense_ldl(m)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0]], [[-2]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 2], [0, 2, 2]],
+    [[2, 0, 1], [0, 2, 0], [1, 0, 0]]])
+def test_own_ldl_refuses_an_indefinite_matrix(matrix):
+    with pytest.raises(InvariantViolation):
+        _dense_ldl(matrix)
+    with pytest.raises(InvariantViolation):
+        _own_ldl(matrix)
 
 
 def test_certified_meet():
