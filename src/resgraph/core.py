@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, UserError, quote
 
@@ -36,7 +36,8 @@ __all__ = [
 class ResolutionGraph:
     """Immutable weighted tree with a negative-definite intersection form.
 
-    Construct through :func:`build_graph`, which validates the description.
+    Construct through :func:`build_graph`, which validates the description;
+    `_with_euler` gives the same tree other euler numbers.
     Vertex identifiers are opaque strings ordered lexicographically; that
     order fixes the matrix layout and all report orderings.
     """
@@ -46,7 +47,6 @@ class ResolutionGraph:
         if _token is not _BUILD_TOKEN:
             raise UserError("use build_graph() to construct a ResolutionGraph")
         self.vertices = vertices
-        self.euler = dict(euler)
         self.edges = edges
         self._index = index = {v: i for i, v in enumerate(vertices)}
         adj: dict[str, list[str]] = {v: [] for v in vertices}
@@ -54,17 +54,39 @@ class ResolutionGraph:
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-        self._neighbours = [[index[w] for w in self.adjacency[v]]
-                            for v in vertices]
+        self._neighbours = tuple(tuple(index[w] for w in self.adjacency[v])
+                                 for v in vertices)
         # root the tree at its first vertex of least degree (a shorter
         # order means disconnected)
         degrees = [len(ws) for ws in self._neighbours]
-        self._pivots = [-euler[v] for v in vertices]  # the diagonal of -A
+        self._set_euler(dict(euler), degrees.index(min(degrees)))
+
+    def _set_euler(self, euler: dict[str, int], root: int) -> None:
+        """The tables that depend on the euler numbers (`euler`, which the
+        graph keeps): the pivots, the rooting at `root` and empty memos."""
+        self.euler = euler
+        self._pivots = [-euler[v] for v in self.vertices]  # the diagonal of -A
         (self._order, self._parent, self._subdet, self._childdet,
-         self.det) = _rooting(self._neighbours, self._pivots,
-                              degrees.index(min(degrees)))
+         self.det) = _rooting(self._neighbours, self._pivots, root)
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
+
+    def _with_euler(self, euler: Iterable[tuple[str, int]]
+                    ) -> "ResolutionGraph":
+        """This tree with other euler numbers, given as (vertex, number)
+        pairs; the caller vouches that each is an integer <= -1.
+
+        The new graph shares the tables that depend only on the shape
+        (which are immutable), gets its own rooting from the same root and
+        is refused like any graph of `build_graph` unless negative
+        definite."""
+        graph = object.__new__(ResolutionGraph)
+        (graph.vertices, graph.edges, graph._index, graph.adjacency,
+         graph._neighbours) = (self.vertices, self.edges, self._index,
+                               self.adjacency, self._neighbours)
+        graph._set_euler(dict(euler), self._order[0])
+        _check_definite(graph)
+        return graph
 
     def _tree_solve(self, rhs: list[int]) -> list[int]:
         """det * x for -A x = rhs (integer rhs), on the whole tree."""
@@ -115,7 +137,7 @@ class ResolutionGraph:
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"
 
 
-def _rooting(neighbours: list[list[int]], pivots: list[int], root: int
+def _rooting(neighbours: Sequence[Sequence[int]], pivots: list[int], root: int
              ) -> tuple[list[int], list[int], list[int], list[int], int]:
     """Root the tree at `root`: its block order, the parents, and the leaf
     elimination of -A (whose diagonal is `pivots`) in integers.
@@ -335,13 +357,18 @@ def build_graph(spec) -> ResolutionGraph:
     # connectivity (together with the edge count this certifies a tree)
     if len(graph._order) != len(vertices):
         raise GraphValidationError("not-connected", "graph is not connected")
+    _check_definite(graph)
+    return graph
+
+
+def _check_definite(graph: ResolutionGraph) -> None:
+    """Refuse a connected graph whose -A is not positive definite."""
     if graph.det <= 0:
         bad = next(i for i in reversed(graph._order) if graph._subdet[i] <= 0)
         raise GraphValidationError(
             "not-negative-definite",
             f"leaf elimination of -A gives a pivot <= 0 at vertex "
-            f"{quote(vertices[bad])}")
-    return graph
+            f"{quote(graph.vertices[bad])}")
 
 
 def _times_a(graph: ResolutionGraph, z: list[int]) -> list[int]:

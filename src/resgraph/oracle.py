@@ -400,13 +400,20 @@ def _pruefer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _centres(adj: dict[int, list[int]]) -> list[int]:
-    """The one or two centres of a tree: what is left after peeling its
-    leaves layer by layer."""
+def _centre_plan(adj: dict[int, list[int]]
+                 ) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """The plan of `_tree_form` for a tree: peel its leaves layer by layer
+    and list each vertex with its neighbours in earlier layers (its
+    children), so every child comes before its parent; and the last
+    layer, the one or two centres, which are not each other's children."""
     degree = {v: len(ws) for v, ws in adj.items()}
     layer = [v for v, d in degree.items() if d <= 1]
-    left = len(adj)
-    while left > 2:
+    steps, done, left = [], set(), len(adj)
+    while True:
+        steps += [(v, [w for w in adj[v] if w in done]) for v in layer]
+        if left <= 2:
+            return steps, layer
+        done.update(layer)
         left -= len(layer)
         peeled = []
         for v in layer:
@@ -415,21 +422,22 @@ def _centres(adj: dict[int, list[int]]) -> list[int]:
                 if degree[w] == 1:
                     peeled.append(w)
         layer = peeled
-    return layer
 
 
-def _canonical_form(adj: dict[int, list[int]], labels: Sequence[int],
-                    centres: Sequence[int] | None = None):
-    """Isomorphism-invariant form of a labelled tree: the minimum over its
-    centres of the recursive (label, sorted child forms) encoding. An
-    isomorphism maps centres to centres, so this is as complete as the
-    minimum over all roots (Aho-Hopcroft-Ullman tree coding)."""
-
-    def rooted(v: int, parent: int):
-        return (labels[v], tuple(sorted(rooted(w, v)
-                                        for w in adj[v] if w != parent)))
-
-    return min(rooted(v, -1) for v in (centres or _centres(adj)))
+def _tree_form(plan: tuple[list[tuple[int, list[int]]], list[int]],
+               labels: Sequence[int]) -> tuple:
+    """Isomorphism-invariant form of a labelled tree, given its
+    `_centre_plan`: the (label, sorted child forms) encoding of the tree
+    rooted at its centre, built bottom-up (Aho-Hopcroft-Ullman tree
+    coding); with two centres, the sorted pair of the encodings of the two
+    halves that cutting the edge between them leaves. An isomorphism maps
+    centres to centres, so equal forms mean isomorphic trees."""
+    steps, centres = plan
+    forms: list = [None] * len(labels)
+    for v, children in steps:
+        forms[v] = (labels[v], tuple(sorted([forms[w] for w in children]))
+                    if children else ())
+    return tuple(sorted([forms[c] for c in centres]))
 
 
 def _free_tree_count(n: int) -> int:
@@ -462,7 +470,7 @@ def _tree_shapes(n: int, count=lambda: None) -> list[dict[int, list[int]]]:
         for u, v in _pruefer_edges(seq, n):
             adj[u].append(v)
             adj[v].append(u)
-        key = _canonical_form(adj, [0] * n)
+        key = _tree_form(_centre_plan(adj), [0] * n)
         if key not in seen:
             seen.add(key)
             shapes.append(adj)
@@ -508,18 +516,22 @@ def enumerate_trees(max_vertices: int, euler_range,
     for n in range(1, max_vertices + 1):
         names = [f"v{i + 1}" for i in range(n)]
         for adj in _tree_shapes(n, count):
-            centres = _centres(adj)
-            edges = [(names[u], names[v]) for u in adj for v in adj[u] if u < v]
+            plan = _centre_plan(adj)
+            # the shape is validated once, with euler -n on every vertex
+            # (diagonally dominant, so definite); each assignment shares it
+            shape = build_graph({
+                "vertices": [(name, -n) for name in names],
+                "edges": [(names[u], names[v]) for u in adj for v in adj[u]
+                          if u < v]})
             seen = set()
             for assignment in itertools.product(euler_values, repeat=n):
                 count()
-                key = _canonical_form(adj, assignment, centres)
+                key = _tree_form(plan, assignment)
                 if key in seen:
                     continue
                 seen.add(key)
                 try:
-                    yield build_graph({"vertices": list(zip(names, assignment)),
-                                       "edges": edges})
+                    yield shape._with_euler(zip(names, assignment))
                 except GraphValidationError as exc:
                     if exc.diagnostic != "not-negative-definite":
                         raise

@@ -17,9 +17,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resgraph.oracle as oracle_module
-from resgraph.core import build_graph, canonical_cycle, chi, is_antinef
-from resgraph.errors import (InvariantViolation, ResourceCapExceeded,
-                             UserError)
+from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
+                           is_antinef)
+from resgraph.errors import (GraphValidationError, InvariantViolation,
+                             ResourceCapExceeded, UserError)
 from resgraph.oracle import (_certified_meet, _chi_sublevel,
                              _connected_subsets, _minus_a, _own_ldl,
                              brute_fundamental_cycle, brute_lemci,
@@ -93,11 +94,29 @@ def test_one_module_owns_the_strata_walk():
         assert not hasattr(graph, name), name
 
 
+def _naming_strings(tree: ast.AST) -> list[str]:
+    """The string constants in `tree` that name something: those in an
+    __all__ list or in an annotation (the "Cycle" forward references)."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            roots.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            roots.append(node.value)
+    return [node.value for root in roots for node in ast.walk(root)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
 def _unused_top_level_imports(source: str) -> list[str]:
     """Names bound by a top-level import that the module never reads and
     does not list in __all__. A string constant counts as a read only in
-    __all__ or in an annotation (the "Cycle" forward references), so a
-    string that happens to spell a module name hides no import."""
+    __all__ or in an annotation, so a string that happens to spell a
+    module name hides no import."""
     tree = ast.parse(source)
     imported = {}
     for node in tree.body:
@@ -107,23 +126,8 @@ def _unused_top_level_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for a in node.names:
                 imported[a.asname or a.name] = node.lineno
-    used, named_by_strings = set(), []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
-            named_by_strings.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.returns:
-            named_by_strings.append(node.returns)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            named_by_strings.append(node.value)
-    used.update(node.value for root in named_by_strings
-                for node in ast.walk(root)
-                if isinstance(node, ast.Constant)
-                and isinstance(node.value, str))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_naming_strings(tree))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -149,8 +153,9 @@ def test_no_unused_top_level_imports():
 def _unused_module_names(sources: dict[str, str]) -> list[str]:
     """Private (_x) and UPPER_CASE names defined at the top level of some
     module that nothing outside their own definition reads: by name, as an
-    attribute, through an import, or as an __all__ entry. A function that
-    only calls itself counts as unused."""
+    attribute, through an import, or as a string in __all__ or an
+    annotation (any other string reads nothing). A function that only
+    calls itself counts as unused."""
     defined = []
     readers: dict[str, set] = {}  # name -> the top-level statements reading it
     for module, source in sources.items():
@@ -166,20 +171,16 @@ def _unused_module_names(sources: dict[str, str]) -> list[str]:
             defined += [(module, k, name, top.lineno) for name in names
                         if not name.startswith("__")
                         and (name.startswith("_") or name.isupper())]
+            read = _naming_strings(top)
             for node in ast.walk(top):
                 if (isinstance(node, ast.Name)
                         and isinstance(node.ctx, ast.Load)):
-                    name = node.id
+                    read.append(node.id)
                 elif isinstance(node, ast.Attribute):
-                    name = node.attr
+                    read.append(node.attr)
                 elif isinstance(node, ast.alias):
-                    name = node.name
-                elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)
-                      and node.value.isidentifier()):
-                    name = node.value
-                else:
-                    continue
+                    read.append(node.name)
+            for name in read:
                 readers.setdefault(name, set()).add((module, k))
     return sorted(f"{module}: {name} (line {line})"
                   for module, k, name, line in defined
@@ -201,6 +202,12 @@ def test_no_unused_module_level_names():
                 "def _walk(n): return _walk(n - 1)\n",
         "b.py": "from a import LIMIT\nimport a\nprint(a._helper())\n",
     }) == ["a.py: NOTE (line 2)", "a.py: _walk (line 5)"]
+    # a string reads a name only in __all__ or an annotation
+    assert _unused_module_names({"m": '_X = 1\nY = "_X"\n'}) == [
+        "m: Y (line 2)", "m: _X (line 1)"]
+    assert _unused_module_names({
+        "m": '_X = 1\n_Y = 2\n__all__ = ["_X"]\ndef f(a: "_Y"): pass\n',
+    }) == []
     # a helper left behind after its last caller moved to core is caught
     leftover = dict(sources)
     leftover["oracle.py"] += "\n\ndef _safe_upper(graph, l):\n    return ()\n"
@@ -324,13 +331,88 @@ def test_subsupports_match_the_built_subgraphs_on_random_trees(g):
 
 def test_oracle_builds_graphs_only_in_enumerate_trees():
     """The per-subset solve needs no graph: build_graph is called only where
-    the enumerated trees are made."""
+    the enumerated trees are made, and so is `_with_euler`, the one way to
+    a graph that skips the validation of its shape, anywhere in the
+    package."""
     tree = ast.parse(inspect.getsource(oracle_module))
     callers = {top.name for top in tree.body
                if isinstance(top, ast.FunctionDef)
                for node in ast.walk(top) if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "build_graph"}
     assert callers == {"enumerate_trees"}
+    package = Path(oracle_module.__file__).parent
+    callers = {(path.stem, getattr(top, "name", None))
+               for path in sorted(package.glob("*.py"))
+               for top in ast.parse(path.read_text()).body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "_with_euler"}
+    assert callers == {("oracle", "enumerate_trees")}
+
+
+def _enumerate_by_build(max_vertices, values):
+    """Reference for `enumerate_trees`: each class of assignments (the
+    all-roots form), in the same order, built from its own spec by
+    build_graph; None where build_graph refuses the spec as not negative
+    definite."""
+    for n in range(1, max_vertices + 1):
+        names = [f"v{i + 1}" for i in range(n)]
+        for adj in oracle_module._tree_shapes(n):
+            edges = [(names[u], names[v]) for u in adj for v in adj[u]
+                     if u < v]
+            seen = set()
+            for assignment in itertools.product(sorted(values), repeat=n):
+                key = _all_roots_form(adj, assignment)
+                if key in seen:
+                    continue
+                seen.add(key)
+                try:
+                    yield build_graph({"vertices": list(zip(names, assignment)),
+                                       "edges": edges})
+                except GraphValidationError as exc:
+                    assert exc.diagnostic == "not-negative-definite"
+                    yield None
+
+
+@pytest.mark.parametrize("max_vertices, values", [
+    (6, range(-3, 0)), (5, range(-5, -1)),
+    pytest.param(7, range(-4, -1), marks=pytest.mark.slow)])
+def test_enumerated_trees_are_the_built_trees(max_vertices, values):
+    """Each tree made on its shape's one validated graph equals build_graph
+    of its own spec, table by table, and the assignments it skips are
+    exactly those build_graph refuses as not negative definite."""
+    reference = list(_enumerate_by_build(max_vertices, values))
+    built = [g for g in reference if g is not None]
+    trees = list(enumerate_trees(max_vertices, values))
+    assert len(trees) == len(built)
+    for tree, ref in zip(trees, built):
+        for name in ("vertices", "euler", "edges", "adjacency", "_index",
+                     "_neighbours", "_pivots", "_order", "_parent", "_subdet",
+                     "_childdet", "det"):
+            assert getattr(tree, name) == getattr(ref, name), name
+        assert list(tree.euler) == list(ref.euler)
+    if -1 in values:
+        assert len(built) < len(reference)  # some assignments are refused
+
+
+def test_enumerated_siblings_share_no_memo():
+    """Trees of one shape share its tables, which are immutable, and
+    nothing else: the memos of Z_K and E*_v on one do not show up on a
+    sibling, whose own values are those of its build_graph twin."""
+    trees = [g for g in enumerate_trees(4, range(-3, -1))
+             if len(g.vertices) == 4 and g.degree("v1") == 3]
+    first, sibling = trees[0], trees[1]
+    assert first._neighbours is sibling._neighbours
+    assert isinstance(first._neighbours, tuple)
+    assert all(isinstance(ws, tuple) for ws in first._neighbours)
+    assert first.euler != sibling.euler
+    canonical_cycle(first)
+    dual_cycle(first, "v2")
+    assert sibling._canonical is None and sibling._dual_cache == {}
+    twin = build_graph({"vertices": list(sibling.euler.items()),
+                        "edges": [tuple(e) for e in sibling.edges]})
+    assert canonical_cycle(sibling).num == canonical_cycle(twin).num
+    assert dual_cycle(sibling, "v2").num == dual_cycle(twin, "v2").num
+    assert canonical_cycle(first).num != canonical_cycle(sibling).num
 
 
 def _dense_ldl(matrix):
@@ -575,7 +657,8 @@ def test_enumerate_trees_counts():
         adj = {g._index[v]: [g._index[w] for w in g.adjacency[v]]
                for v in g.vertices}
         labels = [g.euler[v] for v in g.vertices]
-        keys.add(oracle_module._canonical_form(adj, labels))
+        keys.add(oracle_module._tree_form(oracle_module._centre_plan(adj),
+                                          labels))
     assert len(keys) == len(trees)  # pairwise non-isomorphic
 
 
@@ -690,7 +773,8 @@ def test_centre_form_agrees_with_all_roots():
         rng.shuffle(perm)
         trees.append(({perm[v]: [perm[w] for w in ws] for v, ws in adj.items()},
                       [labels[perm.index(v)] for v in range(n)]))
-    centre = [oracle_module._canonical_form(a, l) for a, l in trees]
+    centre = [oracle_module._tree_form(oracle_module._centre_plan(a), l)
+              for a, l in trees]
     full = [_all_roots_form(a, l) for a, l in trees]
     for i in range(len(trees)):
         for j in range(i):
