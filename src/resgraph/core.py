@@ -59,15 +59,18 @@ class ResolutionGraph:
         # root the tree at its first vertex of least degree (a shorter
         # order means disconnected)
         degrees = [len(ws) for ws in self._neighbours]
-        self._set_euler(dict(euler), degrees.index(min(degrees)))
+        self._order, self._parent = _block_order(
+            self._neighbours, degrees.index(min(degrees)))
+        self._set_euler(dict(euler))
 
-    def _set_euler(self, euler: dict[str, int], root: int) -> None:
+    def _set_euler(self, euler: dict[str, int]) -> None:
         """The tables that depend on the euler numbers (`euler`, which the
-        graph keeps): the pivots, the rooting at `root` and empty memos."""
+        graph keeps): the pivots, the elimination over the rooting and
+        empty memos."""
         self.euler = euler
         self._pivots = [-euler[v] for v in self.vertices]  # the diagonal of -A
-        (self._order, self._parent, self._subdet, self._childdet,
-         self.det) = _rooting(self._neighbours, self._pivots, root)
+        self._subdet, self._childdet, self.det = _eliminate(
+            self._order, self._parent, self._pivots)
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
 
@@ -77,14 +80,15 @@ class ResolutionGraph:
         pairs; the caller vouches that each is an integer <= -1.
 
         The new graph shares the tables that depend only on the shape
-        (which are immutable), gets its own rooting from the same root and
-        is refused like any graph of `build_graph` unless negative
-        definite."""
+        (which are immutable), the rooting's order and parents among them,
+        runs only its own elimination and is refused like any graph of
+        `build_graph` unless negative definite."""
         graph = object.__new__(ResolutionGraph)
         (graph.vertices, graph.edges, graph._index, graph.adjacency,
-         graph._neighbours) = (self.vertices, self.edges, self._index,
-                               self.adjacency, self._neighbours)
-        graph._set_euler(dict(euler), self._order[0])
+         graph._neighbours, graph._order, graph._parent) = (
+            self.vertices, self.edges, self._index, self.adjacency,
+            self._neighbours, self._order, self._parent)
+        graph._set_euler(dict(euler))
         _check_definite(graph)
         return graph
 
@@ -138,18 +142,21 @@ class ResolutionGraph:
 
 
 def _rooting(neighbours: Sequence[Sequence[int]], pivots: list[int], root: int
-             ) -> tuple[list[int], list[int], list[int], list[int], int]:
-    """Root the tree at `root`: its block order, the parents, and the leaf
-    elimination of -A (whose diagonal is `pivots`) in integers.
+             ) -> tuple:
+    """Root the tree at `root`: `_block_order`, then `_eliminate`."""
+    order, parent = _block_order(neighbours, root)
+    return (order, parent, *_eliminate(order, parent, pivots))
+
+
+def _block_order(neighbours: Sequence[Sequence[int]], root: int
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The block order of the tree rooted at `root`, and the parents (-1 at
+    the root and off the root's component).
 
     In the block order every parent comes before its children and the
     children of each vertex are listed together, in id order, the blocks
-    following their parents' depth-first preorder. Once the children c of
-    v are eliminated, v has the pivot d_v = -e_v - sum_c 1/d_c = D_v / P_v,
-    where D_v is the determinant of -A on the subtree below v and P_v the
-    product of the D_c. -A is positive definite iff every pivot is
-    positive; the returned det is D_root, or 0 from the first pivot that
-    is not positive."""
+    following their parents' depth-first preorder. Both depend only on the
+    shape, and both are tuples, so graphs of one shape can share them."""
     parent = [-1] * len(neighbours)
     preorder, stack = [], [root]
     while stack:
@@ -159,21 +166,35 @@ def _rooting(neighbours: Sequence[Sequence[int]], pivots: list[int], root: int
             if j != root and parent[j] < 0:
                 parent[j] = i
                 stack.append(j)
-    order = [root] + [j for i in preorder for j in neighbours[i]
-                      if parent[j] == i]
-    sub, kids = list(pivots), [1] * len(neighbours)
+    order = (root, *(j for i in preorder for j in neighbours[i]
+                     if parent[j] == i))
+    return order, tuple(parent)
+
+
+def _eliminate(order: Sequence[int], parent: Sequence[int], pivots: list[int]
+               ) -> tuple[list[int], list[int], int]:
+    """The leaf elimination of -A, whose diagonal is `pivots`, in integers,
+    up a rooting as `_block_order` gives it: (sub, kids, det).
+
+    Once the children c of v are eliminated, v has the pivot
+    d_v = -e_v - sum_c 1/d_c = D_v / P_v, where D_v = sub[v] is the
+    determinant of -A on the subtree below v and P_v = kids[v] the product
+    of the D_c. -A is positive definite iff every pivot is positive; det is
+    D_root, or 0 from the first pivot that is not positive."""
+    sub, kids = list(pivots), [1] * len(pivots)
     for i in reversed(order):
         if sub[i] <= 0:
-            return order, parent, sub, kids, 0
+            return sub, kids, 0
         p = parent[i]
         if p >= 0:  # d_p -= 1/d_i on the fraction sub[p] / kids[p]
             sub[p] = sub[p] * sub[i] - kids[i] * kids[p]
             kids[p] *= sub[i]
-    return order, parent, sub, kids, sub[root]
+    return sub, kids, sub[order[0]]
 
 
-def _subtree_solve(members: list[int], parent: list[int], sub: list[int],
-                   kids: list[int], rhs: list[int]) -> list[int]:
+def _subtree_solve(members: Sequence[int], parent: Sequence[int],
+                   sub: list[int], kids: list[int], rhs: list[int]
+                   ) -> list[int]:
     """D x for -A x = rhs, rhs zero off the subtree that `members` lists
     (root first, parents before children) in a rooting as `_rooting`
     returns it; D = sub[members[0]] is the subtree's determinant.

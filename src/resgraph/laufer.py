@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable
 
 from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a, chi,
@@ -30,22 +31,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComputationTrace:
-    """Replayable record of a computation sequence.
+    """Replayable record of a computation sequence, as runs.
 
-    result = start + sum of E_v over steps, one entry per unit step; at
-    each step the running cycle pairs positively with the vertex added."""
+    Each run (v, k) adds k >= 1 unit steps E_v; result = start + sum of
+    k E_v over the runs, and at each unit step the running cycle pairs
+    positively with the vertex added."""
 
     start: Cycle
-    steps: tuple[str, ...]
+    runs: tuple[tuple[str, int], ...]
     result: Cycle
 
+    @property
+    def steps(self) -> tuple[str, ...]:
+        """The unit steps, one vertex each, in order."""
+        return tuple(chain.from_iterable(repeat(v, k) for v, k in self.runs))
+
     def replay(self) -> bool:
-        """Re-run the sequence and confirm every step was legal."""
+        """Re-run the sequence and confirm every unit step was legal. The
+        pairing with E_v falls by |e_v| at each unit step of a run (v, k),
+        so the run is legal iff its last unit step is:
+        (z, E_v) + (k - 1) e_v > 0."""
         z = self.start
-        for v in self.steps:
-            if intersection_form(z, z.graph.basis_cycle(v)) <= 0:
+        g = z.graph
+        for v, k in self.runs:
+            e = g.basis_cycle(v)
+            if k < 1 or intersection_form(z, e) + (k - 1) * g.euler[v] <= 0:
                 return False
-            z = z + z.graph.basis_cycle(v)
+            z = z + k * e
         return z == self.result
 
 
@@ -79,7 +91,8 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
     z, scale = list(l.num), l.den
     pair = _times_a(g, z)
     euler = [g.euler[v] * scale for v in g.vertices]
-    steps: list[str] = []
+    runs: list[tuple[str, int]] = []
+    count = 0  # the unit steps so far
     # a cheap first guard; a lift that reaches it computes the true bound
     guard = (2 * g.det * (max(map(abs, z)) // scale + 1) + 1) * len(z)
     bounded = False
@@ -90,20 +103,21 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
             if pair[i] <= 0:
                 continue
             k = -(pair[i] // euler[i])
-            if len(steps) + k > guard and not bounded:
+            if count + k > guard and not bounded:
                 guard, bounded = _step_bound(l), True
-            if len(steps) + k > guard:
+            if count + k > guard:
                 raise InvariantViolation(
                     "computation sequence exceeded its termination guard; "
                     "the graph data violates negative definiteness")
-            steps.extend([g.vertices[i]] * k)
+            runs.append((g.vertices[i], k))
+            count += k
             z[i] += k * scale
             pair[i] += k * euler[i]
             for j in g._neighbours[i]:
                 pair[j] += k * scale
             swept = False
     result = Cycle(g, tuple(z), scale)
-    return result, ComputationTrace(start=l, steps=tuple(steps), result=result)
+    return result, ComputationTrace(start=l, runs=tuple(runs), result=result)
 
 
 def _step_bound(l: Cycle) -> int:

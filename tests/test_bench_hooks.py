@@ -10,7 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from resgraph import quadform, strata
+from resgraph import laufer, quadform, strata
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,15 +44,20 @@ def test_traced_functions_exist():
         assert inspect.isgeneratorfunction(fn), qualified
 
 
+def _tracer():
+    """A fresh `Tracer` of the benchmark's tracer module."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
 def test_tracer_counts_the_walker_work(monkeypatch, g_left):
     """The tracer's own hooks on the walker count what the walk does: one
     filter call per range and one point per item, the same as a count
     taken here. The strata walk on g_left at l' = 0, bound 4, asks for
     3 957 ranges and yields 485 points."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    tracer = _tracer()
     name = "quadform.enumerate_ellipsoid_points"
     walker = quadform.enumerate_ellipsoid_points
     traced = tracer.wrap_generator(name, walker,
@@ -72,3 +77,16 @@ def test_tracer_counts_the_walker_work(monkeypatch, g_left):
     assert (calls, len(walked)) == (3_957, 485)
     assert tracer.counters["quadform.filter_calls"] == calls
     assert tracer.counters["quadform.points"] == len(walked)
+
+
+def test_tracer_counts_the_laufer_steps(g_app):
+    """The tracer's own hook on the lift counts unit steps, not runs: the
+    lifts of k E_a1 on g_app for k = 10^2, 10^3, 10^4 take 1 305, 13 005
+    and 130 005 of them."""
+    tracer = _tracer()
+    name = "laufer.antinef_lift"
+    traced = tracer.wrap(name, laufer.antinef_lift,
+                         **tracer._hooks(name, laufer.antinef_lift))
+    for k in (100, 1000, 10000):
+        traced(k * g_app.basis_cycle("a1"))
+    assert tracer.counters["laufer.steps"] == 1305 + 13005 + 130005

@@ -343,6 +343,36 @@ def test_subtree_solve_gives_the_branch_duals(g):
                                if i not in members)
 
 
+@settings(max_examples=80, deadline=None)
+@given(random_trees(max_vertices=10), st.data())
+def test_with_euler_reuses_the_rooting(g, data):
+    """Other euler numbers on a tree keep its order and parents, which
+    cannot be written to; the graph equals build_graph's of its own spec
+    table by table, or both refuse it naming the same vertex."""
+    assume(g is not None)
+    eulers = data.draw(st.lists(st.integers(-4, -1), min_size=len(g.vertices),
+                                max_size=len(g.vertices)))
+    spec = {"vertices": list(zip(g.vertices, eulers)),
+            "edges": [tuple(sorted(e)) for e in g.edges]}
+    try:
+        ref = build_graph(spec)
+    except GraphValidationError as exc:
+        with pytest.raises(GraphValidationError) as refused:
+            g._with_euler(spec["vertices"])
+        assert (refused.value.diagnostic, str(refused.value)) \
+            == (exc.diagnostic, str(exc))
+        return
+    other = g._with_euler(spec["vertices"])
+    assert other._order is g._order and other._parent is g._parent
+    for name in ("euler", "_pivots", "_order", "_parent", "_subdet",
+                 "_childdet", "det"):
+        assert getattr(other, name) == getattr(ref, name), name
+    with pytest.raises(TypeError):
+        other._order[0] = other._order[-1]
+    with pytest.raises(TypeError):
+        other._parent[0] = -1
+
+
 def test_graph_helpers(g_app):
     assert g_app.is_minimal()
     assert g_app.degree("a3") == 3

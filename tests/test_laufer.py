@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,8 @@ from resgraph.core import (build_graph, canonical_cycle, chi, is_antinef,
                            same_class)
 from resgraph.errors import (GraphValidationError, InvariantViolation,
                              UserError)
-from resgraph.laufer import (_step_bound, antinef_lift, classify,
-                             cube_representative, fundamental_cycle,
+from resgraph.laufer import (ComputationTrace, _step_bound, antinef_lift,
+                             classify, cube_representative, fundamental_cycle,
                              minimal_class_representative,
                              require_elliptic_minimal)
 
@@ -49,13 +51,37 @@ def test_antinef_lift_random(coeffs):
 
 
 def test_tampered_trace_does_not_replay(g_app):
-    from resgraph.laufer import ComputationTrace
     l = g_app.cycle({"a1": 1, "a5": 2})
     s, trace = antinef_lift(l)
     assert trace.steps  # the lift is not trivial here
-    bad = ComputationTrace(start=trace.start, steps=trace.steps,
+    bad = ComputationTrace(start=trace.start, runs=trace.runs,
                            result=trace.result + g_app.basis_cycle("a1"))
     assert not bad.replay()
+
+
+def test_a_run_one_unit_too_long_does_not_replay(g_app):
+    """Each run of the lift ends where its vertex pairs to <= 0, so one
+    more unit step there is illegal though the run's first is legal; the
+    result moves with it, so only the run's last step can tell."""
+    s, trace = antinef_lift(g_app.cycle({"a1": 1, "a5": 2}))
+    assert trace.replay() and len(trace.runs) > 1
+    for j, (v, k) in enumerate(trace.runs):
+        runs = trace.runs[:j] + ((v, k + 1),) + trace.runs[j + 1:]
+        longer = ComputationTrace(start=trace.start, runs=runs,
+                                  result=s + g_app.basis_cycle(v))
+        assert not longer.replay(), (j, v, k)
+
+
+def test_a_run_of_no_unit_steps_does_not_replay(g_app):
+    """Runs of k = 0, or of k = -1 undone by a run of 1, leave the cycle
+    where it was and pass the pairing test of their last step, but are
+    no runs of the sequence."""
+    s, trace = antinef_lift(g_app.cycle({"a1": 1, "a5": 2}))
+    v = trace.runs[0][0]
+    for prefix in (((v, 0),), ((v, -1), (v, 1))):
+        bad = ComputationTrace(start=trace.start,
+                               runs=prefix + trace.runs, result=s)
+        assert not bad.replay(), prefix
 
 
 def test_fundamental_cycle_app(g_app):
@@ -174,17 +200,22 @@ def test_support_lift_refuses_an_unknown_vertex(g_app):
         antinef_lift(g_app.basis_cycle("a1"), support={"a1", "zzz"})
 
 
-def _unit_step_lift(eulers, edges, start, support):
-    """The lift one E_v at a time, on pairings built from the edge list:
-    each step adds E_v at an eligible vertex of largest pairing. Returns
-    the endpoint and the number of steps."""
+def _pairings(eulers, edges, z):
+    """The neighbour lists from the edge list, and the pairings (z, E_v)."""
     neighbours = {v: [] for v in eulers}
     for u, w in edges:
         neighbours[u].append(w)
         neighbours[w].append(u)
+    return neighbours, {v: e * z[v] + sum(z[w] for w in neighbours[v])
+                        for v, e in eulers.items()}
+
+
+def _unit_step_lift(eulers, edges, start, support):
+    """The lift one E_v at a time, on pairings built from the edge list:
+    each step adds E_v at an eligible vertex of largest pairing. Returns
+    the endpoint and the number of steps."""
     z = dict(start)
-    pair = {v: e * z[v] + sum(z[w] for w in neighbours[v])
-            for v, e in eulers.items()}
+    neighbours, pair = _pairings(eulers, edges, z)
     count = 0
     while support:
         v = max(support, key=pair.__getitem__)
@@ -198,11 +229,9 @@ def _unit_step_lift(eulers, edges, start, support):
     return z, count
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_sweep_lift_equals_the_unit_step_lift(data):
-    """The batched sweeps reach the endpoint of an independent unit-step
-    lift with as many unit steps, each in the support."""
+def _draw_lift(data):
+    """A random tree (euler numbers, edge list and graph), a rational start
+    and a support (None for all vertices)."""
     n = data.draw(st.integers(1, 12))
     labels = [f"v{i}" for i in range(n)]
     eulers = dict(zip(labels, data.draw(
@@ -217,14 +246,84 @@ def test_sweep_lift_equals_the_unit_step_lift(data):
     start = dict(zip(labels, (Fraction(c, den) for c in data.draw(
         st.lists(st.integers(-8, 8), min_size=n, max_size=n)))))
     support = data.draw(st.none() | st.sets(st.sampled_from(labels)))
+    return eulers, edges, g, start, support
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_lift_equals_the_unit_step_lift(data):
+    """The batched sweeps reach the endpoint of an independent unit-step
+    lift with as many unit steps, each in the support."""
+    eulers, edges, g, start, support = _draw_lift(data)
     lifted, trace = antinef_lift(g.cycle(start), support)
-    eligible = labels if support is None else sorted(support)
+    eligible = sorted(eulers) if support is None else sorted(support)
     expected, count = _unit_step_lift(eulers, edges, start, eligible)
     assert dict(lifted.items()) == expected
     assert len(trace.steps) == count
     assert set(trace.steps) <= set(eligible)
-    if count <= 200:
-        assert trace.replay()
+    assert trace.replay()
+
+
+def _unit_replay(eulers, edges, start, steps, result):
+    """Replay `steps` one E_v at a time on the integer pairings of den z:
+    every step pairs positively and the end is `result`."""
+    den = math.lcm(*(c.denominator for c in start.values()))
+    z = {v: int(c * den) for v, c in start.items()}
+    neighbours, pair = _pairings(eulers, edges, z)
+    for v in steps:
+        if pair[v] <= 0:
+            return False
+        z[v] += den
+        pair[v] += den * eulers[v]
+        for w in neighbours[v]:
+            pair[w] += den
+    return {v: Fraction(c, den) for v, c in z.items()} == result
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_runs_replay_as_their_unit_steps(data):
+    """Every run has k >= 1 and the runs add up to the unit steps. A trace
+    replays iff its runs are all positive and its unit steps replay one at
+    a time, for the lift's own trace and for one whose run j is moved by
+    one unit (the result moved with it)."""
+    eulers, edges, g, start, support = _draw_lift(data)
+    _, trace = antinef_lift(g.cycle(start), support)
+    assert all(k >= 1 for _, k in trace.runs)
+    assert sum(k for _, k in trace.runs) == len(trace.steps)
+    traces = [trace]
+    if trace.runs:
+        j = data.draw(st.integers(0, len(trace.runs) - 1))
+        delta = data.draw(st.sampled_from([-1, 1]))
+        v, k = trace.runs[j]
+        runs = trace.runs[:j] + ((v, k + delta),) + trace.runs[j + 1:]
+        traces.append(ComputationTrace(
+            start=trace.start, runs=runs,
+            result=trace.result + delta * g.basis_cycle(v)))
+    for t in traces:
+        expected = (all(k >= 1 for _, k in t.runs)
+                    and _unit_replay(eulers, edges, start, t.steps,
+                                     dict(t.result.items())))
+        assert t.replay() == expected
+
+
+# SHA-256 of "\n".join(trace.steps) for the lift of k E_a1 on g_app, as the
+# lift that stored one entry per unit step gave it
+UNIT_STEP_DIGESTS = {
+    100: "ebc114b294578dca18c15da4319fa04abc2d0efb43a3c0c5638f1c700661a9e6",
+    1000: "dcede3361c634e43b5c46ca8d678e94d82a85fc81063c294eb56fba0fbe7a113",
+    10000: "a24cf73184f6a032ed1b411f95651b69a2fea327d2529591fabe6e883ff83403",
+}
+
+
+def test_expanded_steps_keep_their_order(g_app):
+    """The unit steps that the runs expand to are those of the unit-step
+    trace, in the same order, which the benchmark's replay check reads."""
+    for k, digest in UNIT_STEP_DIGESTS.items():
+        steps = antinef_lift(k * g_app.basis_cycle("a1"))[1].steps
+        assert isinstance(steps, tuple)
+        assert hashlib.sha256("\n".join(steps).encode()).hexdigest() \
+            == digest, k
 
 
 def test_large_lifts_on_g_app(g_app):
