@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 from fractions import Fraction
 
 from . import oracle
@@ -26,9 +25,8 @@ from .ellseq import elliptic_sequence, partial_sums, pg_table
 from .errors import (InvariantViolation, ResourceCapExceeded, UserError,
                      quote)
 from .fixtures import is_fixture_name, load_fixture
-from .graphio import (GraphFile, MinimalResolutionWarning, cycle_to_data,
-                      dump_json, format_fraction, parse_cycle, parse_fraction,
-                      parse_graph, read_json_file)
+from .graphio import (GraphFile, cycle_to_data, dump_json, format_fraction,
+                      parse_cycle, parse_fraction, parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
 from .strata import (MODES, AnalyticParams, fixed_component_candidates,
                      h1_on_image, pg, reduction_index, strata_index_sets,
@@ -58,13 +56,14 @@ def _enum_cap(default: int = oracle.DEFAULT_CAP) -> int:
 
 
 def _load(graph_arg: str) -> GraphFile:
+    # fixtures load quietly: g_pole is non-minimal on purpose
     if is_fixture_name(graph_arg):
         return load_fixture(graph_arg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", MinimalResolutionWarning)
-        gf = parse_graph(graph_arg)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    gf = parse_graph(graph_arg)
+    if not gf.graph.is_minimal():
+        print("warning: graph has euler numbers above -2; it is not a minimal "
+              "resolution, and minimal-resolution-only operations will refuse "
+              "it", file=sys.stderr)
     return gf
 
 
@@ -262,24 +261,24 @@ def _cmd_enumerate(args) -> dict:
 # -- rendering and dispatch -------------------------------------------------
 
 
-def _render_text(value, indent: int = 0, out=None) -> None:
+def _render_text(value, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)) and v:
-                print(f"{pad}{k}:", file=out)
-                _render_text(v, indent + 1, out)
+                print(f"{pad}{k}:")
+                _render_text(v, indent + 1)
             else:
-                print(f"{pad}{k}: {_scalar(v)}", file=out)
+                print(f"{pad}{k}: {_scalar(v)}")
     elif isinstance(value, list):
         for v in value:
             if isinstance(v, (dict, list)) and v:
-                print(f"{pad}-", file=out)
-                _render_text(v, indent + 1, out)
+                print(f"{pad}-")
+                _render_text(v, indent + 1)
             else:
-                print(f"{pad}- {_scalar(v)}", file=out)
+                print(f"{pad}- {_scalar(v)}")
     else:
-        print(f"{pad}{_scalar(value)}", file=out)
+        print(f"{pad}{_scalar(value)}")
 
 
 def _scalar(v) -> str:

@@ -39,9 +39,9 @@ class ResourceCapExceeded(ResGraphError):
     """An enumeration refused to run past its configured cap. Exit code 3."""
 
 
-def quote(value, limit: int = 60) -> str:
-    """repr(value) for a refusal message, cut to `limit` characters so that
-    a huge or deeply nested input does not flood the error line."""
+def quote(value) -> str:
+    """repr(value) for a refusal message, cut to 60 characters so that a
+    huge or deeply nested input does not flood the error line."""
     text = repr(value)
-    return text if len(text) <= limit else (
-        f"{text[:limit]}... ({len(text)} characters)")
+    return text if len(text) <= 60 else (
+        f"{text[:60]}... ({len(text)} characters)")

@@ -10,12 +10,11 @@ are pinned by the test suite, so a transcription slip fails there.
 from __future__ import annotations
 
 import json
-import warnings
 from functools import lru_cache
 from importlib import resources
 
 from .errors import UserError, quote
-from .graphio import GraphFile, MinimalResolutionWarning, parse_graph_data
+from .graphio import GraphFile, parse_graph_data
 
 __all__ = ["FIXTURE_NAMES", "is_fixture_name", "load_fixture"]
 
@@ -35,7 +34,4 @@ def load_fixture(name: str) -> GraphFile:
             f"unknown fixture {quote(name)}; available: {', '.join(FIXTURE_NAMES)}")
     data = json.loads(
         resources.files("resgraph.data").joinpath(f"{key}.json").read_text())
-    with warnings.catch_warnings():
-        # g_pole is deliberately non-minimal; the loader stays quiet
-        warnings.simplefilter("ignore", MinimalResolutionWarning)
-        return parse_graph_data(data)
+    return parse_graph_data(data)

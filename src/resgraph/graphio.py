@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +29,6 @@ from .errors import UserError, quote
 __all__ = [
     "FORMAT_VERSION",
     "GraphFile",
-    "MinimalResolutionWarning",
     "parse_fraction",
     "format_fraction",
     "read_json_file",
@@ -43,10 +41,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-
-
-class MinimalResolutionWarning(UserWarning):
-    """The graph is valid but not a minimal resolution (some euler = -1)."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,8 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_graph_data(data) -> GraphFile:
-    """Build a validated GraphFile from already-decoded JSON data."""
+    """Build a validated GraphFile from already-decoded JSON data; a valid
+    graph that is not a minimal resolution (some euler = -1) is accepted."""
     if not isinstance(data, dict):
         raise UserError("graph file must be a JSON object")
     version = data.get("format")
@@ -88,11 +83,6 @@ def parse_graph_data(data) -> GraphFile:
             f"unsupported graph file format {quote(version)} "
             f"(expected {FORMAT_VERSION})")
     graph = build_graph(data)
-    if not graph.is_minimal():
-        warnings.warn(
-            "graph has euler numbers above -2; it is not a minimal "
-            "resolution, and minimal-resolution-only operations will refuse it",
-            MinimalResolutionWarning, stacklevel=2)
     section = data.get("cycles", {})
     if not isinstance(section, dict):
         raise UserError("the cycles section must map names to cycles")

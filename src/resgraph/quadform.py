@@ -70,12 +70,12 @@ def walk_rooting(graph: ResolutionGraph) -> tuple:
 
 
 def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
-                   apex: Cycle, weights: Sequence[int] | None = None
+                   apex: Cycle, weights: Sequence[int]
                    ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """The walker's (point, slack) items, from the widest leaf, for the
-    points x with x - apex antinef; with vertex-indexed `weights` w >= 0,
-    only those whose slack is at least 2 max{w_j : (x - apex, E_j) != 0}
-    (0 when x = apex).
+    points x with x - apex antinef whose slack is at least
+    2 max{w_j : (x - apex, E_j) != 0} (0 when x = apex) for the
+    vertex-indexed `weights` w >= 0; zero weights leave the walk uncut.
 
     The antinef inequalities of x - apex cut each coordinate's range to one
     interval. With apex = num/den and X = den*x, (x - apex, E_j) <= 0 reads
@@ -123,18 +123,18 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
 
     # x_i's cut, fixed per vertex up to whether its floor and its ceiling
     # are exact: (2 w of every value, of the values above lo, of those
-    # below hi, the largest of the three). A pairing whose end is not exact
-    # vanishes at no value, so its 2 w binds every value.
-    cuts: list[list | None] = [None] * len(order)
-    for i in order if weights is not None else ():
+    # below hi, the largest of the three), all zero where no weight binds.
+    # A pairing whose end is not exact vanishes at no value, so its 2 w
+    # binds every value.
+    cuts: list[list] = []
+    for i in range(len(order)):
         p = parent[i]
         own = 0 if children[i] else 2 * weights[i]
         up = 2 * weights[p] if p >= 0 and children[p][-1] == i else 0
-        if own or up:
-            top = max(own, up)
-            # indexed [floor exact][ceiling exact]
-            cuts[i] = [[(top, 0, 0, top), (own, 0, up, top)],
-                       [(up, own, 0, top), (0, own, up, top)]]
+        top = max(own, up)
+        # indexed [floor exact][ceiling exact]
+        cuts.append([[(top, 0, 0, top), (own, 0, up, top)],
+                     [(up, own, 0, top), (0, own, up, top)]])
 
     def partial_filter(i: int, xs: list[int]) -> tuple:
         p = parent[i]
@@ -147,8 +147,6 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
             hi, t = divmod(top - den * (a * xs[p] + kids[p]
                                         * sum(map(xs.__getitem__, ws))),
                            den * kids[p])
-        if cuts[i] is None:
-            return -floor, hi
         return -floor, hi, cuts[i][r == 0][t == 0]
 
     return enumerate_ellipsoid_points(rooting, center, radius2,
@@ -169,13 +167,14 @@ def enumerate_ellipsoid_points(
     increasing order. Before the range of vertex index i is walked,
     `partial_filter(i, xs)` narrows the range: it is called with the
     vertex-indexed assignment list `xs` (entries of i and of the vertices
-    after it are not valid) and returns the interval (lo, hi) of values it
-    admits, hi None when it admits every value from lo up. It may return
-    (lo, hi, (every, above_lo, below_hi, top)) instead: each value must
-    then leave a slack of at least `every`, and of `above_lo` when it is
-    above lo and `below_hi` when it is below hi (`top` is the largest of
-    the three). So must every point below the value, since the slack only
-    falls along a path; the walker carries that need down.
+    after it are not valid) and returns (lo, hi, (every, above_lo,
+    below_hi, top)): the interval of values it admits, hi None when it
+    admits every value from lo up, and the cut on them. Each value must
+    leave a slack of at least `every`, and of `above_lo` when it is above
+    lo and `below_hi` when it is below hi (`top` is the largest of the
+    three, and (0, 0, 0, 0) cuts nothing). So must every point below the
+    value, since the slack only falls along a path; the walker carries
+    that need down.
     """
     if radius2 < 0:
         return
@@ -207,8 +206,7 @@ def enumerate_ellipsoid_points(
         off = -a_cn - kid * ws[p]
         # exact: c*T_v^2 <= budget - need iff |T_v| <= t_max
         t_max = math.isqrt((budget - need) // c)
-        narrowed = partial_filter(v, xs)
-        lo, hi = narrowed[0], narrowed[1]
+        lo, hi, cut = partial_filter(v, xs)
         high = (t_max - off) // a
         if hi is not None and hi < high:
             high = hi
@@ -221,8 +219,8 @@ def enumerate_ellipsoid_points(
             return
         # the need of a value at lo, at hi, and strictly between them
         at_lo = at_hi = between = need
-        if len(narrowed) > 2 and narrowed[2][3] * unit > need:
-            every, above_lo, below_hi, top = narrowed[2]
+        if cut[3] * unit > need:
+            every, above_lo, below_hi, top = cut
             every = max(need, every * unit)
             between = max(need, top * unit)
             at_lo = max(every, below_hi * unit if hi != lo else 0)

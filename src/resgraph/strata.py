@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (Cycle, ResolutionGraph, canonical_cycle, estar_support,
-                   intersection_form, is_antinef, is_numerically_gorenstein)
+from .core import (Cycle, ResolutionGraph, canonical_cycle, estar_coordinates,
+                   estar_support, intersection_form, is_antinef,
+                   is_numerically_gorenstein)
 from .ellseq import EllipticSequence
 from .errors import InvariantViolation, UserError, quote
 from .quadform import antinef_points
@@ -95,6 +96,11 @@ def pg(seq: EllipticSequence, params: AnalyticParams) -> int:
 
 
 def _require_chern(lprime: Cycle) -> None:
+    """Refuse an l' that is no Chern class the strata are defined for: one
+    outside L' = H^2(X~, Z), or one whose negative is not antinef."""
+    if any(c.denominator != 1 for c in estar_coordinates(lprime).values()):
+        raise UserError("lprime must lie in L' (its E* coordinates must be "
+                        "integers)")
     if not is_antinef(-lprime):
         raise UserError("lprime must lie in -S' (its negative must be antinef)")
 
@@ -197,12 +203,11 @@ class StrataReport:
 
 
 def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int,
-                      weights: list[int] | None = None
-                      ) -> list[tuple[Cycle, Fraction]]:
+                      weights: list[int]) -> list[tuple[Cycle, Fraction]]:
     """All integral l >= 0 with chi(l) + (l, l') <= bound and l - l'
-    antinef, each with its slack bound - chi(l) - (l, l'); with
-    vertex-indexed `weights`, only those whose slack is at least the
-    largest weight on the E*-support of l - l'.
+    antinef whose slack bound - chi(l) - (l, l') is at least the largest
+    of the vertex-indexed `weights` on the E*-support of l - l' (zero
+    weights keep every l), each with its slack.
 
     Completing the square: with M = -A and b = Z_K/2 + l',
     chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
@@ -261,10 +266,12 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
                for v in seq.graph.vertices]
     by_level: dict[int, list[tuple[Cycle, int]]] = {}
     for l, slack in _candidate_cycles(seq.graph, lprime, total, weights):
+        # l is integral and l' in L', so chi(l) and (l, l') are integers
+        if slack.denominator != 1:
+            raise InvariantViolation("a strata candidate has a non-integral "
+                                     "slack", payload={"l": l, "slack": slack})
         dim = dim_V(seq, estar_support(l - lprime), params)
-        k = slack - dim
-        if k.denominator == 1:
-            by_level.setdefault(int(k), []).append((l, dim))
+        by_level.setdefault(int(slack) - dim, []).append((l, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}
     accepted_above: list[StrataEntry] = []
     for k in range(total, -1, -1):

@@ -8,6 +8,7 @@ import inspect
 import pytest
 from hypothesis import strategies as st
 
+from resgraph import quadform
 from resgraph.core import build_graph
 from resgraph.errors import GraphValidationError
 from resgraph.fixtures import load_fixture
@@ -26,6 +27,26 @@ g_noecc = _graph_fixture("g_noecc")
 g_pole = _graph_fixture("g_pole")
 g_left = _graph_fixture("g_left")
 g_right = _graph_fixture("g_right")
+
+
+@pytest.fixture
+def walk_counts(monkeypatch):
+    """The strata walker's filter calls and yielded points during the test,
+    counted by wrapping the walker and its partial_filter argument."""
+    counts = {"calls": 0, "points": 0}
+    walker = quadform.enumerate_ellipsoid_points
+
+    def counting_walker(rooting, center, radius2, partial_filter):
+        def counted(i, xs):
+            counts["calls"] += 1
+            return partial_filter(i, xs)
+        for item in walker(rooting, center, radius2, partial_filter=counted):
+            counts["points"] += 1
+            yield item
+
+    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
+                        counting_walker)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,8 @@ def test_tracer_counts_the_walker_work(monkeypatch, g_left):
 
     monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
                         counting_walker)
-    walked = strata._candidate_cycles(g_left, g_left.zero_cycle(), 4)
+    walked = strata._candidate_cycles(g_left, g_left.zero_cycle(), 4,
+                                      [0] * len(g_left.vertices))
     assert (calls, len(walked)) == (3_957, 485)
     assert tracer.counters["quadform.filter_calls"] == calls
     assert tracer.counters["quadform.points"] == len(walked)

@@ -184,6 +184,34 @@ def test_user_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["strata", "wstrata"])
+def test_lprime_outside_the_lattice_is_refused(capsys, command):
+    """-l' = E*_a1 / 2 has no Picard component to stratify: one error
+    line, exit 1, nothing on stdout."""
+    code, out, err = invoke(capsys, command, "g_app",
+                            "--lprime", "estar:a1=1/2")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: lprime must lie in L' ")
+
+
+NON_MINIMAL = ("warning: graph has euler numbers above -2; it is not a "
+               "minimal resolution, and minimal-resolution-only operations "
+               "will refuse it\n")
+
+
+def test_non_minimal_graph_file_warns_once(capsys, tmp_path, g_pole):
+    """A non-minimal graph file is answered with one warning line on
+    stderr; the bundled non-minimal fixture loads quietly."""
+    path = tmp_path / "g_pole.json"
+    path.write_text(json.dumps(graph_to_data(g_pole)))
+    code, out, err = invoke(capsys, "classify", str(path))
+    assert code == 0 and "classification:" in out
+    assert err == NON_MINIMAL
+    code, out, err = invoke(capsys, "classify", "g_pole")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("lprime", ["estar:a1=1,a1=2", "a1=1, a1 =2",
                                     "cycle:a1=1,a2=1,a1=1"])
 def test_lprime_refuses_a_repeated_vertex(capsys, lprime):

@@ -19,10 +19,9 @@ from resgraph.criteria import extension_criterion
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
-from resgraph.graphio import (FORMAT_VERSION, MinimalResolutionWarning,
-                              cycle_to_data, dump_json, format_fraction,
-                              graph_to_data, parse_fraction, parse_graph,
-                              parse_graph_data)
+from resgraph.graphio import (FORMAT_VERSION, cycle_to_data, dump_json,
+                              format_fraction, graph_to_data, parse_fraction,
+                              parse_graph, parse_graph_data)
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.strata import AnalyticParams
 
@@ -75,12 +74,15 @@ def test_format_version_checked(g_app):
         parse_graph_data(data)
 
 
-def test_non_minimal_warning():
+def test_non_minimal_graph_parses_without_a_warning():
+    """Parsing reports nothing through Python's warnings; the CLI prints
+    its own warning line for a non-minimal graph file."""
     data = {"format": FORMAT_VERSION,
             "vertices": [{"id": "a", "euler": -1}, {"id": "b", "euler": -5}],
             "edges": [["a", "b"]]}
-    with pytest.warns(MinimalResolutionWarning):
-        parse_graph_data(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not parse_graph_data(data).graph.is_minimal()
 
 
 def test_parse_graph_missing_file(tmp_path):
@@ -135,12 +137,10 @@ def graph_like(draw):
 @given(graph_like())
 def test_parse_graph_data_fuzz_only_user_errors(data):
     """Any decoded JSON value either parses or raises UserError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MinimalResolutionWarning)
-        try:
-            parse_graph_data(data)
-        except UserError:
-            pass
+    try:
+        parse_graph_data(data)
+    except UserError:
+        pass
 
 
 rational_like = st.one_of(
@@ -241,7 +241,7 @@ def _report_argvs(name, triv):
               ["strata", name, "--lprime", f"estar:{first}=2"],
               ["strata", name, "--mode", "custom", "--trivializable", triv,
                "--lprime", f"estar:{last}=1"],
-              ["wstrata", name, "--lprime", f"estar:{first}=1/2"]]
+              ["wstrata", name, "--lprime", f"estar:{first}=3"]]
     if name == "g_app":
         argvs.append(["oracle-verify", name])
     return argvs

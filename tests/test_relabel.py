@@ -144,9 +144,11 @@ def test_random_trees_candidates_and_strata_permute(case, bound):
     graph, renamed, _, move = case
     lprimes = (graph.zero_cycle(), -dual_cycle(graph, graph.vertices[0]))
     for lprime in lprimes:
-        walked = _candidate_cycles(renamed, move(lprime), bound)
+        uncut = [0] * len(graph.vertices)
+        walked = _candidate_cycles(renamed, move(lprime), bound, uncut)
         assert set(walked) == {(move(l), slack) for l, slack
-                               in _candidate_cycles(graph, lprime, bound)}
+                               in _candidate_cycles(graph, lprime, bound,
+                                                    uncut)}
     if classify(graph).kind != "elliptic":
         return
     event("elliptic")

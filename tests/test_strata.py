@@ -11,11 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resgraph import quadform
+from resgraph import quadform, strata
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            intersection_form)
 from resgraph.ellseq import elliptic_sequence
-from resgraph.errors import UserError
+from resgraph.errors import InvariantViolation, UserError
 from resgraph.fixtures import load_fixture
 from resgraph.laufer import fundamental_cycle, minimal_class_representative
 from resgraph.oracle import brute_antinef_sublevel
@@ -79,6 +79,29 @@ def test_reduction_index_and_h1(g_app, seq_app):
     assert h1_on_image(seq_app, -dual_cycle(g_app, "a1"), p0) == 0
     with pytest.raises(UserError):  # l' must lie in -S'
         reduction_index(seq_app, g_app.basis_cycle("a1"))
+
+
+def test_chern_classes_outside_the_lattice_are_refused(g_app, seq_app):
+    """-l' = E*_a1 / 2 lies in -S' but not in L' = H^2(X~, Z): every
+    function of a Chern class refuses it rather than answer for a class
+    with no Picard component."""
+    lprime = -dual_cycle(g_app, "a1") * Fraction(1, 2)
+    params = AnalyticParams()
+    for call in (lambda: reduction_index(seq_app, lprime),
+                 lambda: h1_on_image(seq_app, lprime, params),
+                 lambda: w_strata(seq_app, lprime, params),
+                 lambda: strata_index_sets(seq_app, lprime, params)):
+        with pytest.raises(UserError, match="lprime must lie in L'"):
+            call()
+
+
+def test_a_non_integral_slack_is_a_bug(monkeypatch, g_app, seq_app):
+    """With l' in L' every slack is an integer, so the solver raises on one
+    that is not instead of dropping it."""
+    monkeypatch.setattr(strata, "_candidate_cycles",
+                        lambda *args: [(g_app.zero_cycle(), Fraction(1, 2))])
+    with pytest.raises(InvariantViolation):
+        strata_index_sets(seq_app, g_app.zero_cycle(), AnalyticParams())
 
 
 def test_fixed_component_candidates(g_app, g_new, seq_app):
@@ -198,7 +221,8 @@ def _check_walker(graph, lprime, bound):
     """The candidates are the oracle's antinef sublevel set
     {l >= 0 : l - l' antinef, chi(l) + (l, l') <= bound}, each found once
     and with its slack bound - chi(l) - (l, l')."""
-    candidates = _candidate_cycles(graph, lprime, bound)
+    candidates = _candidate_cycles(graph, lprime, bound,
+                                   [0] * len(graph.vertices))
     for l, slack in candidates:
         assert slack == bound - chi(l) - intersection_form(l, lprime)
     walked = [l for l, _ in candidates]
@@ -265,23 +289,8 @@ def test_walker_matches_oracle_on_wider_random_trees(graph, bound, kind):
 
 # -- the walker's work, counted as calls to its partial_filter argument -----
 
-def _filter_calls(monkeypatch, graph, lprime, bound):
-    """(candidates, number of partial_filter calls) of _candidate_cycles,
-    counted by wrapping the filter on its way into the walker."""
-    calls = 0
-    walker = quadform.enumerate_ellipsoid_points
-
-    def counting_walker(rooting, center, radius2, partial_filter):
-        def counted(i, xs):
-            nonlocal calls
-            calls += 1
-            return partial_filter(i, xs)
-        return walker(rooting, center, radius2, partial_filter=counted)
-
-    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
-                        counting_walker)
-    walked = _candidate_cycles(graph, lprime, bound)
-    return walked, calls
+# the cut of a filter's range where no weight binds
+_UNCUT = (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("name, points, cap", [
@@ -296,14 +305,15 @@ def _filter_calls(monkeypatch, graph, lprime, bound):
     # value); 154 880 per value from the graph's own root, v10, so the walk
     # keeps its own rooting
     ("det1364_tree", 3_753, 8_500)])
-def test_walker_work_at_bound_4(monkeypatch, request, name, points, cap):
+def test_walker_work_at_bound_4(walk_counts, request, name, points, cap):
     graph = request.getfixturevalue(name)
-    walked, calls = _filter_calls(monkeypatch, graph, graph.zero_cycle(), 4)
-    assert len(walked) == points
-    assert calls <= cap
+    walked = _candidate_cycles(graph, graph.zero_cycle(), 4,
+                               [0] * len(graph.vertices))
+    assert len(walked) == walk_counts["points"] == points
+    assert walk_counts["calls"] <= cap
 
 
-def test_walker_work_far_from_the_origin(monkeypatch, g_app):
+def test_walker_work_far_from_the_origin(walk_counts, g_app):
     """l' = -12 E*_a9 puts the center far out along one leaf: 700 filter
     calls for these 4 points, one per range (3 142 with a verdict per
     value). The walk from the least-degree root with the
@@ -311,38 +321,38 @@ def test_walker_work_far_from_the_origin(monkeypatch, g_app):
     needs both ends of each interval: without the floor the walk makes
     85 750 calls, without the ceiling 5 506 575."""
     lprime = -12 * dual_cycle(g_app, "a9")
-    walked, calls = _filter_calls(monkeypatch, g_app, lprime, 2)
-    assert len(walked) == 4
-    assert calls <= 900
+    walked = _candidate_cycles(g_app, lprime, 2, [0] * len(g_app.vertices))
+    assert len(walked) == walk_counts["points"] == 4
+    assert walk_counts["calls"] <= 900
 
 
 def test_walker_cuts_each_range_to_the_filter_interval(g_app):
-    """The filter's interval at v cuts x_v's range and nothing else: (0, c)
-    yields exactly the points with x_v <= c and (c, None) exactly those
-    with x_v >= c, in the same order, for every c from one below the least
-    value to one above the largest. The filter is asked once per range,
-    never twice for the same v and assigned prefix. The ellipsoid is
-    {l >= 0 : chi(l) <= 1}, 849 points."""
+    """The filter's interval at v, with the zero cut, cuts x_v's range and
+    nothing else: (0, c) yields exactly the points with x_v <= c and
+    (c, None) exactly those with x_v >= c, in the same order, for every c
+    from one below the least value to one above the largest. The filter
+    is asked once per range, never twice for the same v and assigned
+    prefix. The ellipsoid is {l >= 0 : chi(l) <= 1}, 849 points."""
     center = canonical_cycle(g_app) * Fraction(1, 2)
     radius2 = 2 - intersection_form(center, center)
     rooting = quadform.walk_rooting(g_app)
     every = [x for x, _ in quadform.enumerate_ellipsoid_points(
-        rooting, center, radius2, lambda i, xs: (0, None))]
+        rooting, center, radius2, lambda i, xs: (0, None, _UNCUT))]
     assert len(every) == 849 and len(set(every)) == len(every)
     order = rooting[0]
     for v in order:
         values = sorted({x[v] for x in every})
         assert len(values) > 1
         for c in range(values[0] - 1, values[-1] + 2):
-            for cut, keep in (((0, c), lambda x: x[v] <= c),
-                              ((c, None), lambda x: x[v] >= c)):
+            for cut, keep in (((0, c, _UNCUT), lambda x: x[v] <= c),
+                              ((c, None, _UNCUT), lambda x: x[v] >= c)):
                 asked = set()
 
                 def narrow(i, xs):
                     key = (i, tuple(xs[u] for u in order[:order.index(i)]))
                     assert key not in asked
                     asked.add(key)
-                    return cut if i == v else (0, None)
+                    return cut if i == v else (0, None, _UNCUT)
                 kept = [x for x, _ in quadform.enumerate_ellipsoid_points(
                     rooting, center, radius2, partial_filter=narrow)]
                 assert kept == [x for x in every if keep(x)]
@@ -362,7 +372,7 @@ def test_walker_keeps_its_traced_shape(g_app):
     center = canonical_cycle(g_app) * Fraction(1, 2)
     radius2 = Fraction(5, 2)
     items = list(walker(quadform.walk_rooting(g_app), center, radius2,
-                        lambda i, xs: (0, None)))
+                        lambda i, xs: (0, None, _UNCUT)))
     assert items
     for point, left in items:
         assert isinstance(point, tuple) and isinstance(left, Fraction)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph import quadform
 from resgraph.core import build_graph, dual_cycle, estar_support
 from resgraph.ellseq import elliptic_sequence
 from resgraph.fixtures import load_fixture
@@ -39,7 +38,8 @@ def _uncut_levels(seq, lprime, params):
     in the solver's order."""
     total = seq.pg(params.alpha)
     levels = {}
-    for l, slack in _candidate_cycles(seq.graph, lprime, total):
+    for l, slack in _candidate_cycles(seq.graph, lprime, total,
+                                      [0] * len(seq.graph.vertices)):
         dim = dim_V(seq, estar_support(l - lprime), params)
         k = slack - dim
         if k.denominator == 1 and k >= 0:
@@ -65,8 +65,8 @@ def _check_cut(seq, lprime, modes=MODES):
             assert got == reference, (alpha, mode)
         total = seq.pg(alpha)
         weights = [max(0, seq.depths[v] - alpha + 1) for v in graph.vertices]
-        kept = [(l, slack) for l, slack in _candidate_cycles(graph, lprime,
-                                                             total)
+        kept = [(l, slack) for l, slack
+                in _candidate_cycles(graph, lprime, total, [0] * len(weights))
                 if slack >= dim_V(seq, estar_support(l - lprime),
                                   AnalyticParams(alpha=alpha))]
         assert _candidate_cycles(graph, lprime, total, weights) == kept
@@ -99,36 +99,16 @@ def test_cut_walk_matches_the_uncut_reference_on_random_trees(graph, which):
 
 # -- the work the cut saves, counted at the walker's boundary -----------------
 
-def _walk_counts(monkeypatch):
-    """A counter of the walker's filter calls and yielded points, taken by
-    wrapping the walker and its partial_filter argument."""
-    counts = {"calls": 0, "points": 0}
-    walker = quadform.enumerate_ellipsoid_points
-
-    def counting_walker(rooting, center, radius2, partial_filter):
-        def counted(i, xs):
-            counts["calls"] += 1
-            return partial_filter(i, xs)
-        for item in walker(rooting, center, radius2, partial_filter=counted):
-            counts["points"] += 1
-            yield item
-
-    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
-                        counting_walker)
-    return counts
-
-
 @pytest.mark.parametrize("name, entries", [("g_left", 40), ("g_right", 38)])
-def test_cut_walk_yields_only_entries(monkeypatch, name, entries):
+def test_cut_walk_yields_only_entries(walk_counts, name, entries):
     """At l' = 0 the uncut walk makes 3 957 / 3 964 filter calls for 485 /
     412 points; cut by level it makes 590 / 552 and yields exactly the
     report's entries."""
     seq = elliptic_sequence(load_fixture(name).graph)
-    counts = _walk_counts(monkeypatch)
     report = strata_index_sets(seq, seq.graph.zero_cycle(), AnalyticParams())
     assert sum(len(level) for level in report.levels.values()) == entries
-    assert counts["points"] == entries
-    assert counts["calls"] <= 700
+    assert walk_counts["points"] == entries
+    assert walk_counts["calls"] <= 700
 
 
 def _g_app_with_chain(length):
@@ -141,25 +121,23 @@ def _g_app_with_chain(length):
         + list(zip(chain, chain[1:]))})
 
 
-def test_cut_adds_no_work_on_a_long_sequence(monkeypatch):
+def test_cut_adds_no_work_on_a_long_sequence(walk_counts):
     """g_app with an 8-vertex -2 chain at a9 has p_g 10; the uncut walk
     makes 969 filter calls for its 62 entries, the cut walk 509."""
     seq = elliptic_sequence(_g_app_with_chain(8))
     assert seq.pg(0) == 10
-    counts = _walk_counts(monkeypatch)
     report = strata_index_sets(seq, seq.graph.zero_cycle(), AnalyticParams())
     assert sum(len(level) for level in report.levels.values()) == 62
-    assert counts["calls"] <= 969
+    assert walk_counts["calls"] <= 969
 
 
-def test_cut_adds_no_work_far_from_the_origin(monkeypatch, g_app):
+def test_cut_adds_no_work_far_from_the_origin(walk_counts, g_app):
     """l' = -100 E*_a1: the uncut walk makes 418 515 filter calls for this
     one entry; the ellipsoid and the antinef cut, not the level, end
     nearly every branch, so the level cut saves little there. It must not
     add calls."""
     seq = elliptic_sequence(g_app)
-    counts = _walk_counts(monkeypatch)
     report = strata_index_sets(seq, -100 * dual_cycle(g_app, "a1"),
                                AnalyticParams())
     assert sum(len(level) for level in report.levels.values()) == 1
-    assert counts["calls"] <= 418_515 * 1.01
+    assert walk_counts["calls"] <= 418_515 * 1.01
