@@ -6,6 +6,10 @@ rational vectors in the vertex basis, held as integer numerators over one
 denominator; Fractions appear only where values leave this module, and no
 floating point is used anywhere. The one algorithm on A is the integer
 leaf elimination up the rooted tree; no dense matrix is ever built.
+Graphs of one shape share its tables (`ResolutionGraph._with_euler`): the
+vertices, edges, index, adjacency and neighbour lists, the rooting's block
+order and parents, and the (child, parent) pair of each edge, over which
+every pairing (z, E_v) = (A z)_v is summed.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, UserError, quote
@@ -61,6 +66,7 @@ class ResolutionGraph:
         degrees = [len(ws) for ws in self._neighbours]
         self._order, self._parent = _block_order(
             self._neighbours, degrees.index(min(degrees)))
+        self._edge_pairs = tuple((c, self._parent[c]) for c in self._order[1:])
         self._set_euler(dict(euler))
 
     def _set_euler(self, euler: dict[str, int]) -> None:
@@ -80,14 +86,14 @@ class ResolutionGraph:
         pairs; the caller vouches that each is an integer <= -1.
 
         The new graph shares the tables that depend only on the shape
-        (which are immutable), the rooting's order and parents among them,
-        runs only its own elimination and is refused like any graph of
-        `build_graph` unless negative definite."""
+        (which are immutable), the rooting's order, parents and edge pairs
+        among them, runs only its own elimination and is refused like any
+        graph of `build_graph` unless negative definite."""
         graph = object.__new__(ResolutionGraph)
         (graph.vertices, graph.edges, graph._index, graph.adjacency,
-         graph._neighbours, graph._order, graph._parent) = (
+         graph._neighbours, graph._order, graph._parent, graph._edge_pairs) = (
             self.vertices, self.edges, self._index, self.adjacency,
-            self._neighbours, self._order, self._parent)
+            self._neighbours, self._order, self._parent, self._edge_pairs)
         graph._set_euler(dict(euler))
         _check_definite(graph)
         return graph
@@ -264,12 +270,18 @@ class Cycle:
                 [c * (d // other.den) for c in other.num], d)
 
     def __add__(self, other: "Cycle") -> "Cycle":
+        if self.den == other.den and self.graph is other.graph:
+            return Cycle(self.graph, tuple(map(add, self.num, other.num)),
+                         self.den)
         a, b, d = self._common(other)
-        return Cycle(self.graph, tuple(x + y for x, y in zip(a, b)), d)
+        return Cycle(self.graph, tuple(map(add, a, b)), d)
 
     def __sub__(self, other: "Cycle") -> "Cycle":
+        if self.den == other.den and self.graph is other.graph:
+            return Cycle(self.graph, tuple(map(sub, self.num, other.num)),
+                         self.den)
         a, b, d = self._common(other)
-        return Cycle(self.graph, tuple(x - y for x, y in zip(a, b)), d)
+        return Cycle(self.graph, tuple(map(sub, a, b)), d)
 
     def __neg__(self) -> "Cycle":
         return Cycle(self.graph, tuple(-c for c in self.num), self.den)
@@ -392,28 +404,32 @@ def _check_definite(graph: ResolutionGraph) -> None:
             f"{quote(graph.vertices[bad])}")
 
 
-def _times_a(graph: ResolutionGraph, z: list[int]) -> list[int]:
-    """A z for an integer vector z, in vertex order; the diagonal of A is
-    minus the pivots."""
-    get = z.__getitem__
-    return [sum(map(get, ws)) - p * x
-            for x, p, ws in zip(z, graph._pivots, graph._neighbours)]
+def _times_a(graph: ResolutionGraph, z: Sequence[int]) -> list[int]:
+    """A z for an integer vector z, in vertex order: the diagonal of A is
+    minus the pivots, and each edge (c, p) adds z_p to row c and z_c to
+    row p."""
+    out = [-p * x for p, x in zip(graph._pivots, z)]
+    for c, p in graph._edge_pairs:
+        out[c] += z[p]
+        out[p] += z[c]
+    return out
 
 
 def intersection_form(l1: Cycle, l2: Cycle) -> Fraction:
     """(l1, l2) = l1^T A l2 in the E_v basis."""
     l1._check(l2)
-    return Fraction(sum(p * c for p, c in zip(_times_a(l1.graph, l1.num),
-                                               l2.num)), l1.den * l2.den)
+    return Fraction(sum(map(mul, _times_a(l1.graph, l1.num), l2.num)),
+                    l1.den * l2.den)
 
 
 def chi(l: Cycle) -> Fraction:
     """Riemann-Roch value chi(l) = -(l, l - Z_K) / 2, evaluated by
-    adjunction as (sum_v l_v (e_v + 2) - (l, l)) / 2, so without Z_K."""
+    adjunction as (sum_v l_v (e_v + 2) - (l, l)) / 2, so without Z_K; the
+    pivots are -e_v."""
     g = l.graph
     z, s = l.num, l.den
-    linear = sum(c * (g.euler[v] + 2) for v, c in zip(g.vertices, z))
-    square = sum(p * c for p, c in zip(_times_a(g, z), z))
+    linear = 2 * sum(z) - sum(map(mul, g._pivots, z))
+    square = sum(map(mul, _times_a(g, z), z))
     return Fraction(s * linear - square, 2 * s * s)
 
 

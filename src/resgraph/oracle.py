@@ -71,7 +71,7 @@ def _antinef_hits(graph: ResolutionGraph, base: Cycle, lower: Sequence[int],
         while changed:
             changed = False
             for j in range(n):
-                nb_min = scale * sum(lo[w] for w in adj[j])
+                nb_min = scale * sum(map(lo.__getitem__, adj[j]))
                 need = pairing[j] + nb_min  # D e_j z_j + need <= 0
                 if need > 0:
                     floor_j = -(need // weight[j])  # ceil(need / -D e_j)
@@ -577,18 +577,14 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
           lambda: ("rational" if (v := brute_min_chi(graph, cap)) == 1
                    else "elliptic" if v == 0 else "other"))
     if cls.kind == "elliptic" and graph.is_minimal():
-        from .ellseq import (antinef_in_class_below_ZK, elliptic_sequence,
-                             minimally_elliptic_cycle,
-                             numerically_gorenstein_subsupports)
-        check("minimally-elliptic",
-              lambda: minimally_elliptic_cycle(graph),
+        from .ellseq import elliptic_sequence
+        # one validated sequence; the three ellseq wrappers read these fields
+        seq = elliptic_sequence(graph)
+        check("minimally-elliptic", lambda: seq.fundamental_cycles[-1],
               lambda: brute_minimally_elliptic(graph, cap))
-        check("antinef-below-canonical",
-              lambda: antinef_in_class_below_ZK(graph),
+        check("antinef-below-canonical", lambda: list(seq.sums),
               lambda: brute_lemci(graph, cap))
-        check("gorenstein-subsupports",
-              lambda: numerically_gorenstein_subsupports(graph),
+        check("gorenstein-subsupports", lambda: list(seq.supports),
               lambda: brute_subsupports(graph))
-        elliptic_sequence(graph)  # builds and validates the sequence
         report["elliptic-sequence"] = "ok"
     return report

@@ -274,12 +274,15 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
         by_level.setdefault(int(slack) - dim, []).append((l, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}
     accepted_above: list[StrataEntry] = []
+    # with T empty only a zero difference decomposes, and the walk's points
+    # are distinct: outside wecc mode nothing is excluded then
+    excluders = accepted_above if wecc or pool else ()
     for k in range(total, -1, -1):
         entries = []
         for l, dim in sorted(by_level.get(k, []),
                              key=lambda c: (-c[1], c[0].num)):
             excluder = None
-            for prior in accepted_above:
+            for prior in excluders:
                 if (dim <= prior.dim if wecc else dim == prior.dim
                         and _decomposes_over(l - prior.l, pool)):
                     excluder = (prior.k, prior.l)

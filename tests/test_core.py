@@ -6,12 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from resgraph.core import (Cycle, _antinef_cover, _rooting, _subtree_solve,
-                           build_graph, canonical_cycle, chi, dual_cycle,
-                           estar_coordinates, estar_support,
+                           _times_a, build_graph, canonical_cycle, chi,
+                           dual_cycle, estar_coordinates, estar_support,
                            intersection_form, is_antinef,
                            is_numerically_gorenstein, same_class)
 from resgraph.errors import GraphValidationError, UserError
@@ -153,8 +153,17 @@ def test_cycle_unknown_vertex(g_app):
 
 
 def test_cycles_from_different_graphs_do_not_mix(g_app, g_new):
-    with pytest.raises(UserError):
-        g_app.zero_cycle() + g_new.zero_cycle()
+    """Also with one denominator on both sides, and between two graphs of
+    one shape, which share every shape table."""
+    sibling = g_app._with_euler((v, e - 1) for v, e in g_app.euler.items())
+    for other in (g_new, sibling):
+        half = other.from_vector([Fraction(1, 2)] * len(other.vertices))
+        for a, b in ((g_app.zero_cycle(), other.zero_cycle()),
+                     (g_app.cycle({"a1": Fraction(1, 2)}), half)):
+            with pytest.raises(UserError):
+                a + b
+            with pytest.raises(UserError):
+                a - b
 
 
 _A4 = build_graph({"vertices": [(v, -2) for v in "abcd"],
@@ -198,6 +207,23 @@ def test_cycle_matches_fraction_tuples(x, y, s):
         assert hash(a) == hash(b)
 
 
+_numerators = st.lists(st.integers(-30, 30), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_numerators, _numerators, st.integers(1, 12), st.integers(1, 12))
+@example([1, 2, 3, 0], [1, -2, 0, 5], 6, 4)
+def test_cycle_sums_match_fraction_sums(x, y, den, other_den):
+    """a + b and a - b against the Fraction coefficients, for a and b over
+    one denominator (reduced, they mostly keep it) and over two."""
+    a = Cycle(_A4, tuple(x), den)
+    for b in (Cycle(_A4, tuple(y), den), Cycle(_A4, tuple(y), other_den)):
+        for result, op in ((a + b, lambda p, q: p + q),
+                           (a - b, lambda p, q: p - q)):
+            _assert_normal_form(result)
+            assert result.coeffs == tuple(map(op, a.coeffs, b.coeffs))
+
+
 def test_cycle_normal_form():
     half = _A4.cycle({"a": Fraction(1, 2)})
     unreduced = Cycle(_A4, (2, 0, 0, 0), 4)
@@ -217,6 +243,51 @@ def test_intersection_form_matches_matrix(g_app):
             expected = -_minus_a(g_app)[g_app._index[v]][g_app._index[w]]
             assert intersection_form(g_app.basis_cycle(v),
                                      g_app.basis_cycle(w)) == expected
+
+
+def _check_chi_and_pairings(g, coeffs):
+    """_times_a is -M z for the oracle's M = -A, which is built from the
+    euler numbers and the edge set, not from the edge-pair table; and chi(l)
+    is -(l, l - Z_K) / 2, for integral and for fractional l."""
+    m = _minus_a(g)
+    n = len(g.vertices)
+    z = [int(c) for c in coeffs[:n]]
+    assert _times_a(g, z) == [-sum(a * b for a, b in zip(row, z))
+                              for row in m]
+    zk = canonical_cycle(g)
+    for l in (g.from_vector(z), g.from_vector(coeffs[:n])):
+        assert chi(l) == -intersection_form(l, l - zk) / 2
+
+
+_coefficients = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    min_size=26, max_size=26)
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_pole",
+                                  "g_left", "g_right"])
+def test_pairings_and_chi_on_fixtures(name, request):
+    g = request.getfixturevalue(name)
+    _check_chi_and_pairings(g, [Fraction(i % 7 - 3, 1 + i % 4)
+                                for i in range(26)])
+    _check_chi_and_pairings(g, list(canonical_cycle(g).coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_trees(max_vertices=12), _coefficients, st.data())
+def test_pairings_and_chi_on_random_trees(g, coeffs, data):
+    """Also on a sibling with other euler numbers, which shares the
+    edge-pair table."""
+    assume(g is not None)
+    _check_chi_and_pairings(g, coeffs)
+    eulers = data.draw(st.lists(st.integers(-5, -1), min_size=len(g.vertices),
+                                max_size=len(g.vertices)))
+    try:
+        sibling = g._with_euler(zip(g.vertices, eulers))
+    except GraphValidationError:
+        return
+    assert sibling._edge_pairs is g._edge_pairs
+    _check_chi_and_pairings(sibling, coeffs)
 
 
 def test_chi_of_basis_cycles_is_one(g_app):

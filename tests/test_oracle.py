@@ -386,8 +386,8 @@ def test_enumerated_trees_are_the_built_trees(max_vertices, values):
     assert len(trees) == len(built)
     for tree, ref in zip(trees, built):
         for name in ("vertices", "euler", "edges", "adjacency", "_index",
-                     "_neighbours", "_pivots", "_order", "_parent", "_subdet",
-                     "_childdet", "det"):
+                     "_neighbours", "_pivots", "_order", "_parent",
+                     "_edge_pairs", "_subdet", "_childdet", "det"):
             assert getattr(tree, name) == getattr(ref, name), name
         assert list(tree.euler) == list(ref.euler)
     if -1 in values:
@@ -402,6 +402,7 @@ def test_enumerated_siblings_share_no_memo():
              if len(g.vertices) == 4 and g.degree("v1") == 3]
     first, sibling = trees[0], trees[1]
     assert first._neighbours is sibling._neighbours
+    assert first._edge_pairs is sibling._edge_pairs
     assert isinstance(first._neighbours, tuple)
     assert all(isinstance(ws, tuple) for ws in first._neighbours)
     assert first.euler != sibling.euler
@@ -789,6 +790,27 @@ def test_verify_small_graph():
     assert report["antinef-lift"] == "ok"
     assert report["fundamental-cycle"] == "ok"
     assert report["classification"] == "ok"
+
+
+def test_verify_builds_one_elliptic_sequence(monkeypatch, g_app):
+    """The three sequence checks read one validated sequence, the same
+    that the ellseq wrappers read their answers off."""
+    from resgraph import ellseq
+    built = []
+    build = ellseq.elliptic_sequence
+
+    def counted(graph):
+        built.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(ellseq, "elliptic_sequence", counted)
+    report = verify(g_app)
+    assert built == [g_app]
+    assert list(report) == [
+        "antinef-lift", "fundamental-cycle", "class-representative",
+        "classification", "minimally-elliptic", "antinef-below-canonical",
+        "gorenstein-subsupports", "elliptic-sequence"]
+    assert set(report.values()) == {"ok"}
 
 
 def test_verify_reports_skipped_checks_under_a_small_cap(g_app):

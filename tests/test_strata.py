@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import random
 import re
 from fractions import Fraction
 
@@ -17,13 +18,14 @@ from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import InvariantViolation, UserError
 from resgraph.fixtures import load_fixture
-from resgraph.laufer import fundamental_cycle, minimal_class_representative
+from resgraph.laufer import (classify, fundamental_cycle,
+                             minimal_class_representative)
 from resgraph.oracle import brute_antinef_sublevel
 from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
                              fixed_component_candidates, h1_on_image, pg,
                              reduction_index, strata_index_sets, w_strata)
 
-from conftest import package_imports, random_trees
+from conftest import package_imports, random_tree, random_trees
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +207,45 @@ def test_strata_reports_pinned():
         AnalyticParams(mode="custom", trivializable=(fundamental_cycle(g),))))
     assert digest.hexdigest() == (
         "06b608fa9b9c668e373bd82a2c4f9c6180d578ca56a608224054f89a96d9128f")
+
+
+def _check_nothing_excluded(seq, lprime):
+    """With T empty (generic mode, or custom mode with no trivializable
+    cycle) only a zero difference decomposes over T, and the walk's
+    candidates are distinct, so rule (iii) excludes nothing."""
+    for alpha in range(seq.m + 1):
+        for params in (AnalyticParams(alpha=alpha),
+                       AnalyticParams(alpha=alpha, mode="custom")):
+            entries = [e for level in strata_index_sets(
+                seq, lprime, params).levels.values() for e in level]
+            assert len({e.l for e in entries}) == len(entries)
+            assert all(e.excluded_by is None for e in entries)
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
+                                  "g_right"])
+def test_nothing_is_excluded_without_trivializable_cycles(name, request):
+    """On the five elliptic fixtures (g_pole is not elliptic), at l' = 0
+    and l' = -C_{-1}."""
+    graph = request.getfixturevalue(name)
+    seq = elliptic_sequence(graph)
+    for lprime in {graph.zero_cycle(), -seq.pre_term}:
+        _check_nothing_excluded(seq, lprime)
+
+
+def test_nothing_is_excluded_on_random_elliptic_trees():
+    """On the first 25 elliptic draws of random_tree(Random(29), 12, -3,
+    -2), at l' = 0 and at l' = -E*_v for each end v."""
+    rng = random.Random(29)
+    found = 0
+    while found < 25:
+        graph = random_tree(rng, 12, -3, -2)
+        if classify(graph).kind != "elliptic":
+            continue
+        found += 1
+        for lprime in (graph.zero_cycle(), *(-dual_cycle(graph, v) for v
+                                             in graph.end_vertices())):
+            _check_nothing_excluded(elliptic_sequence(graph), lprime)
 
 
 # -- the ellipsoid walker against the oracle's antinef sublevel set ----------
