@@ -20,9 +20,9 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .graphio import GraphFile, parse_graph
 from .laufer import (antinef_lift, classify, cube_representative,
                      fundamental_cycle, minimal_class_representative)
-from .strata import (AnalyticParams, depth, dim_V, fixed_component_candidates,
-                     h1_on_image, pg, reduction_index, strata_index_sets,
-                     w_strata)
+from .strata import (AnalyticParams, WStrataReport, depth, dim_V,
+                     fixed_component_candidates, reduction_index,
+                     strata_index_sets, w_strata)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,7 @@ __all__ = [
     "FIXTURE_NAMES", "load_fixture", "GraphFile", "parse_graph",
     "antinef_lift", "classify", "cube_representative", "fundamental_cycle",
     "minimal_class_representative",
-    "AnalyticParams", "depth", "dim_V", "fixed_component_candidates",
-    "h1_on_image", "pg", "reduction_index", "strata_index_sets", "w_strata",
+    "AnalyticParams", "WStrataReport", "depth", "dim_V",
+    "fixed_component_candidates", "reduction_index", "strata_index_sets",
+    "w_strata",
 ]

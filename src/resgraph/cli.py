@@ -29,8 +29,7 @@ from .graphio import (GraphFile, cycle_to_data, dump_json, format_fraction,
                       parse_cycle, parse_fraction, parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
 from .strata import (MODES, AnalyticParams, fixed_component_candidates,
-                     h1_on_image, pg, reduction_index, strata_index_sets,
-                     w_strata)
+                     strata_index_sets, w_strata)
 
 __all__ = ["main", "run"]
 
@@ -89,7 +88,8 @@ def _parse_pairs(text: str, graph: ResolutionGraph) -> dict[str, Fraction]:
 
 def _parse_lprime(text: str | None, graph: ResolutionGraph) -> Cycle:
     """--lprime names -l': either "estar:v=c,..." (a combination of dual
-    cycles) or a coefficient literal "v=c,..."; the result is negated."""
+    cycles) or a coefficient literal "v=c,...", optionally prefixed
+    "cycle:"; the result is negated."""
     if text is None:
         return graph.zero_cycle()
     body = text
@@ -113,12 +113,6 @@ def _parse_trivializable(path: str | None, graph: ResolutionGraph) -> tuple:
         raise UserError("trivializable file must hold a JSON list of cycles")
     return tuple(parse_cycle(graph, entry, "each trivializable cycle")
                  for entry in data)
-
-
-def _params(args, graph: ResolutionGraph) -> AnalyticParams:
-    return AnalyticParams(alpha=args.alpha, mode=args.mode,
-                          trivializable=_parse_trivializable(
-                              getattr(args, "trivializable", None), graph))
 
 
 # -- report builders --------------------------------------------------------
@@ -195,7 +189,9 @@ def _cmd_criteria(args) -> dict:
 def _cmd_strata(args) -> dict:
     graph = _load(args.graph).graph
     seq = elliptic_sequence(graph)
-    params = _params(args, graph)
+    params = AnalyticParams(alpha=args.alpha, mode=args.mode,
+                            trivializable=_parse_trivializable(
+                                args.trivializable, graph))
     lprime = _parse_lprime(args.lprime, graph)
     report = strata_index_sets(seq, lprime, params)
     levels = {}
@@ -223,18 +219,18 @@ def _cmd_strata(args) -> dict:
 def _cmd_wstrata(args) -> dict:
     graph = _load(args.graph).graph
     seq = elliptic_sequence(graph)
-    params = _params(args, graph)
     lprime = _parse_lprime(args.lprime, graph)
+    report = w_strata(seq, lprime, AnalyticParams(alpha=args.alpha))
     return {
-        "pg": pg(seq, params),
+        "pg": report.pg,
         "lprime": cycle_to_data(lprime),
-        "reduction_index": reduction_index(seq, lprime),
-        "h1_on_image": h1_on_image(seq, lprime, params),
+        "reduction_index": report.reduction_index,
+        "h1_on_image": report.h1_on_image,
         "depths": seq.depths,
         "strata": [{"k": s.k, "dim": s.dim, "kind": s.kind,
                     **({"count_max": s.count_max}
                        if s.count_max is not None else {})}
-                   for s in w_strata(seq, lprime, params)],
+                   for s in report.strata],
     }
 
 
@@ -294,22 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="resgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, graph=True, analytic=False, chern=False):
+    def add(name, func, help_text, graph=True, alpha=False, chern=False):
         p = sub.add_parser(name, help=help_text)
         if graph:
             p.add_argument("graph",
                            help="graph file path or bundled fixture name")
-        if analytic:
+        if alpha:
             p.add_argument("--alpha", type=int, default=0,
                            help="minimal Gorenstein index (default 0)")
-            p.add_argument("--mode", choices=MODES, default="generic")
-            p.add_argument("--trivializable", metavar="FILE",
-                           help="JSON list of trivializable cycles "
-                                "(custom mode)")
         if chern:
             p.add_argument("--lprime", metavar="EXPR",
                            help='negative Chern class: "estar:v=c,..." or a '
-                                'coefficient literal "v=c,..."')
+                                'coefficient literal "v=c,..." (also '
+                                'written "cycle:v=c,...")')
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
         return p
@@ -317,15 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify", _cmd_classify, "rational / elliptic / other")
     add("invariants", _cmd_invariants,
         "fundamental and canonical cycles, duals, determinant")
-    p = add("ellseq", _cmd_ellseq, "elliptic sequence and derived cycles")
-    p.add_argument("--alpha", type=int, default=0,
-                   help="minimal Gorenstein index (default 0)")
+    add("ellseq", _cmd_ellseq, "elliptic sequence and derived cycles",
+        alpha=True)
     add("criteria", _cmd_criteria,
         "extension criterion and monomial condition")
-    add("strata", _cmd_strata, "compatibility-system index sets per level",
-        analytic=True, chern=True)
-    add("wstrata", _cmd_wstrata, "h1-level-set dimension table",
-        analytic=True, chern=True)
+    p = add("strata", _cmd_strata,
+            "compatibility-system index sets per level", alpha=True,
+            chern=True)
+    p.add_argument("--mode", choices=MODES, default="generic")
+    p.add_argument("--trivializable", metavar="FILE",
+                   help="JSON list of trivializable cycles (custom mode)")
+    add("wstrata", _cmd_wstrata, "h1-level-set dimension table", alpha=True,
+        chern=True)
     add("oracle-verify", _cmd_oracle_verify,
         "brute-force cross-check of every fast algorithm")
     p = add("enumerate", _cmd_enumerate,

@@ -15,7 +15,7 @@ from math import gcd
 from .core import (Cycle, ResolutionGraph, _rooting, _subtree_solve,
                    _times_a, build_graph, canonical_cycle, dual_cycle,
                    is_numerically_gorenstein)
-from .ellseq import EllipticSequence, elliptic_sequence
+from .ellseq import elliptic_sequence
 from .errors import GraphValidationError, InvariantViolation, UserError, quote
 from .laufer import classify, require_elliptic_minimal
 
@@ -45,16 +45,13 @@ class CriterionReport:
         return not self.violations
 
 
-def extension_criterion(graph: ResolutionGraph,
-                        seq: EllipticSequence | None = None) -> CriterionReport:
+def extension_criterion(graph: ResolutionGraph) -> CriterionReport:
     """For every 0 <= i <= m and v in B_i \\ B_{i+1}: v has at most one
     neighbour in B_{i-1} \\ B_i (with B_{-1} = full vertex set and
     B_{m+1} = empty). B_i \\ B_{i+1} is the vertices of depth i, so the
     walk is in (depth, id) order, each vertex against its neighbours of
     depth i - 1."""
-    if seq is None:
-        seq = elliptic_sequence(graph)
-    depths = seq.depths
+    depths = elliptic_sequence(graph).depths
     violations = []
     witnesses = []
     for i, v in sorted((i, v) for v, i in depths.items() if i >= 0):
@@ -226,7 +223,7 @@ def criteria_reports(graph: ResolutionGraph
                      ) -> tuple[CriterionReport, CriterionReport]:
     """(extension criterion, monomial condition) on an elliptic minimal
     graph, each evaluated once; their verdicts must agree."""
-    ext = extension_criterion(graph, elliptic_sequence(graph))
+    ext = extension_criterion(graph)
     mono = monomial_condition(graph)
     if ext.verdict != mono.verdict:
         raise InvariantViolation(

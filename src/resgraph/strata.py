@@ -30,11 +30,10 @@ __all__ = [
     "StrataEntry",
     "StrataReport",
     "WStratum",
+    "WStrataReport",
     "FixedComponentCandidate",
     "depth",
     "dim_V",
-    "pg",
-    "h1_on_image",
     "reduction_index",
     "w_strata",
     "fixed_component_candidates",
@@ -90,43 +89,33 @@ def dim_V(seq: EllipticSequence, vertex_set, params: AnalyticParams) -> int:
                default=0)
 
 
-def pg(seq: EllipticSequence, params: AnalyticParams) -> int:
-    """Geometric genus for the declared alpha: m + 1 - alpha."""
-    return seq.pg(params.alpha)
+def _weights(seq: EllipticSequence, alpha: int) -> dict[str, int]:
+    """{v: max(0, depth(v) - alpha + 1)} in vertex order; dim V(I) is the
+    largest weight on I."""
+    return {v: max(0, d - alpha + 1) for v, d in seq.depths.items()}
 
 
-def _require_chern(lprime: Cycle) -> None:
-    """Refuse an l' that is no Chern class the strata are defined for: one
-    outside L' = H^2(X~, Z), or one whose negative is not antinef."""
-    if any(c.denominator != 1 for c in estar_coordinates(lprime).values()):
+def _require_chern(lprime: Cycle) -> frozenset[str]:
+    """I(l') of a Chern class the strata are defined for, read off its E*
+    coordinates a_v = -(l', E_v): refuses a non-integral a_v (l' outside
+    L' = H^2(X~, Z)), then an a_v > 0 (-l' not antinef, l' outside -S')."""
+    coords = estar_coordinates(lprime)
+    if any(a.denominator != 1 for a in coords.values()):
         raise UserError("lprime must lie in L' (its E* coordinates must be "
                         "integers)")
-    if not is_antinef(-lprime):
+    if any(a > 0 for a in coords.values()):
         raise UserError("lprime must lie in -S' (its negative must be antinef)")
+    return frozenset(coords)
+
+
+def _index(seq: EllipticSequence, support: frozenset[str]) -> int:
+    return max((seq.depths[v] + 1 for v in support), default=0)
 
 
 def reduction_index(seq: EllipticSequence, lprime: Cycle) -> int:
     """Maximal 0 <= i <= m+1 with I(l') meeting B_{i-1} (B_{-1} = full set);
     0 iff the E*-support is empty."""
-    _require_chern(lprime)
-    support = estar_support(lprime)
-    if not support:
-        return 0
-    return max(depth(seq, v) for v in support) + 1
-
-
-def h1_on_image(seq: EllipticSequence, lprime: Cycle,
-                params: AnalyticParams) -> int:
-    """Uniform h1 value on the image closure for Chern class l':
-    pg - dim V(I(l')); asserts the reduction-index upper bound."""
-    _require_chern(lprime)
-    value = pg(seq, params) - dim_V(seq, estar_support(-lprime), params)
-    bound = seq.pg(params.alpha, reduction_index(seq, lprime))
-    if value > bound:
-        raise InvariantViolation(
-            "h1 on the image exceeds the reduction-index bound",
-            payload={"value": value, "bound": bound})
-    return value
+    return _index(seq, _require_chern(lprime))
 
 
 @dataclass(frozen=True)
@@ -137,23 +126,39 @@ class WStratum:
     count_max: int | None = None
 
 
+@dataclass(frozen=True)
+class WStrataReport:
+    pg: int
+    reduction_index: int
+    h1_on_image: int
+    strata: tuple[WStratum, ...]
+
+
 def w_strata(seq: EllipticSequence, lprime: Cycle,
-             params: AnalyticParams) -> list[WStratum]:
-    """Dimension table of the h1-level sets in the Picard group for Chern
-    class l': one linear stratum per level, plus the wandering-point caveat
-    when alpha exceeds the reduction index."""
-    _require_chern(lprime)
+             params: AnalyticParams) -> WStrataReport:
+    """p_g, the reduction index i = i(l'), the uniform h1 = p_g - dim V(I(l'))
+    on the image closure, and the dimension table of the h1-level sets in
+    the Picard group for Chern class l': one linear stratum per level, plus
+    the wandering-point caveat when alpha exceeds i. Checks alpha, then l',
+    and asserts h1 <= p_g(X_i)."""
     total = seq.pg(params.alpha)
-    i = reduction_index(seq, lprime)
+    support = _require_chern(lprime)
+    i = _index(seq, support)
+    weights = _weights(seq, params.alpha)
+    h1 = total - max((weights[v] for v in support), default=0)
     base = seq.pg(params.alpha, i)
+    if h1 > base:
+        raise InvariantViolation(
+            "h1 on the image exceeds the reduction-index bound",
+            payload={"value": h1, "bound": base})
     start = max(i, params.alpha)
-    out = [WStratum(k=seq.m + 1 - j, dim=(total - base) + (j - start),
-                    kind="linear")
-           for j in range(start, seq.m + 2)]
+    table = [WStratum(k=seq.m + 1 - j, dim=j - params.alpha, kind="linear")
+             for j in range(start, seq.m + 2)]
     if params.alpha > i:
-        out.append(WStratum(k=base, dim=0, kind="wandering",
-                            count_max=params.alpha - i))
-    return out
+        table.append(WStratum(k=base, dim=0, kind="wandering",
+                              count_max=params.alpha - i))
+    return WStrataReport(pg=total, reduction_index=i, h1_on_image=h1,
+                         strata=tuple(table))
 
 
 @dataclass(frozen=True)
@@ -259,18 +264,18 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     flag). Excluded candidates are retained with a reference to their
     excluder; per-level entries of maximal dimension are flagged."""
     _require_chern(lprime)
-    total = pg(seq, params)
+    total = seq.pg(params.alpha)
     wecc = params.mode == "wecc"
     pool = params.trivializable if params.mode == "custom" else ()
-    weights = [max(0, seq.depths[v] - params.alpha + 1)
-               for v in seq.graph.vertices]
+    weights = _weights(seq, params.alpha)
     by_level: dict[int, list[tuple[Cycle, int]]] = {}
-    for l, slack in _candidate_cycles(seq.graph, lprime, total, weights):
+    for l, slack in _candidate_cycles(seq.graph, lprime, total,
+                                      list(weights.values())):
         # l is integral and l' in L', so chi(l) and (l, l') are integers
         if slack.denominator != 1:
             raise InvariantViolation("a strata candidate has a non-integral "
                                      "slack", payload={"l": l, "slack": slack})
-        dim = dim_V(seq, estar_support(l - lprime), params)
+        dim = max((weights[v] for v in estar_support(l - lprime)), default=0)
         by_level.setdefault(int(slack) - dim, []).append((l, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}
     accepted_above: list[StrataEntry] = []

@@ -130,10 +130,10 @@ def test_criterion_6_classification_pole(g_pole):
 def test_criterion_7_wstrata(g_app):
     seq = elliptic_sequence(g_app)
     lprime = g_app.zero_cycle()
-    out0 = w_strata(seq, lprime, AnalyticParams(alpha=0))
+    out0 = w_strata(seq, lprime, AnalyticParams(alpha=0)).strata
     assert [(s.k, s.dim) for s in out0] == [(2, 0), (1, 1), (0, 2)]
     assert all(s.kind == "linear" for s in out0)
-    out1 = w_strata(seq, lprime, AnalyticParams(alpha=1))
+    out1 = w_strata(seq, lprime, AnalyticParams(alpha=1)).strata
     linear = [s for s in out1 if s.kind == "linear"]
     assert [(s.k, s.dim) for s in linear] == [(1, 0), (0, 1)]
     wandering = [s for s in out1 if s.kind == "wandering"]

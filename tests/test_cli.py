@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from resgraph import cli
+from resgraph import cli, strata
 from resgraph.cli import run
 from resgraph.core import build_graph
 from resgraph.errors import InvariantViolation
@@ -118,6 +118,40 @@ def test_wstrata_lprime_literal(capsys):
     data = invoke_json(capsys, "wstrata", "g_app", "--lprime", "estar:a9=1")
     assert data["reduction_index"] == 1
     assert data["h1_on_image"] == 1
+
+
+@pytest.mark.parametrize("option", ["--mode", "--trivializable"])
+def test_wstrata_offers_only_what_it_reads(capsys, tmp_path, option):
+    """wstrata reads alpha and l' alone; the strata options are refused."""
+    path = tmp_path / "triv.json"
+    path.write_text("[]")
+    value = "wecc" if option == "--mode" else str(path)
+    code, out, err = invoke(capsys, "wstrata", "g_app", option, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {option} {value}\n"
+
+
+def test_wstrata_checks_its_chern_class_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(lprime):
+        calls.append(lprime)
+        return coordinates(lprime)
+
+    coordinates = strata.estar_coordinates
+    monkeypatch.setattr(strata, "estar_coordinates", counted)
+    for argv in ([], ["--lprime", "estar:a1=1"],
+                 ["--lprime", "estar:a9=1,a1=2"]):
+        calls.clear()
+        code, _, _ = invoke(capsys, "wstrata", "g_app", *argv)
+        assert (code, len(calls)) == (0, 1)
+
+
+def test_wstrata_checks_alpha_before_lprime(capsys):
+    code, out, err = invoke(capsys, "wstrata", "g_app", "--alpha", "7",
+                            "--lprime", "estar:a1=1/2")
+    assert (code, out) == (1, "")
+    assert err == "error: alpha must lie in [0, 1], got 7\n"
 
 
 def test_trivializable_file(capsys, tmp_path, g_app):

@@ -347,7 +347,7 @@ def test_fixture_facts(name):
     assert is_numerically_gorenstein(graph) is gorenstein
     assert seq.m == m
     if verdict is not None:
-        assert extension_criterion(graph, seq).verdict is verdict
+        assert extension_criterion(graph).verdict is verdict
     stored = ({"canonical": canonical_cycle(graph), "pre_term": seq.pre_term}
               if name == "g_new" else {})
     assert gf.cycles == stored

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import inspect
 import itertools
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import resgraph
 import resgraph.oracle as oracle_module
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            is_antinef)
@@ -213,6 +216,32 @@ def test_no_unused_module_level_names():
     leftover["oracle.py"] += "\n\ndef _safe_upper(graph, l):\n    return ()\n"
     assert any(": _safe_upper (line" in name
                for name in _unused_module_names(leftover))
+
+
+def _stale_exports(module) -> list[str]:
+    """The names in `module.__all__` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_every_export_resolves():
+    """An export audit: every name in each resgraph module's __all__ and in
+    resgraph.__all__ resolves, and resgraph.__all__ lists exactly the names
+    that __init__.py imports, so removing a public function cannot leave a
+    stale export behind."""
+    package = Path(oracle_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        name = "resgraph" + ("" if path.stem == "__init__"
+                             else f".{path.stem}")
+        stale = _stale_exports(importlib.import_module(name))
+        assert not stale, f"{name}.__all__ names nothing bound: {stale}"
+    init = ast.parse((package / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for a in node.names]
+    assert sorted(resgraph.__all__) == sorted(imported)
+    assert _stale_exports(types.SimpleNamespace(
+        __all__=["kept", "gone"], kept=1)) == ["gone"]
 
 
 def test_single_vertex_hand_values(single_vertex):

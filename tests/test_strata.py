@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from resgraph import quadform, strata
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
-                           intersection_form)
+                           estar_support, intersection_form)
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import InvariantViolation, UserError
 from resgraph.fixtures import load_fixture
@@ -22,8 +22,8 @@ from resgraph.laufer import (classify, fundamental_cycle,
                              minimal_class_representative)
 from resgraph.oracle import brute_antinef_sublevel
 from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
-                             fixed_component_candidates, h1_on_image, pg,
-                             reduction_index, strata_index_sets, w_strata)
+                             fixed_component_candidates, reduction_index,
+                             strata_index_sets, w_strata)
 
 from conftest import package_imports, random_tree, random_trees
 
@@ -64,10 +64,10 @@ def test_depth_and_dim(seq_app):
 
 
 def test_pg_and_alpha_bounds(seq_app):
-    assert pg(seq_app, AnalyticParams(alpha=0)) == 2
-    assert pg(seq_app, AnalyticParams(alpha=1)) == 1
+    assert seq_app.pg(0) == 2
+    assert seq_app.pg(1) == 1
     with pytest.raises(UserError):
-        pg(seq_app, AnalyticParams(alpha=2))
+        seq_app.pg(2)
 
 
 def test_reduction_index_and_h1(g_app, seq_app):
@@ -76,9 +76,9 @@ def test_reduction_index_and_h1(g_app, seq_app):
     assert reduction_index(seq_app, -dual_cycle(g_app, "a9")) == 1
     assert reduction_index(seq_app, -dual_cycle(g_app, "a1")) == 2
     p0 = AnalyticParams(alpha=0)
-    assert h1_on_image(seq_app, zero, p0) == 2
-    assert h1_on_image(seq_app, -dual_cycle(g_app, "a9"), p0) == 1
-    assert h1_on_image(seq_app, -dual_cycle(g_app, "a1"), p0) == 0
+    assert w_strata(seq_app, zero, p0).h1_on_image == 2
+    assert w_strata(seq_app, -dual_cycle(g_app, "a9"), p0).h1_on_image == 1
+    assert w_strata(seq_app, -dual_cycle(g_app, "a1"), p0).h1_on_image == 0
     with pytest.raises(UserError):  # l' must lie in -S'
         reduction_index(seq_app, g_app.basis_cycle("a1"))
 
@@ -90,7 +90,7 @@ def test_chern_classes_outside_the_lattice_are_refused(g_app, seq_app):
     lprime = -dual_cycle(g_app, "a1") * Fraction(1, 2)
     params = AnalyticParams()
     for call in (lambda: reduction_index(seq_app, lprime),
-                 lambda: h1_on_image(seq_app, lprime, params),
+                 lambda: w_strata(seq_app, lprime, params).h1_on_image,
                  lambda: w_strata(seq_app, lprime, params),
                  lambda: strata_index_sets(seq_app, lprime, params)):
         with pytest.raises(UserError, match="lprime must lie in L'"):
@@ -156,11 +156,51 @@ def test_strata_generic_mode_notes(g_app, seq_app):
 
 
 def test_w_strata_wandering(g_app, seq_app):
-    out = w_strata(seq_app, g_app.zero_cycle(), AnalyticParams(alpha=1))
+    out = w_strata(seq_app, g_app.zero_cycle(),
+                   AnalyticParams(alpha=1)).strata
     kinds = {s.kind for s in out}
     assert kinds == {"linear", "wandering"}
     wander = next(s for s in out if s.kind == "wandering")
     assert wander.count_max == 1
+
+
+def _check_w_strata(seq, rng, draws):
+    """The W-strata report against the separate functions, at l' = 0 and
+    at `draws` classes -l' = sum c_v E*_v with c_v in 0..3 on up to three
+    vertices, for every alpha in [0, m]."""
+    graph = seq.graph
+    lprimes = [graph.zero_cycle()]
+    for _ in range(draws):
+        minus = graph.zero_cycle()
+        for v in rng.sample(graph.vertices, min(3, len(graph.vertices))):
+            minus = minus + rng.randint(0, 3) * dual_cycle(graph, v)
+        lprimes.append(-minus)
+    for lprime in lprimes:
+        for alpha in range(seq.m + 1):
+            params = AnalyticParams(alpha=alpha)
+            report = w_strata(seq, lprime, params)
+            assert report.pg == seq.pg(alpha)
+            assert report.reduction_index == reduction_index(seq, lprime)
+            assert report.h1_on_image == seq.pg(alpha) - dim_V(
+                seq, estar_support(lprime), params) == report.strata[0].k
+
+
+@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
+                                  "g_right"])
+def test_w_strata_report_matches_its_parts(name, request):
+    _check_w_strata(elliptic_sequence(request.getfixturevalue(name)),
+                    random.Random(name), 12)
+
+
+def test_w_strata_report_matches_its_parts_on_random_trees():
+    """The first 20 elliptic draws of random_tree(Random(30), 10, -3, -2)."""
+    rng = random.Random(30)
+    found = 0
+    while found < 20:
+        graph = random_tree(rng, 10, -3, -2)
+        if classify(graph).kind == "elliptic":
+            found += 1
+            _check_w_strata(elliptic_sequence(graph), rng, 6)
 
 
 @pytest.mark.parametrize("alpha", [0.5, True, "1"])
@@ -171,8 +211,7 @@ def test_alpha_must_be_an_int(g_app, seq_app, alpha):
     lprime = g_app.zero_cycle()
     for call in (lambda: w_strata(seq_app, lprime, params),
                  lambda: strata_index_sets(seq_app, lprime, params),
-                 lambda: h1_on_image(seq_app, lprime, params),
-                 lambda: pg(seq_app, params),
+                 lambda: w_strata(seq_app, lprime, params).h1_on_image,
                  lambda: dim_V(seq_app, {"a1"}, params),
                  lambda: fixed_component_candidates(seq_app, params)):
         with pytest.raises(UserError, match=r"alpha must lie in \[0, 1\], "
