@@ -25,8 +25,8 @@ from .ellseq import elliptic_sequence, partial_sums, pg_table
 from .errors import (InvariantViolation, ResourceCapExceeded, UserError,
                      quote)
 from .fixtures import is_fixture_name, load_fixture
-from .graphio import (GraphFile, cycle_to_data, dump_json, format_fraction,
-                      parse_cycle, parse_fraction, parse_graph, read_json_file)
+from .graphio import (GraphFile, cycle_to_data, dump_json, parse_cycle,
+                      parse_fraction, parse_graph, read_json_file)
 from .laufer import classify, fundamental_cycle
 from .strata import (MODES, AnalyticParams, fixed_component_candidates,
                      strata_index_sets, w_strata)
@@ -122,7 +122,7 @@ def _cmd_classify(args) -> dict:
     graph = _load(args.graph).graph
     cls = classify(graph)
     return {"classification": cls.kind,
-            "chi_zmin": format_fraction(cls.chi_zmin),
+            "chi_zmin": str(cls.chi_zmin),
             "zmin": cycle_to_data(cls.zmin)}
 
 
@@ -152,7 +152,7 @@ def _cmd_ellseq(args) -> dict:
         "fundamental_cycles": [cycle_to_data(z)
                                for z in seq.fundamental_cycles],
         "minimally_elliptic": cycle_to_data(c),
-        "self_intersection_C": format_fraction(intersection_form(c, c)),
+        "self_intersection_C": str(intersection_form(c, c)),
         "partial_sums": [
             {"t": t, "C_t": cycle_to_data(ct), "Cprime_t": cycle_to_data(cpt)}
             for t in range(-1, seq.m + 1)
@@ -212,7 +212,7 @@ def _cmd_strata(args) -> dict:
     if is_numerically_gorenstein(graph):
         out["fixed_component_candidates"] = [
             {"cycle": cycle_to_data(c.cycle), "exceptional": c.exceptional}
-            for c in fixed_component_candidates(seq, params)]
+            for c in fixed_component_candidates(seq, params.alpha)]
     return out
 
 
@@ -220,7 +220,7 @@ def _cmd_wstrata(args) -> dict:
     graph = _load(args.graph).graph
     seq = elliptic_sequence(graph)
     lprime = _parse_lprime(args.lprime, graph)
-    report = w_strata(seq, lprime, AnalyticParams(alpha=args.alpha))
+    report = w_strata(seq, lprime, args.alpha)
     return {
         "pg": report.pg,
         "lprime": cycle_to_data(lprime),

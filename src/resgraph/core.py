@@ -33,7 +33,6 @@ __all__ = [
     "estar_coordinates",
     "estar_support",
     "is_antinef",
-    "same_class",
     "is_numerically_gorenstein",
 ]
 
@@ -483,11 +482,6 @@ def _antinef_cover(l: Cycle) -> list[int]:
             *(Fraction(c * g.det, l.den * xv) for c, xv in zip(l.num, x)))
     return [math.ceil(t * xv / g.det - Fraction(c, l.den))
             for c, xv in zip(l.num, x)]
-
-
-def same_class(l1: Cycle, l2: Cycle) -> bool:
-    """Same class in L'/L, i.e. l1 - l2 is integral."""
-    return (l1 - l2).is_integral()
 
 
 def is_numerically_gorenstein(graph: ResolutionGraph) -> bool:

@@ -8,25 +8,19 @@ module asserts this equivalence and treats a disagreement as a bug signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 
 from .core import (Cycle, ResolutionGraph, _rooting, _subtree_solve,
-                   _times_a, build_graph, canonical_cycle, dual_cycle,
-                   is_numerically_gorenstein)
+                   _times_a, dual_cycle)
 from .ellseq import elliptic_sequence
-from .errors import GraphValidationError, InvariantViolation, UserError, quote
-from .laufer import classify, require_elliptic_minimal
+from .errors import InvariantViolation
 
 __all__ = [
     "CriterionReport",
     "extension_criterion",
     "monomial_condition",
     "criteria_reports",
-    "supports_wecc",
-    "supports_ecc",
-    "glue_classify",
 ]
 
 
@@ -231,67 +225,3 @@ def criteria_reports(graph: ResolutionGraph
             "elliptic graph",
             payload={"extension": ext.verdict, "monomial": mono.verdict})
     return ext, mono
-
-
-def supports_wecc(graph: ResolutionGraph) -> bool:
-    """Existence of a weak-end-curve analytic structure (elliptic graphs)."""
-    return criteria_reports(graph)[0].verdict
-
-
-def supports_ecc(graph: ResolutionGraph) -> bool:
-    """Existence of an end-curve analytic structure (elliptic graphs)."""
-    return criteria_reports(graph)[1].verdict
-
-
-@dataclass(frozen=True)
-class GlueReport:
-    vertex: str
-    euler_new: int
-    negative_definite: bool
-    classification: str | None
-    chi_zmin: Fraction | None
-    lemma_conditions: dict = field(default_factory=dict)
-
-
-def glue_classify(graph: ResolutionGraph, v: str, e_new: int) -> GlueReport:
-    """Attach a new vertex to v with euler number e_new and classify the
-    extension; when the extension stays elliptic, the gluing constraints on
-    the base graph are asserted: m_v(Z_min) = 1 and v not in B_1, plus (in
-    the numerically Gorenstein case) v is an end-vertex with m_v(Z_K) = 1."""
-    zmin = require_elliptic_minimal(graph).zmin
-    if v not in graph._index:
-        raise UserError(f"unknown vertex: {quote(v)}")
-    if not isinstance(e_new, int) or e_new > -2:
-        raise UserError(f"euler number of the new vertex must be <= -2, got {quote(e_new)}")
-    new_id = "_glued"
-    while new_id in graph._index:
-        new_id += "_"
-    try:
-        extended = build_graph({
-            "vertices": [(w, graph.euler[w]) for w in graph.vertices] + [(new_id, e_new)],
-            "edges": [tuple(sorted(e)) for e in graph.edges] + [(v, new_id)],
-        })
-    except GraphValidationError as exc:
-        if exc.diagnostic == "not-negative-definite":
-            return GlueReport(vertex=v, euler_new=e_new, negative_definite=False,
-                              classification=None, chi_zmin=None)
-        raise
-    cls = classify(extended)
-    conditions: dict = {}
-    if cls.kind == "elliptic":
-        seq = elliptic_sequence(graph)
-        conditions["m_v_zmin"] = zmin.coefficient(v)
-        conditions["v_in_B1"] = seq.depths[v] >= 1
-        ok = conditions["m_v_zmin"] == 1 and not conditions["v_in_B1"]
-        if is_numerically_gorenstein(graph):
-            zk = canonical_cycle(graph)
-            conditions["v_is_end"] = graph.degree(v) == 1
-            conditions["m_v_zk"] = zk.coefficient(v)
-            ok = ok and conditions["v_is_end"] and conditions["m_v_zk"] == 1
-        if not ok:
-            raise InvariantViolation(
-                "gluing produced an elliptic graph but the base graph "
-                "violates the gluing constraints", payload=conditions)
-    return GlueReport(vertex=v, euler_new=e_new, negative_definite=True,
-                      classification=cls.kind, chi_zmin=cls.chi_zmin,
-                      lemma_conditions=conditions)

@@ -26,7 +26,6 @@ from .laufer import (antinef_lift, minimal_class_representative,
 __all__ = [
     "EllipticSequence",
     "elliptic_sequence",
-    "minimally_elliptic_cycle",
     "partial_sums",
     "antinef_in_class_below_ZK",
     "numerically_gorenstein_subsupports",
@@ -141,11 +140,6 @@ def elliptic_sequence(graph: ResolutionGraph) -> EllipticSequence:
                            fundamental_cycles=tuple(cycles))
     seq.validate()
     return seq
-
-
-def minimally_elliptic_cycle(graph: ResolutionGraph) -> Cycle:
-    """C = Z_{B_m}: the unique minimal nonzero cycle with chi = 0."""
-    return elliptic_sequence(graph).fundamental_cycles[-1]
 
 
 def partial_sums(seq: EllipticSequence, t: int) -> tuple[Cycle, Cycle]:

@@ -30,12 +30,10 @@ __all__ = [
     "FORMAT_VERSION",
     "GraphFile",
     "parse_fraction",
-    "format_fraction",
     "read_json_file",
     "parse_graph_data",
     "parse_cycle",
     "parse_graph",
-    "graph_to_data",
     "cycle_to_data",
     "dump_json",
 ]
@@ -66,10 +64,6 @@ def parse_fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise UserError(f"cannot parse rational {quote(value)}: {exc}")
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_graph_data(data) -> GraphFile:
@@ -127,18 +121,6 @@ def cycle_to_data(cycle: Cycle) -> dict[str, str]:
             g = math.gcd(n, den)
             out[v] = str(n // g) if g == den else f"{n // g}/{den // g}"
     return out
-
-
-def graph_to_data(graph: ResolutionGraph, cycles=None) -> dict:
-    data = {
-        "format": FORMAT_VERSION,
-        "vertices": [{"id": v, "euler": graph.euler[v]}
-                     for v in graph.vertices],
-        "edges": [sorted(e) for e in sorted(graph.edges, key=sorted)],
-    }
-    if cycles:
-        data["cycles"] = {name: cycle_to_data(c) for name, c in cycles.items()}
-    return data
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -1,8 +1,8 @@
 """Numeric Brill-Noether machinery over the elliptic sequence.
 
 Everything here is the combinatorial shadow of the analytic stratification:
-vertex depths and the flag dimension dim V(I), the reduction index, the
-stratification dimension table, candidate fixed-component cycles, and the
+the W-strata report (the reduction index, h1 on the image and the
+stratification dimension table), candidate fixed-component cycles, and the
 solver for the compatibility system
 
     (i)  l >= 0 integral, l' - l antinef-negative,
@@ -32,9 +32,6 @@ __all__ = [
     "WStratum",
     "WStrataReport",
     "FixedComponentCandidate",
-    "depth",
-    "dim_V",
-    "reduction_index",
     "w_strata",
     "fixed_component_candidates",
     "strata_index_sets",
@@ -74,21 +71,6 @@ class AnalyticParams:
                     "effective antinef cycle")
 
 
-def depth(seq: EllipticSequence, v: str) -> int:
-    """max{j : v in B_j}, or -1 if v is outside B_0."""
-    if v not in seq.graph._index:
-        raise UserError(f"unknown vertex: {quote(v)}")
-    return seq.depths[v]
-
-
-def dim_V(seq: EllipticSequence, vertex_set, params: AnalyticParams) -> int:
-    """Flag dimension of V(I): 0 for empty I, else the maximum over u in I
-    of max(0, depth(u) - alpha + 1)."""
-    seq.pg(params.alpha)  # refuses an alpha outside [0, m]
-    return max((max(0, depth(seq, u) - params.alpha + 1) for u in vertex_set),
-               default=0)
-
-
 def _weights(seq: EllipticSequence, alpha: int) -> dict[str, int]:
     """{v: max(0, depth(v) - alpha + 1)} in vertex order; dim V(I) is the
     largest weight on I."""
@@ -109,13 +91,10 @@ def _require_chern(lprime: Cycle) -> frozenset[str]:
 
 
 def _index(seq: EllipticSequence, support: frozenset[str]) -> int:
+    """The reduction index of a Chern class with E*-support I: the largest
+    0 <= i <= m+1 with I meeting B_{i-1} (B_{-1} = full set), 0 iff I is
+    empty."""
     return max((seq.depths[v] + 1 for v in support), default=0)
-
-
-def reduction_index(seq: EllipticSequence, lprime: Cycle) -> int:
-    """Maximal 0 <= i <= m+1 with I(l') meeting B_{i-1} (B_{-1} = full set);
-    0 iff the E*-support is empty."""
-    return _index(seq, _require_chern(lprime))
 
 
 @dataclass(frozen=True)
@@ -135,28 +114,22 @@ class WStrataReport:
 
 
 def w_strata(seq: EllipticSequence, lprime: Cycle,
-             params: AnalyticParams) -> WStrataReport:
+             alpha: int) -> WStrataReport:
     """p_g, the reduction index i = i(l'), the uniform h1 = p_g - dim V(I(l'))
     on the image closure, and the dimension table of the h1-level sets in
     the Picard group for Chern class l': one linear stratum per level, plus
-    the wandering-point caveat when alpha exceeds i. Checks alpha, then l',
-    and asserts h1 <= p_g(X_i)."""
-    total = seq.pg(params.alpha)
+    the wandering-point caveat when alpha exceeds i. Checks alpha, then
+    l'."""
+    total = seq.pg(alpha)
     support = _require_chern(lprime)
     i = _index(seq, support)
-    weights = _weights(seq, params.alpha)
+    weights = _weights(seq, alpha)
     h1 = total - max((weights[v] for v in support), default=0)
-    base = seq.pg(params.alpha, i)
-    if h1 > base:
-        raise InvariantViolation(
-            "h1 on the image exceeds the reduction-index bound",
-            payload={"value": h1, "bound": base})
-    start = max(i, params.alpha)
-    table = [WStratum(k=seq.m + 1 - j, dim=j - params.alpha, kind="linear")
-             for j in range(start, seq.m + 2)]
-    if params.alpha > i:
-        table.append(WStratum(k=base, dim=0, kind="wandering",
-                              count_max=params.alpha - i))
+    table = [WStratum(k=seq.m + 1 - j, dim=j - alpha, kind="linear")
+             for j in range(max(i, alpha), seq.m + 2)]
+    if alpha > i:
+        table.append(WStratum(k=seq.pg(alpha, i), dim=0, kind="wandering",
+                              count_max=alpha - i))
     return WStrataReport(pg=total, reduction_index=i, h1_on_image=h1,
                          strata=tuple(table))
 
@@ -167,20 +140,20 @@ class FixedComponentCandidate:
     exceptional: bool = False
 
 
-def fixed_component_candidates(seq: EllipticSequence, params: AnalyticParams
+def fixed_component_candidates(seq: EllipticSequence, alpha: int
                                ) -> list[FixedComponentCandidate]:
     """Possible nonzero-or-zero fixed-component cycles of degree-zero line
     bundles: {0, C_0, ..., C_m}; when the minimally elliptic cycle has
     self-intersection -1 and the structure is non-Gorenstein (alpha >= 1),
     the exceptional candidate 2 Z_min is appended, flagged."""
-    seq.pg(params.alpha)  # refuses an alpha outside [0, m]
+    seq.pg(alpha)  # refuses an alpha outside [0, m]
     if not is_numerically_gorenstein(seq.graph):
         raise UserError("fixed-component candidates require a numerically "
                         "Gorenstein graph")
     # numerically Gorenstein: C_{-1} = 0, so the sums are {0, C_0, ..., C_m}
     out = [FixedComponentCandidate(c) for c in seq.sums]
     c = seq.fundamental_cycles[-1]
-    if intersection_form(c, c) == -1 and params.alpha >= 1:
+    if intersection_form(c, c) == -1 and alpha >= 1:
         out.append(FixedComponentCandidate(2 * seq.fundamental_cycles[0],
                                            exceptional=True))
     return out
@@ -262,9 +235,15 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     difference (and, in wecc mode, by flag-dimension comparison alone,
     since every subspace then passes through the origin and lies in the
     flag). Excluded candidates are retained with a reference to their
-    excluder; per-level entries of maximal dimension are flagged."""
-    _require_chern(lprime)
+    excluder; per-level entries of maximal dimension are flagged.
+
+    The levels must agree with the W-strata table: the levels holding an
+    accepted entry are exactly 0, ..., p_g(X_i) for the reduction index i
+    of l', and the largest accepted dim at level k is the table's linear
+    dim p_g - k there; otherwise InvariantViolation."""
+    support = _require_chern(lprime)
     total = seq.pg(params.alpha)
+    i = _index(seq, support)
     wecc = params.mode == "wecc"
     pool = params.trivializable if params.mode == "custom" else ()
     weights = _weights(seq, params.alpha)
@@ -282,6 +261,7 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     # with T empty only a zero difference decomposes, and the walk's points
     # are distinct: outside wecc mode nothing is excluded then
     excluders = accepted_above if wecc or pool else ()
+    tops: dict[int, int] = {}
     for k in range(total, -1, -1):
         entries = []
         for l, dim in sorted(by_level.get(k, []),
@@ -296,11 +276,21 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
                                        excluded_by=excluder))
         top = max((e.dim for e in entries if e.excluded_by is None),
                   default=None)
+        if top is not None:
+            tops[k] = top
         levels[k] = tuple(
             replace(e, maximal=True)
             if e.excluded_by is None and e.dim == top else e
             for e in entries)
         accepted_above.extend(e for e in levels[k] if e.excluded_by is None)
+    expected = {k: total - k
+                for k in range(seq.pg(params.alpha, i), -1, -1)}
+    if tops != expected:
+        raise InvariantViolation(
+            "the strata levels disagree with the W-strata table",
+            payload={"lprime": lprime, "alpha": params.alpha,
+                     "mode": params.mode, "levels": tops,
+                     "expected": expected})
     notes = [NOTE_F0]
     if params.mode == "generic":
         notes.append(NOTE_SUPERSET)

@@ -12,6 +12,7 @@ from resgraph import quadform
 from resgraph.core import build_graph
 from resgraph.errors import GraphValidationError
 from resgraph.fixtures import load_fixture
+from resgraph.graphio import FORMAT_VERSION, cycle_to_data
 
 
 def _graph_fixture(name):
@@ -72,6 +73,24 @@ def det1364_tree():
         "edges": [(f"v{u}", f"v{v}") for u, v in edges]})
 
 
+def g_app_with_chain(length):
+    """g_app with a -2 chain of `length` vertices c0, c1, ... at a9."""
+    g_app = load_fixture("g_app").graph
+    chain = [f"c{i}" for i in range(length)]
+    return build_graph({
+        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
+        + [(c, -2) for c in chain],
+        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
+        + list(zip(chain, chain[1:]))})
+
+
+def flag_dim(seq, support, alpha):
+    """dim V(I), computed apart from strata: the largest
+    max(0, depth(u) - alpha + 1) over u in I, 0 for empty I."""
+    return max((max(0, seq.depths[u] - alpha + 1) for u in support),
+               default=0)
+
+
 def full_subgraph(graph, vertices):
     """The full subgraph on a connected vertex set, built and validated by
     build_graph from the parent's Euler numbers and edges."""
@@ -79,6 +98,17 @@ def full_subgraph(graph, vertices):
     return build_graph({"vertices": [(v, graph.euler[v]) for v in keep],
                         "edges": [tuple(e) for e in graph.edges
                                   if e <= keep]})
+
+
+def graph_data(graph, cycles=None):
+    """The graph file data of `graph`, with the named `cycles` if given."""
+    data = {"format": FORMAT_VERSION,
+            "vertices": [{"id": v, "euler": graph.euler[v]}
+                         for v in graph.vertices],
+            "edges": [sorted(e) for e in sorted(graph.edges, key=sorted)]}
+    if cycles:
+        data["cycles"] = {name: cycle_to_data(c) for name, c in cycles.items()}
+    return data
 
 
 def package_imports(module):

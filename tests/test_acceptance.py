@@ -17,8 +17,8 @@ import pytest
 from resgraph import oracle
 from resgraph.core import (canonical_cycle, chi, dual_cycle,
                            estar_coordinates, intersection_form)
-from resgraph.criteria import (extension_criterion, monomial_condition,
-                               supports_ecc, supports_wecc)
+from resgraph.criteria import (criteria_reports, extension_criterion,
+                               monomial_condition)
 from resgraph.ellseq import elliptic_sequence, partial_sums
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.strata import AnalyticParams, strata_index_sets, w_strata
@@ -113,7 +113,8 @@ def test_criterion_5_criteria_fixtures(g_app, g_noecc, g_left, g_right):
         assert ext.verdict is expected[id(g)]
         assert mono.verdict is expected[id(g)]
         # the two formulations must always agree on elliptic graphs
-        assert supports_wecc(g) == supports_ecc(g) == expected[id(g)]
+        wecc, ecc = (r.verdict for r in criteria_reports(g))
+        assert wecc == ecc == expected[id(g)]
     assert "c8" in {r["node"] for r in monomial_condition(g_noecc).violations}
 
 
@@ -130,10 +131,10 @@ def test_criterion_6_classification_pole(g_pole):
 def test_criterion_7_wstrata(g_app):
     seq = elliptic_sequence(g_app)
     lprime = g_app.zero_cycle()
-    out0 = w_strata(seq, lprime, AnalyticParams(alpha=0)).strata
+    out0 = w_strata(seq, lprime, 0).strata
     assert [(s.k, s.dim) for s in out0] == [(2, 0), (1, 1), (0, 2)]
     assert all(s.kind == "linear" for s in out0)
-    out1 = w_strata(seq, lprime, AnalyticParams(alpha=1)).strata
+    out1 = w_strata(seq, lprime, 1).strata
     linear = [s for s in out1 if s.kind == "linear"]
     assert [(s.k, s.dim) for s in linear] == [(1, 0), (0, 1)]
     wandering = [s for s in out1 if s.kind == "wandering"]

@@ -15,7 +15,8 @@ from resgraph import cli, strata
 from resgraph.cli import run
 from resgraph.core import build_graph
 from resgraph.errors import InvariantViolation
-from resgraph.graphio import graph_to_data
+
+from conftest import graph_data
 
 
 def invoke(capsys, *argv):
@@ -166,14 +167,14 @@ def test_trivializable_file(capsys, tmp_path, g_app):
 
 def test_graph_from_file(capsys, tmp_path, g_app):
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(graph_to_data(g_app)))
+    path.write_text(json.dumps(graph_data(g_app)))
     data = invoke_json(capsys, "classify", str(path))
     assert data["classification"] == "elliptic"
 
 
 def test_oracle_verify_small(capsys, tmp_path, a2_chain):
     path = tmp_path / "a2.json"
-    path.write_text(json.dumps(graph_to_data(a2_chain)))
+    path.write_text(json.dumps(graph_data(a2_chain)))
     data = invoke_json(capsys, "oracle-verify", str(path))
     assert data["checks"]["fundamental-cycle"] == "ok"
 
@@ -238,7 +239,7 @@ def test_non_minimal_graph_file_warns_once(capsys, tmp_path, g_pole):
     """A non-minimal graph file is answered with one warning line on
     stderr; the bundled non-minimal fixture loads quietly."""
     path = tmp_path / "g_pole.json"
-    path.write_text(json.dumps(graph_to_data(g_pole)))
+    path.write_text(json.dumps(graph_data(g_pole)))
     code, out, err = invoke(capsys, "classify", str(path))
     assert code == 0 and "classification:" in out
     assert err == NON_MINIMAL
@@ -299,7 +300,7 @@ def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path, g_app):
     exit 3 with one line naming the limit, not a traceback."""
     chain = [f"c{i:03d}" for i in range(250)]
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps(graph_to_data(build_graph({
+    path.write_text(json.dumps(graph_data(build_graph({
         "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
         + [(c, -2) for c in chain],
         "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]

@@ -1,4 +1,4 @@
-"""End-curve criteria and the gluing classifier."""
+"""End-curve criteria and the gluing lemma."""
 
 from __future__ import annotations
 
@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings
 
 import resgraph.criteria as criteria_module
 from resgraph.core import (Cycle, _subtree_solve, _times_a, build_graph,
-                           dual_cycle, intersection_form)
-from resgraph.criteria import (extension_criterion, glue_classify,
-                               monomial_condition, supports_ecc,
-                               supports_wecc)
-from resgraph.errors import InvariantViolation, UserError
+                           canonical_cycle, dual_cycle, intersection_form,
+                           is_numerically_gorenstein)
+from resgraph.criteria import (criteria_reports, extension_criterion,
+                               monomial_condition)
+from resgraph.ellseq import elliptic_sequence
+from resgraph.errors import GraphValidationError, InvariantViolation, UserError
+from resgraph.laufer import classify, fundamental_cycle
 
 from conftest import random_tree, random_trees
 
@@ -220,52 +222,61 @@ def test_a_failed_revalidation_is_a_bug_not_a_dead_end(g_app):
 
 
 def test_supports_wecc_equals_ecc(g_app, g_noecc):
-    assert supports_wecc(g_app) is True
-    assert supports_ecc(g_app) is True
-    assert supports_wecc(g_noecc) is False
-    assert supports_ecc(g_noecc) is False
+    """The extension criterion decides a weak-end-curve structure and the
+    monomial condition an end-curve structure; they agree."""
+    for graph, expected in ((g_app, True), (g_noecc, False)):
+        wecc, ecc = criteria_reports(graph)
+        assert wecc.verdict is ecc.verdict is expected
 
 
 def test_criteria_require_elliptic(g_pole, single_vertex):
-    with pytest.raises(UserError):
-        supports_wecc(g_pole)
-    with pytest.raises(UserError):
-        supports_ecc(single_vertex)
+    for graph in (g_pole, single_vertex):
+        with pytest.raises(UserError):
+            criteria_reports(graph)
 
 
-def test_glue_classify_app(g_app):
-    report = glue_classify(g_app, "a9", -2)
-    assert report.negative_definite
-    assert report.classification == "elliptic"
-    assert report.lemma_conditions["m_v_zmin"] == 1
-    assert report.lemma_conditions["v_in_B1"] is False
-    assert report.lemma_conditions["v_is_end"] is True
-    assert report.lemma_conditions["m_v_zk"] == 1
-
-
-def test_glue_classify_not_definite(g_app):
-    report = glue_classify(g_app, "u", -2)
-    assert not report.negative_definite
-    assert report.classification is None
-
-
-def test_glue_classify_input_errors(g_app):
-    with pytest.raises(UserError):
-        glue_classify(g_app, "missing", -2)
-    with pytest.raises(UserError):
-        glue_classify(g_app, "a9", -1)
+def test_gluing_lemma_on_every_extension(request):
+    """Attach a new vertex of Euler number -2, -3 or -4 to each vertex v of
+    the five elliptic fixtures. Whenever the extension is elliptic, the
+    base meets the gluing constraints: m_v(Z_min) = 1 and v is not in B_1,
+    and on a numerically Gorenstein base v is an end with m_v(Z_K) = 1.
+    Of the 246 gluings, 91 are not negative definite and 39 are
+    elliptic; g_app glued at a9 with -2 is one of those."""
+    elliptic, indefinite = [], 0
+    for name in ("g_app", "g_new", "g_noecc", "g_left", "g_right"):
+        graph = request.getfixturevalue(name)
+        depths = elliptic_sequence(graph).depths
+        zmin, zk = fundamental_cycle(graph), canonical_cycle(graph)
+        gorenstein = is_numerically_gorenstein(graph)
+        for v in graph.vertices:
+            for e_new in (-2, -3, -4):
+                try:
+                    extended = build_graph({
+                        "vertices": [(w, graph.euler[w])
+                                     for w in graph.vertices]
+                        + [("_glued", e_new)],
+                        "edges": [tuple(e) for e in graph.edges]
+                        + [(v, "_glued")]})
+                except GraphValidationError as exc:
+                    assert exc.diagnostic == "not-negative-definite"
+                    indefinite += 1
+                    continue
+                if classify(extended).kind != "elliptic":
+                    continue
+                elliptic.append((name, v, e_new))
+                assert zmin.coefficient(v) == 1 and depths[v] < 1
+                if gorenstein:
+                    assert graph.degree(v) == 1 and zk.coefficient(v) == 1
+    assert (len(elliptic), indefinite) == (39, 91)
+    assert ("g_app", "a9", -2) in elliptic
 
 
 def test_refusals_quote_a_long_vertex_id(g_app):
     """A 10 000-character vertex id is cut down in the refusal, not echoed."""
-    from resgraph.ellseq import elliptic_sequence
     from resgraph.fixtures import load_fixture
-    from resgraph.strata import AnalyticParams, depth
+    from resgraph.strata import AnalyticParams
     long_id = "v" * 10_000
-    refusals = [lambda: depth(elliptic_sequence(g_app), long_id),
-                lambda: glue_classify(g_app, long_id, -2),
-                lambda: glue_classify(g_app, "a9", int("9" * 4000)),
-                lambda: AnalyticParams(mode=long_id),
+    refusals = [lambda: AnalyticParams(mode=long_id),
                 lambda: load_fixture(long_id)]
     for refuse in refusals:
         with pytest.raises(UserError) as info:

@@ -20,12 +20,11 @@ from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import UserError
 from resgraph.fixtures import FIXTURE_NAMES, is_fixture_name, load_fixture
 from resgraph.graphio import (FORMAT_VERSION, cycle_to_data, dump_json,
-                              format_fraction, graph_to_data, parse_fraction,
-                              parse_graph, parse_graph_data)
+                              parse_fraction, parse_graph, parse_graph_data)
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.strata import AnalyticParams
 
-from conftest import package_imports
+from conftest import graph_data, package_imports
 
 
 def test_parse_fraction():
@@ -46,15 +45,17 @@ def test_parse_fraction():
             parse_fraction(bad)
 
 
-def test_format_fraction_roundtrip():
+def test_parse_fraction_reads_str():
+    """Reports write a rational as str(Fraction); parse_fraction reads it
+    back."""
     for f in (Fraction(14, 3), Fraction(7), Fraction(-1, 2), Fraction(0)):
-        assert parse_fraction(format_fraction(f)) == f
-        assert "/" in format_fraction(f) or f.denominator == 1
+        assert parse_fraction(str(f)) == f
+        assert "/" in str(f) or f.denominator == 1
 
 
 def test_graph_data_roundtrip(g_app):
     cycles = {"test": g_app.cycle({"a1": Fraction(14, 3), "u": 2})}
-    data = graph_to_data(g_app, cycles)
+    data = graph_data(g_app, cycles)
     # JSON-serializable with rationals as strings, never floats
     redecoded = json.loads(json.dumps(data))
     gf = parse_graph_data(redecoded)
@@ -65,7 +66,7 @@ def test_graph_data_roundtrip(g_app):
 
 
 def test_format_version_checked(g_app):
-    data = graph_to_data(g_app)
+    data = graph_data(g_app)
     data["format"] = 99
     with pytest.raises(UserError):
         parse_graph_data(data)
@@ -219,7 +220,7 @@ def test_cycle_to_data_builds_no_fraction():
     body = ast.parse(inspect.getsource(cycle_to_data))
     names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
     attrs = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    assert "Fraction" not in names and "format_fraction" not in names
+    assert "Fraction" not in names
     assert not attrs & {"coeffs", "items", "coefficient"}
 
 

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import types
 from fractions import Fraction
@@ -244,6 +245,49 @@ def test_every_export_resolves():
         __all__=["kept", "gone"], kept=1)) == ["gone"]
 
 
+def _unread_exports(exports, sources: dict[str, str], bench: str
+                    ) -> list[str]:
+    """The names in `exports` that no module in `sources` reads, by name or
+    as an attribute, outside their own top-level def or class (an import
+    or an __all__ entry is no read), and that the `bench` text does not
+    name."""
+    read = set()
+    for source in sources.values():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return [name for name in exports if name not in read
+            and not re.search(rf"\b{re.escape(name)}\b", bench)]
+
+
+def test_every_export_has_a_reader():
+    """A public-surface audit: every name in resgraph.__all__ is read in
+    the package outside its own definition, or named by the benchmark
+    scripts, so a helper that only the tests call cannot stay public."""
+    package = Path(oracle_module.__file__).parent
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    bench = "\n".join(path.read_text() for path in sorted(
+        (package.parents[1] / "bench").glob("*.py")))
+    unread = _unread_exports(resgraph.__all__, sources, bench)
+    assert not unread, f"public names with no reader: {unread}"
+    assert _unread_exports(["f", "g", "h", "k", "C"], {
+        "m.py": '__all__ = ["f", "g", "h", "k", "C"]\nfrom n import k\n'
+                'def f(): return f()\ndef g(): pass\ndef h(): pass\n'
+                'class C:\n    def me(self) -> C: return C()\n'
+                'x = g()\nh = 1\n',
+    }, "k = 1") == ["f", "h", "C"]
+
+
 def test_single_vertex_hand_values(single_vertex):
     g = single_vertex
     e = g.basis_cycle("v")
@@ -279,9 +323,9 @@ def test_brute_against_elliptic_fixture(name, request):
 def test_brute_minimally_elliptic_on_g_right(g_right):
     """The chi <= 0 walk stays below the oracle's Z_min, so on the 26-vertex
     fixture it ends inside 10^6 nodes (the whole ellipsoid passes them)."""
-    from resgraph.ellseq import minimally_elliptic_cycle
+    from resgraph.ellseq import elliptic_sequence
     assert brute_minimally_elliptic(g_right, cap=10 ** 6) == \
-        minimally_elliptic_cycle(g_right)
+        elliptic_sequence(g_right).fundamental_cycles[-1]
 
 
 @pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",

@@ -21,10 +21,11 @@ from resgraph.core import (build_graph, canonical_cycle, dual_cycle,
 from resgraph.criteria import criteria_reports
 from resgraph.ellseq import elliptic_sequence, partial_sums, pg_table
 from resgraph.errors import GraphValidationError
-from resgraph.graphio import graph_to_data
 from resgraph.laufer import classify, fundamental_cycle
 from resgraph.strata import (AnalyticParams, _candidate_cycles,
                              strata_index_sets)
+
+from conftest import graph_data
 
 FIXTURES = ["g_app", "g_new", "g_noecc"]
 
@@ -188,7 +189,7 @@ def test_strata_json_permutes(capsys, tmp_path, g_app, lprime):
     back = {w: v for v, w in rename.items()}
     renamed, _ = _renamed(g_app, rename)
     path = tmp_path / "renamed.json"
-    path.write_text(json.dumps(graph_to_data(renamed)))
+    path.write_text(json.dumps(graph_data(renamed)))
     flags = [] if lprime is None else ["--lprime", lprime]
     flags2 = [] if lprime is None else ["--lprime",
                                         "estar:" + rename["a9"] + "=1"]

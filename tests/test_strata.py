@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import random
@@ -21,11 +22,12 @@ from resgraph.fixtures import load_fixture
 from resgraph.laufer import (classify, fundamental_cycle,
                              minimal_class_representative)
 from resgraph.oracle import brute_antinef_sublevel
-from resgraph.strata import (AnalyticParams, _candidate_cycles, depth, dim_V,
-                             fixed_component_candidates, reduction_index,
-                             strata_index_sets, w_strata)
+from resgraph.strata import (AnalyticParams, _candidate_cycles,
+                             fixed_component_candidates, strata_index_sets,
+                             w_strata)
 
-from conftest import package_imports, random_tree, random_trees
+from conftest import (flag_dim, g_app_with_chain, package_imports,
+                      random_tree, random_trees)
 
 
 @pytest.fixture(scope="module")
@@ -48,19 +50,24 @@ def test_analytic_params_validation(g_app):
     AnalyticParams(mode="custom", trivializable=(fundamental_cycle(g_app),))
 
 
-def test_depth_and_dim(seq_app):
-    # B_1 excludes exactly a9
-    assert depth(seq_app, "a9") == 0
-    assert depth(seq_app, "a1") == 1
-    with pytest.raises(UserError):
-        depth(seq_app, "missing")
-    p0 = AnalyticParams(alpha=0)
-    assert dim_V(seq_app, set(), p0) == 0
-    assert dim_V(seq_app, {"a9"}, p0) == 1
-    assert dim_V(seq_app, {"a9", "a1"}, p0) == 2
-    p1 = AnalyticParams(alpha=1)
-    assert dim_V(seq_app, {"a9"}, p1) == 0
-    assert dim_V(seq_app, {"a1"}, p1) == 1
+def test_depth_and_dim(g_app, seq_app):
+    """B_1 excludes exactly a9; dim V(I(l')) is p_g - h1 on the image,
+    read at -l' = sum of E*_v over I."""
+    assert seq_app.depths["a9"] == 0
+    assert seq_app.depths["a1"] == 1
+
+    def dim_v(support, alpha):
+        lprime = g_app.zero_cycle()
+        for v in support:
+            lprime = lprime - dual_cycle(g_app, v)
+        report = w_strata(seq_app, lprime, alpha)
+        return report.pg - report.h1_on_image
+
+    assert dim_v((), 0) == 0
+    assert dim_v(("a9",), 0) == 1
+    assert dim_v(("a9", "a1"), 0) == 2
+    assert dim_v(("a9",), 1) == 0
+    assert dim_v(("a1",), 1) == 1
 
 
 def test_pg_and_alpha_bounds(seq_app):
@@ -71,16 +78,13 @@ def test_pg_and_alpha_bounds(seq_app):
 
 
 def test_reduction_index_and_h1(g_app, seq_app):
-    zero = g_app.zero_cycle()
-    assert reduction_index(seq_app, zero) == 0
-    assert reduction_index(seq_app, -dual_cycle(g_app, "a9")) == 1
-    assert reduction_index(seq_app, -dual_cycle(g_app, "a1")) == 2
-    p0 = AnalyticParams(alpha=0)
-    assert w_strata(seq_app, zero, p0).h1_on_image == 2
-    assert w_strata(seq_app, -dual_cycle(g_app, "a9"), p0).h1_on_image == 1
-    assert w_strata(seq_app, -dual_cycle(g_app, "a1"), p0).h1_on_image == 0
+    for lprime, i, h1 in ((g_app.zero_cycle(), 0, 2),
+                          (-dual_cycle(g_app, "a9"), 1, 1),
+                          (-dual_cycle(g_app, "a1"), 2, 0)):
+        report = w_strata(seq_app, lprime, 0)
+        assert (report.reduction_index, report.h1_on_image) == (i, h1)
     with pytest.raises(UserError):  # l' must lie in -S'
-        reduction_index(seq_app, g_app.basis_cycle("a1"))
+        w_strata(seq_app, g_app.basis_cycle("a1"), 0)
 
 
 def test_chern_classes_outside_the_lattice_are_refused(g_app, seq_app):
@@ -88,11 +92,9 @@ def test_chern_classes_outside_the_lattice_are_refused(g_app, seq_app):
     function of a Chern class refuses it rather than answer for a class
     with no Picard component."""
     lprime = -dual_cycle(g_app, "a1") * Fraction(1, 2)
-    params = AnalyticParams()
-    for call in (lambda: reduction_index(seq_app, lprime),
-                 lambda: w_strata(seq_app, lprime, params).h1_on_image,
-                 lambda: w_strata(seq_app, lprime, params),
-                 lambda: strata_index_sets(seq_app, lprime, params)):
+    for call in (lambda: w_strata(seq_app, lprime, 0),
+                 lambda: strata_index_sets(seq_app, lprime,
+                                           AnalyticParams())):
         with pytest.raises(UserError, match="lprime must lie in L'"):
             call()
 
@@ -108,18 +110,17 @@ def test_a_non_integral_slack_is_a_bug(monkeypatch, g_app, seq_app):
 
 def test_fixed_component_candidates(g_app, g_new, seq_app):
     from resgraph.core import canonical_cycle
-    cands = fixed_component_candidates(seq_app, AnalyticParams(alpha=0))
+    cands = fixed_component_candidates(seq_app, 0)
     cycles = [c.cycle for c in cands]
     assert cycles == [g_app.zero_cycle(), fundamental_cycle(g_app),
                       canonical_cycle(g_app)]
     assert not any(c.exceptional for c in cands)
     # (C, C) = -1 and alpha >= 1 appends the flagged 2 Z_min
-    cands1 = fixed_component_candidates(seq_app, AnalyticParams(alpha=1))
+    cands1 = fixed_component_candidates(seq_app, 1)
     assert cands1[-1].exceptional
     assert cands1[-1].cycle == 2 * fundamental_cycle(g_app)
     with pytest.raises(UserError):  # needs numerically Gorenstein
-        fixed_component_candidates(elliptic_sequence(g_new),
-                                   AnalyticParams(alpha=0))
+        fixed_component_candidates(elliptic_sequence(g_new), 0)
 
 
 def test_strata_report_structure(g_app, seq_app):
@@ -156,8 +157,7 @@ def test_strata_generic_mode_notes(g_app, seq_app):
 
 
 def test_w_strata_wandering(g_app, seq_app):
-    out = w_strata(seq_app, g_app.zero_cycle(),
-                   AnalyticParams(alpha=1)).strata
+    out = w_strata(seq_app, g_app.zero_cycle(), 1).strata
     kinds = {s.kind for s in out}
     assert kinds == {"linear", "wandering"}
     wander = next(s for s in out if s.kind == "wandering")
@@ -165,9 +165,9 @@ def test_w_strata_wandering(g_app, seq_app):
 
 
 def _check_w_strata(seq, rng, draws):
-    """The W-strata report against the separate functions, at l' = 0 and
-    at `draws` classes -l' = sum c_v E*_v with c_v in 0..3 on up to three
-    vertices, for every alpha in [0, m]."""
+    """The W-strata report against the depths, at l' = 0 and at `draws`
+    classes -l' = sum c_v E*_v with c_v in 0..3 on up to three vertices,
+    for every alpha in [0, m]: i is the largest depth + 1 on I(l')."""
     graph = seq.graph
     lprimes = [graph.zero_cycle()]
     for _ in range(draws):
@@ -176,13 +176,14 @@ def _check_w_strata(seq, rng, draws):
             minus = minus + rng.randint(0, 3) * dual_cycle(graph, v)
         lprimes.append(-minus)
     for lprime in lprimes:
+        support = estar_support(lprime)
         for alpha in range(seq.m + 1):
-            params = AnalyticParams(alpha=alpha)
-            report = w_strata(seq, lprime, params)
+            report = w_strata(seq, lprime, alpha)
             assert report.pg == seq.pg(alpha)
-            assert report.reduction_index == reduction_index(seq, lprime)
-            assert report.h1_on_image == seq.pg(alpha) - dim_V(
-                seq, estar_support(lprime), params) == report.strata[0].k
+            assert report.reduction_index == max(
+                (seq.depths[v] + 1 for v in support), default=0)
+            assert report.h1_on_image == seq.pg(alpha) - flag_dim(
+                seq, support, alpha) == report.strata[0].k
 
 
 @pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
@@ -203,17 +204,73 @@ def test_w_strata_report_matches_its_parts_on_random_trees():
             _check_w_strata(elliptic_sequence(graph), rng, 6)
 
 
+# the five elliptic fixtures, and g_app with a -2 chain of 3, 6 or 10
+# vertices at a9 (m = 4, 7, 11)
+_TIED_GRAPHS = ("g_app", "g_new", "g_noecc", "g_left", "g_right", 3, 6, 10)
+
+
+@functools.cache
+def _tied_sequence(graph):
+    return elliptic_sequence(g_app_with_chain(graph) if isinstance(graph, int)
+                             else load_fixture(graph).graph)
+
+
+@st.composite
+def _strata_queries(draw):
+    """(seq, l', alpha, mode): -l' = sum c_v E*_v with c_v in 0..3 on up to
+    three vertices, alpha in [0, m], generic or wecc mode."""
+    seq = _tied_sequence(draw(st.sampled_from(_TIED_GRAPHS)))
+    graph = seq.graph
+    minus = graph.zero_cycle()
+    for v in draw(st.lists(st.sampled_from(graph.vertices), max_size=3,
+                           unique=True)):
+        minus = minus + draw(st.integers(0, 3)) * dual_cycle(graph, v)
+    return (seq, -minus, draw(st.integers(0, seq.m)),
+            draw(st.sampled_from(["generic", "wecc"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strata_queries())
+def test_strata_levels_are_the_w_strata_table(query):
+    """The two stratifications of Pic^{l'} agree: the levels of the strata
+    report that hold an accepted entry are the levels of the W-strata
+    table's linear strata, 0 .. p_g(X_i), and the largest accepted dim at
+    each level is that stratum's dim, p_g - k."""
+    seq, lprime, alpha, mode = query
+    report = strata_index_sets(seq, lprime,
+                               AnalyticParams(alpha=alpha, mode=mode))
+    tops = {k: max(e.dim for e in report.entries(k))
+            for k in report.levels if report.entries(k)}
+    table = w_strata(seq, lprime, alpha)
+    assert tops == {s.k: s.dim for s in table.strata if s.kind == "linear"}
+    assert max(tops) == table.h1_on_image
+
+
+def test_strata_levels_that_miss_the_table_are_a_bug(monkeypatch, g_app,
+                                                     seq_app):
+    """With every weight zero each candidate keeps dim 0, so at alpha 0 the
+    level 0 tops out at dim 0, not p_g = 2: the solver raises with l',
+    alpha, mode and the levels seen against those expected."""
+    monkeypatch.setattr(strata, "_weights",
+                        lambda seq, alpha: dict.fromkeys(seq.depths, 0))
+    with pytest.raises(InvariantViolation) as info:
+        strata_index_sets(seq_app, g_app.zero_cycle(), AnalyticParams())
+    payload = info.value.payload
+    assert payload["lprime"] == g_app.zero_cycle()
+    assert (payload["alpha"], payload["mode"]) == (0, "generic")
+    assert payload["expected"] == {2: 0, 1: 1, 0: 2}
+    assert payload["levels"] != payload["expected"]
+
+
 @pytest.mark.parametrize("alpha", [0.5, True, "1"])
 def test_alpha_must_be_an_int(g_app, seq_app, alpha):
     """Every strata entry point refuses an alpha that is not an int, bool
     included, through EllipticSequence.pg, with the value quoted."""
-    params = AnalyticParams(alpha=alpha)
     lprime = g_app.zero_cycle()
-    for call in (lambda: w_strata(seq_app, lprime, params),
-                 lambda: strata_index_sets(seq_app, lprime, params),
-                 lambda: w_strata(seq_app, lprime, params).h1_on_image,
-                 lambda: dim_V(seq_app, {"a1"}, params),
-                 lambda: fixed_component_candidates(seq_app, params)):
+    for call in (lambda: w_strata(seq_app, lprime, alpha),
+                 lambda: strata_index_sets(seq_app, lprime,
+                                           AnalyticParams(alpha=alpha)),
+                 lambda: fixed_component_candidates(seq_app, alpha)):
         with pytest.raises(UserError, match=r"alpha must lie in \[0, 1\], "
                            f"got {re.escape(repr(alpha))}$"):
             call()

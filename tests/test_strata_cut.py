@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph.core import build_graph, dual_cycle, estar_support
+from resgraph.core import dual_cycle, estar_support
 from resgraph.ellseq import elliptic_sequence
 from resgraph.fixtures import load_fixture
 from resgraph.laufer import classify, fundamental_cycle
-from resgraph.strata import (AnalyticParams, _candidate_cycles, dim_V,
+from resgraph.strata import (AnalyticParams, _candidate_cycles,
                              strata_index_sets)
 
-from conftest import random_tree
+from conftest import flag_dim, g_app_with_chain, random_tree
 
 MODES = ("generic", "wecc", "custom")
 
@@ -40,7 +40,7 @@ def _uncut_levels(seq, lprime, params):
     levels = {}
     for l, slack in _candidate_cycles(seq.graph, lprime, total,
                                       [0] * len(seq.graph.vertices)):
-        dim = dim_V(seq, estar_support(l - lprime), params)
+        dim = flag_dim(seq, estar_support(l - lprime), params.alpha)
         k = slack - dim
         if k.denominator == 1 and k >= 0:
             levels.setdefault(int(k), []).append((l.num, dim))
@@ -67,8 +67,7 @@ def _check_cut(seq, lprime, modes=MODES):
         weights = [max(0, seq.depths[v] - alpha + 1) for v in graph.vertices]
         kept = [(l, slack) for l, slack
                 in _candidate_cycles(graph, lprime, total, [0] * len(weights))
-                if slack >= dim_V(seq, estar_support(l - lprime),
-                                  AnalyticParams(alpha=alpha))]
+                if slack >= flag_dim(seq, estar_support(l - lprime), alpha)]
         assert _candidate_cycles(graph, lprime, total, weights) == kept
 
 
@@ -111,20 +110,10 @@ def test_cut_walk_yields_only_entries(walk_counts, name, entries):
     assert walk_counts["calls"] <= 700
 
 
-def _g_app_with_chain(length):
-    g_app = load_fixture("g_app").graph
-    chain = [f"c{i}" for i in range(length)]
-    return build_graph({
-        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
-        + [(c, -2) for c in chain],
-        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
-        + list(zip(chain, chain[1:]))})
-
-
 def test_cut_adds_no_work_on_a_long_sequence(walk_counts):
     """g_app with an 8-vertex -2 chain at a9 has p_g 10; the uncut walk
     makes 969 filter calls for its 62 entries, the cut walk 509."""
-    seq = elliptic_sequence(_g_app_with_chain(8))
+    seq = elliptic_sequence(g_app_with_chain(8))
     assert seq.pg(0) == 10
     report = strata_index_sets(seq, seq.graph.zero_cycle(), AnalyticParams())
     assert sum(len(level) for level in report.levels.values()) == 62
