@@ -235,6 +235,33 @@ def test_criteria_require_elliptic(g_pole, single_vertex):
             criteria_reports(graph)
 
 
+def _glue(graph, v, e_new):
+    """The graph with a new vertex of Euler number e_new attached to v."""
+    return build_graph({
+        "vertices": [(w, graph.euler[w]) for w in graph.vertices]
+        + [("_glued", e_new)],
+        "edges": [tuple(e) for e in graph.edges] + [(v, "_glued")]})
+
+
+def test_glue_classify_app(g_app):
+    """g_app glued at the end a9 with -2 stays elliptic, and the base meets
+    the gluing constraints: m_v(Z_min) = 1, v not in B_1, v an end with
+    m_v(Z_K) = 1 (g_app is numerically Gorenstein)."""
+    assert classify(_glue(g_app, "a9", -2)).kind == "elliptic"
+    assert fundamental_cycle(g_app).coefficient("a9") == 1
+    assert elliptic_sequence(g_app).depths["a9"] < 1
+    assert is_numerically_gorenstein(g_app)
+    assert g_app.degree("a9") == 1
+    assert canonical_cycle(g_app).coefficient("a9") == 1
+
+
+def test_glue_classify_not_definite(g_app):
+    """g_app glued at u with -2 is not negative definite and is refused."""
+    with pytest.raises(GraphValidationError) as info:
+        _glue(g_app, "u", -2)
+    assert info.value.diagnostic == "not-negative-definite"
+
+
 def test_gluing_lemma_on_every_extension(request):
     """Attach a new vertex of Euler number -2, -3 or -4 to each vertex v of
     the five elliptic fixtures. Whenever the extension is elliptic, the
@@ -251,12 +278,7 @@ def test_gluing_lemma_on_every_extension(request):
         for v in graph.vertices:
             for e_new in (-2, -3, -4):
                 try:
-                    extended = build_graph({
-                        "vertices": [(w, graph.euler[w])
-                                     for w in graph.vertices]
-                        + [("_glued", e_new)],
-                        "edges": [tuple(e) for e in graph.edges]
-                        + [(v, "_glued")]})
+                    extended = _glue(graph, v, e_new)
                 except GraphValidationError as exc:
                     assert exc.diagnostic == "not-negative-definite"
                     indefinite += 1
