@@ -6,10 +6,12 @@ rational vectors in the vertex basis, held as integer numerators over one
 denominator; Fractions appear only where values leave this module, and no
 floating point is used anywhere. The one algorithm on A is the integer
 leaf elimination up the rooted tree; no dense matrix is ever built.
-Graphs of one shape share its tables (`ResolutionGraph._with_euler`): the
-vertices, edges, index, adjacency and neighbour lists, the rooting's block
-order and parents, and the (child, parent) pair of each edge, over which
-every pairing (z, E_v) = (A z)_v is summed.
+The shape is stored once, as the integer neighbour table; the vertex-name
+views (`adjacency`, degrees, nodes, end vertices) are read off it. Graphs
+of one shape share its tables (`ResolutionGraph._with_euler`): the
+vertices, edges, index and neighbour table, the rooting's block order and
+parents, and the (child, parent) pair of each edge, over which every
+pairing (z, E_v) = (A z)_v is summed.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ class ResolutionGraph:
     Construct through :func:`build_graph`, which validates the description;
     `_with_euler` gives the same tree other euler numbers.
     Vertex identifiers are opaque strings ordered lexicographically; that
-    order fixes the matrix layout and all report orderings.
+    order fixes the matrix layout and all report orderings. Vertex i is
+    `vertices[i]`, and the one stored form of the shape is `_neighbours`,
+    each vertex's neighbour indices in id order, built in one pass over the
+    edges; `adjacency` and the degree queries are read off it.
     """
 
     def __init__(self, vertices: tuple[str, ...], euler: dict[str, int],
@@ -53,20 +58,20 @@ class ResolutionGraph:
         self.vertices = vertices
         self.edges = edges
         self._index = index = {v: i for i, v in enumerate(vertices)}
-        adj: dict[str, list[str]] = {v: [] for v in vertices}
-        for u, v in map(sorted, edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-        self._neighbours = tuple(tuple(index[w] for w in self.adjacency[v])
-                                 for v in vertices)
+        neighbours: list[list[int]] = [[] for _ in vertices]
+        for u, v in edges:
+            i, j = index[u], index[v]
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        # vertices are sorted, so index order is id order
+        self._neighbours = tuple(map(tuple, map(sorted, neighbours)))
         # root the tree at its first vertex of least degree (a shorter
         # order means disconnected)
-        degrees = [len(ws) for ws in self._neighbours]
+        degrees = list(map(len, self._neighbours))
         self._order, self._parent = _block_order(
             self._neighbours, degrees.index(min(degrees)))
         self._edge_pairs = tuple((c, self._parent[c]) for c in self._order[1:])
-        self._set_euler(dict(euler))
+        self._set_euler(euler)
 
     def _set_euler(self, euler: dict[str, int]) -> None:
         """The tables that depend on the euler numbers (`euler`, which the
@@ -85,14 +90,15 @@ class ResolutionGraph:
         pairs; the caller vouches that each is an integer <= -1.
 
         The new graph shares the tables that depend only on the shape
-        (which are immutable), the rooting's order, parents and edge pairs
-        among them, runs only its own elimination and is refused like any
-        graph of `build_graph` unless negative definite."""
+        (which are immutable): the vertices, edges, index, neighbour table
+        and the rooting's order, parents and edge pairs. It runs only its
+        own elimination and is refused like any graph of `build_graph`
+        unless negative definite."""
         graph = object.__new__(ResolutionGraph)
-        (graph.vertices, graph.edges, graph._index, graph.adjacency,
-         graph._neighbours, graph._order, graph._parent, graph._edge_pairs) = (
-            self.vertices, self.edges, self._index, self.adjacency,
-            self._neighbours, self._order, self._parent, self._edge_pairs)
+        (graph.vertices, graph.edges, graph._index, graph._neighbours,
+         graph._order, graph._parent, graph._edge_pairs) = (
+            self.vertices, self.edges, self._index, self._neighbours,
+            self._order, self._parent, self._edge_pairs)
         graph._set_euler(dict(euler))
         _check_definite(graph)
         return graph
@@ -132,15 +138,25 @@ class ResolutionGraph:
     def is_minimal(self) -> bool:
         return all(e <= -2 for e in self.euler.values())
 
+    @property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex's neighbours in id order, by name: a new dict read
+        off the neighbour table on every access."""
+        names = self.vertices
+        return {v: tuple(names[j] for j in ws)
+                for v, ws in zip(names, self._neighbours)}
+
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        return len(self._neighbours[self._index[v]])
 
     def end_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.degree(v) == 1)
+        return tuple(v for v, ws in zip(self.vertices, self._neighbours)
+                     if len(ws) == 1)
 
     def nodes(self) -> tuple[str, ...]:
         """Vertices of degree at least 3."""
-        return tuple(v for v in self.vertices if self.degree(v) >= 3)
+        return tuple(v for v, ws in zip(self.vertices, self._neighbours)
+                     if len(ws) >= 3)
 
     def __repr__(self):
         return f"ResolutionGraph({len(self.vertices)} vertices, det={self.det})"
@@ -328,21 +344,21 @@ def build_graph(spec) -> ResolutionGraph:
 
     Accepts a mapping with "vertices" (list of (id, euler) pairs or of
     {"id": ..., "euler": ...} records) and "edges" (list of id pairs); ids
-    are strings.
-    Rejections carry a named diagnostic: duplicate-vertex, bad-euler,
-    genus-not-supported, bad-edge, not-a-tree, not-connected,
-    not-negative-definite.
+    are strings. A section may be any iterable but a str, bytes or mapping.
+    Rejections carry a named diagnostic: malformed-description,
+    duplicate-vertex, bad-euler, genus-not-supported, bad-edge, not-a-tree,
+    not-connected, not-negative-definite.
     """
     try:
-        raw_vertices = list(spec["vertices"])
-        raw_edges = list(spec["edges"])
+        raw_vertices = _section(spec, "vertices")
+        raw_edges = _section(spec, "edges")
     except (TypeError, KeyError) as exc:
         raise GraphValidationError("malformed-description",
                                    f"expected vertices/edges keys ({exc})")
     euler: dict[str, int] = {}
-    order: list[str] = []
     for entry in raw_vertices:
-        if isinstance(entry, Mapping):
+        # a pair is never a record: the (costly) ABC check only for others
+        if not isinstance(entry, (list, tuple)) and isinstance(entry, Mapping):
             if "genus" in entry:
                 raise GraphValidationError(
                     "genus-not-supported",
@@ -363,10 +379,9 @@ def build_graph(spec) -> ResolutionGraph:
             raise GraphValidationError("bad-euler",
                                        f"euler number of {quote(vid)} must be an integer <= -1, got {quote(e)}")
         euler[vid] = e
-        order.append(vid)
-    if not order:
+    if not euler:
         raise GraphValidationError("malformed-description", "no vertices")
-    vertices = tuple(sorted(order))
+    vertices = tuple(sorted(euler))
     edge_set: set[frozenset[str]] = set()
     for pair in raw_edges:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -391,6 +406,17 @@ def build_graph(spec) -> ResolutionGraph:
         raise GraphValidationError("not-connected", "graph is not connected")
     _check_definite(graph)
     return graph
+
+
+def _section(spec, name: str) -> list:
+    """The list `spec[name]`; a str, bytes or mapping there is refused,
+    which `list` would read as its characters, bytes or keys."""
+    section = spec[name]
+    if isinstance(section, (str, bytes, Mapping)):
+        raise GraphValidationError(
+            "malformed-description",
+            f"the {name} section must be a list, got {quote(section)}")
+    return list(section)
 
 
 def _check_definite(graph: ResolutionGraph) -> None:

@@ -46,10 +46,12 @@ def extension_criterion(graph: ResolutionGraph) -> CriterionReport:
     walk is in (depth, id) order, each vertex against its neighbours of
     depth i - 1."""
     depths = elliptic_sequence(graph).depths
+    names = graph.vertices
     violations = []
     witnesses = []
     for i, v in sorted((i, v) for v, i in depths.items() if i >= 0):
-        outside = [w for w in graph.adjacency[v] if depths[w] == i - 1]
+        outside = [names[j] for j in graph._neighbours[graph._index[v]]
+                   if depths[names[j]] == i - 1]
         record = {"i": i, "vertex": v, "neighbours_above": outside}
         if len(outside) > 1:
             violations.append(record)

@@ -204,11 +204,13 @@ def _ellipsoid(graph: ResolutionGraph, lprime: Cycle):
     return (b, btmb, *_own_ldl(m))
 
 
-def _chi_sublevel(graph: ResolutionGraph, cap: int,
-                  upper: tuple[int, ...] | None = None
-                  ) -> Callable[[int], Iterator[tuple[Cycle, int]]]:
+_Walk = Callable[..., Iterator[tuple[Cycle, int]]]  # `_chi_sublevel`'s walk
+
+
+def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
     """walk(t) yields each integral l >= 0 with chi(l) <= t, and the integer
-    chi(l), lazily; with `upper` (integers in vertex order), only l <= upper.
+    chi(l), lazily; walk(t, upper), with `upper` integers in vertex order,
+    only those with l <= upper.
 
     The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
     coordinate by coordinate from the last one down (Fincke-Pohst), each
@@ -236,9 +238,10 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
     centre = [x * s for x in sb]  # S^2 b_i
     weight = [int(x * lcm_l) for x in d]  # L d_i
     chi_den = 2 * scale
-    cut = upper or [math.inf] * n
 
-    def walk(t: int) -> Iterator[tuple[Cycle, int]]:
+    def walk(t: int, upper: Sequence[int] | None = None
+             ) -> Iterator[tuple[Cycle, int]]:
+        cut = upper or [math.inf] * n
         xs = [0] * n
         sx = [0] * n  # S l_j - S b_j for the assigned j
         visited = 0
@@ -269,10 +272,15 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int,
 
 
 def brute_min_chi(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> int:
-    """min chi over integral l > 0. chi is an integer on integral cycles
-    and chi(E_v) = 1, so the chi <= 1 walk is probed for a nonzero point,
-    then the chi <= chi(that point) - 1 walk, until one has none."""
-    walk = _chi_sublevel(graph, cap)
+    """min chi over integral l > 0, by `_min_chi`."""
+    return _min_chi(_chi_sublevel(graph, cap))
+
+
+def _min_chi(walk: _Walk) -> int:
+    """min chi over integral l > 0 on `_chi_sublevel`'s walk. chi is an
+    integer on integral cycles and chi(E_v) = 1, so the chi <= 1 walk is
+    probed for a nonzero point, then the chi <= chi(that point) - 1 walk,
+    until one has none."""
     best, t = None, 1
     while (found := next((k for l, k in walk(t) if not l.is_zero()),
                          None)) is not None:
@@ -284,12 +292,20 @@ def brute_min_chi(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> int:
 
 def brute_minimally_elliptic(graph: ResolutionGraph,
                              cap: int = DEFAULT_CAP) -> Cycle:
-    """Unique minimum of {0 < l <= Z_min : chi(l) = 0}, by direct search:
-    the chi <= 0 locus is a finite ellipsoid, walked only below the
-    oracle's own Z_min (integral, so its numerators are its coefficients),
-    and certified by `_certified_meet` on the hits' numerators."""
-    zmin = brute_fundamental_cycle(graph, cap)
-    hits = {l.num for l, k in _chi_sublevel(graph, cap, zmin.num)(0)
+    """Unique minimum of {0 < l <= Z_min : chi(l) = 0}, by
+    `_minimally_elliptic` below the oracle's own Z_min."""
+    return _minimally_elliptic(brute_fundamental_cycle(graph, cap),
+                               _chi_sublevel(graph, cap))
+
+
+def _minimally_elliptic(zmin: Cycle, walk: _Walk) -> Cycle:
+    """Unique minimum of {0 < l <= zmin : chi(l) = 0}, by direct search:
+    the chi <= 0 locus is a finite ellipsoid, walked by `_chi_sublevel`'s
+    `walk` only below `zmin` (the oracle's Z_min, integral, so its
+    numerators are its coefficients), and certified by `_certified_meet`
+    on the hits' numerators."""
+    graph = zmin.graph
+    hits = {l.num for l, k in walk(0, zmin.num)
             if k == 0 and not l.is_zero()}
     if not hits:
         raise UserError("no nonzero cycle with chi = 0 below the fundamental "
@@ -549,16 +565,18 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
 
     report: dict[str, str] = {}
 
-    def check(name: str, fast_fn, brute_fn) -> None:
+    def check(name: str, fast_fn, brute_fn):
+        """The brute value, or the cap refusal that skipped the check."""
         try:
             fast, brute = fast_fn(), brute_fn()
         except ResourceCapExceeded as exc:
             report[name] = f"skipped: {exc}"
-            return
+            return exc
         if fast != brute:
             raise InvariantViolation(f"oracle disagreement: {name}",
                                      payload={"fast": fast, "brute": brute})
         report[name] = "ok"
+        return brute
 
     ones = graph.from_vector([1] * len(graph.vertices))
     fast_lift, trace = antinef_lift(ones)
@@ -566,22 +584,29 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
         raise InvariantViolation("computation sequence trace does not replay")
     check("antinef-lift", lambda: fast_lift,
           lambda: brute_min_antinef(ones, cap))
-    check("fundamental-cycle", lambda: fundamental_cycle(graph),
-          lambda: brute_fundamental_cycle(graph, cap))
+    zmin = check("fundamental-cycle", lambda: fundamental_cycle(graph),
+                 lambda: brute_fundamental_cycle(graph, cap))
     zk = canonical_cycle(graph)
     check("class-representative",
           lambda: minimal_class_representative(zk),
           lambda: brute_min_antinef(cube_representative(zk), cap))
     cls = classify(graph)
+    walk = _chi_sublevel(graph, cap)  # set up once for both chi searches
     check("classification", lambda: cls.kind,
-          lambda: ("rational" if (v := brute_min_chi(graph, cap)) == 1
+          lambda: ("rational" if (v := _min_chi(walk)) == 1
                    else "elliptic" if v == 0 else "other"))
     if cls.kind == "elliptic" and graph.is_minimal():
         from .ellseq import elliptic_sequence
         # one validated sequence; the three ellseq wrappers read these fields
         seq = elliptic_sequence(graph)
+
+        def below_brute_zmin():
+            if isinstance(zmin, ResourceCapExceeded):
+                raise zmin  # the brute Z_min this search needs was refused
+            return _minimally_elliptic(zmin, walk)
+
         check("minimally-elliptic", lambda: seq.fundamental_cycles[-1],
-              lambda: brute_minimally_elliptic(graph, cap))
+              below_brute_zmin)
         check("antinef-below-canonical", lambda: list(seq.sums),
               lambda: brute_lemci(graph, cap))
         check("gorenstein-subsupports", lambda: list(seq.supports),

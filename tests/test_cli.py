@@ -378,6 +378,10 @@ def _nested(depth):
     # (800 levels leave room below the recursion limit for pytest's frames)
     ([[_nested(800), -2]], [], "malformed-description"),
     ([["a", int("1" * 4000)]], [], "bad-euler"),
+    # a section that is not a list is refused, not read as keys or letters
+    ([{"id": "a", "euler": -2}], {}, "malformed-description"),
+    ([{"id": "a", "euler": -2}], "", "malformed-description"),
+    ({"a": -2}, [], "malformed-description"),
 ])
 def test_malformed_graph_file_is_a_user_error(capsys, tmp_path, vertices,
                                               edges, diagnostic):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,29 +48,92 @@ def bareiss_elimination(matrix):
 
 # -- validation -------------------------------------------------------------
 
-@pytest.mark.parametrize("spec, diagnostic", [
-    ({"vertices": [("a", -2), ("a", -3)], "edges": []}, "duplicate-vertex"),
-    ({"vertices": [("a", 0)], "edges": []}, "bad-euler"),
-    ({"vertices": [("a", -2.0)], "edges": []}, "bad-euler"),
+_TWO = [("a", -2), ("b", -2)]
+_THREE = _TWO + [("c", -2)]
+# (spec, diagnostic, message); the later cases each hold two faults or
+# more, and the first in validation order is the one reported
+_REJECTIONS = [
+    ({"vertices": [("a", -2), ("a", -3)], "edges": []}, "duplicate-vertex",
+     "vertex 'a' repeated"),
+    ({"vertices": [("a", 0)], "edges": []}, "bad-euler",
+     "euler number of 'a' must be an integer <= -1, got 0"),
+    ({"vertices": [("a", -2.0)], "edges": []}, "bad-euler",
+     "euler number of 'a' must be an integer <= -1, got -2.0"),
     ({"vertices": [{"id": "a", "euler": -2, "genus": 1}], "edges": []},
-     "genus-not-supported"),
-    ({"vertices": [("a", -2)], "edges": [("a", "b")]}, "bad-edge"),
-    ({"vertices": [("a", -2), ("b", -2)], "edges": [("a", "a")]}, "bad-edge"),
-    ({"vertices": [("a", -2), ("b", -2), ("c", -2)],
-      "edges": [("a", "b"), ("b", "c"), ("a", "c")]}, "not-a-tree"),
-    ({"vertices": [("a", -2), ("b", -2)], "edges": []}, "not-a-tree"),
+     "genus-not-supported", "genus decorations are not modeled (links are "
+     "assumed rational homology spheres)"),
+    ({"vertices": [("a", -2)], "edges": [("a", "b")]}, "bad-edge",
+     "edge ('a', 'b') references unknown vertex"),
+    ({"vertices": _TWO, "edges": [("a", "a")]}, "bad-edge",
+     "self-loop at 'a'"),
+    ({"vertices": _THREE, "edges": [("a", "b"), ("b", "c"), ("a", "c")]},
+     "not-a-tree", "3 vertices need 2 edges, got 3"),
+    ({"vertices": _TWO, "edges": []}, "not-a-tree",
+     "2 vertices need 1 edges, got 0"),
     ({"vertices": [("a", -1), ("b", -1)], "edges": [("a", "b")]},
-     "not-negative-definite"),
-    ({"vertices": [("a", -2), ("b", -2), ("c", -2), ("d", -2)],
-      "edges": [("a", "b"), ("b", "c"), ("a", "c")]}, "not-connected"),
-    ({"vertices": [], "edges": []}, "malformed-description"),
-    ({"vertices": [("a", -2), ("b", -2)], "edges": [("a", "b"), ("b", "a")]},
-     "bad-edge"),
-])
-def test_build_graph_rejections(spec, diagnostic):
+     "not-negative-definite",
+     "leaf elimination of -A gives a pivot <= 0 at vertex 'a'"),
+    ({"vertices": _THREE + [("d", -2)],
+      "edges": [("a", "b"), ("b", "c"), ("a", "c")]}, "not-connected",
+     "graph is not connected"),
+    ({"vertices": [], "edges": []}, "malformed-description", "no vertices"),
+    ({"vertices": _TWO, "edges": [("a", "b"), ("b", "a")]}, "bad-edge",
+     "duplicate edge ('b', 'a')"),
+    ({"vertices": [{"euler": -2}], "edges": []}, "malformed-description",
+     "a vertex id must be a string, got None"),
+    ({"vertices": [(1, -2)], "edges": []}, "malformed-description",
+     "a vertex id must be a string, got 1"),
+    ({"vertices": [("a",)], "edges": []}, "malformed-description",
+     "a vertex must be an (id, euler) pair or a record, got ('a',)"),
+    ({"vertices": [5], "edges": []}, "malformed-description",
+     "a vertex must be an (id, euler) pair or a record, got 5"),
+    ({"vertices": [("a", -2)], "edges": [("a",)]}, "bad-edge",
+     "an edge must be a pair of ids, got ('a',)"),
+    ({"vertices": [("a", -2)], "edges": [("a", "a", "a")]}, "bad-edge",
+     "an edge must be a pair of ids, got ('a', 'a', 'a')"),
+    ({"vertices": _TWO, "edges": [("a", 1)]}, "bad-edge",
+     "an edge must be a pair of ids, got ('a', 1)"),
+    ({"vertices": _TWO, "edges": [("a", "b"), ("a", "b")]}, "bad-edge",
+     "duplicate edge ('a', 'b')"),
+    ({"vertices": [("a", -2)]}, "malformed-description",
+     "expected vertices/edges keys ('edges')"),
+    ({"vertices": {"a": -2}, "edges": []}, "malformed-description",
+     "the vertices section must be a list, got {'a': -2}"),
+    ({"vertices": b"a", "edges": []}, "malformed-description",
+     "the vertices section must be a list, got b'a'"),
+    ({"vertices": [("a", -2)], "edges": {}}, "malformed-description",
+     "the edges section must be a list, got {}"),
+    ({"vertices": [("a", -2)], "edges": ""}, "malformed-description",
+     "the edges section must be a list, got ''"),
+    ({"vertices": [("a", 0)], "edges": {}}, "malformed-description",
+     "the edges section must be a list, got {}"),
+    ({"vertices": [{"euler": -2, "genus": 1}], "edges": []},
+     "genus-not-supported", "genus decorations are not modeled (links are "
+     "assumed rational homology spheres)"),
+    ({"vertices": [("a", -2), ("a", 0)], "edges": []}, "duplicate-vertex",
+     "vertex 'a' repeated"),
+    ({"vertices": [("a", 0)], "edges": [("a", "b")]}, "bad-euler",
+     "euler number of 'a' must be an integer <= -1, got 0"),
+    ({"vertices": _THREE, "edges": [("a", "b"), ("a", "b"), ("a", "d")]},
+     "bad-edge", "duplicate edge ('a', 'b')"),
+    ({"vertices": _THREE, "edges": [("a", "d"), ("b", "b")]}, "bad-edge",
+     "edge ('a', 'd') references unknown vertex"),
+    ({"vertices": _THREE + [("d", -2)],
+      "edges": [("a", "b"), ("c", "d"), ("a", "a")]}, "bad-edge",
+     "self-loop at 'a'"),
+    ({"vertices": _THREE, "edges": [("a", "b")]}, "not-a-tree",
+     "3 vertices need 2 edges, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, diagnostic, message", _REJECTIONS,
+    ids=[f"spec{i}-{case[1]}" for i, case in enumerate(_REJECTIONS)])
+def test_build_graph_rejections(spec, diagnostic, message):
     with pytest.raises(GraphValidationError) as err:
         build_graph(spec)
     assert err.value.diagnostic == diagnostic
+    assert str(err.value) == f"{diagnostic}: {message}"
 
 
 def test_affine_d4_star_is_rejected():
@@ -588,6 +652,105 @@ def test_kernel_cross_check_fixtures(name, request):
 @given(tree_specs(), cycle_coefficients)
 def test_kernel_cross_check_random_trees(spec, coeffs):
     _check_kernel(spec, coeffs)
+
+
+def _reference_rooting(names, neighbours, root):
+    """The block order and parents of the tree rooted at `root`, from the
+    edge list: parents by a breadth-first search, the order by listing the
+    children of each vertex, in id order, as a depth-first preorder with
+    children in id order reaches it."""
+    parent = {root: None}
+    queue = [root]
+    for v in queue:
+        for w in neighbours[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    children = {v: sorted(w for w in neighbours[v] if parent.get(w) == v)
+                for v in names}
+    order, stack = [root], [root]
+    while stack:  # each vertex's block as the preorder reaches the vertex
+        v = stack.pop()
+        order.extend(children[v])
+        stack.extend(reversed(children[v]))
+    return order, parent
+
+
+def _check_tables(spec):
+    """Every shape table of build_graph(spec), and each view read off it,
+    against the same rebuilt from the spec's edge list."""
+    names, _, neighbours = _lattice(spec)
+    g = build_graph(spec)
+    index = {v: i for i, v in enumerate(names)}
+    assert g.vertices == tuple(names) and g._index == index
+    assert g._neighbours == tuple(tuple(sorted(index[w] for w in neighbours[v]))
+                                  for v in names)
+    assert g.adjacency == {v: tuple(sorted(neighbours[v])) for v in names}
+    assert "adjacency" not in vars(g)  # derived, not stored
+    assert [g.degree(v) for v in names] == [len(neighbours[v]) for v in names]
+    assert g.nodes() == tuple(v for v in names if len(neighbours[v]) >= 3)
+    assert g.end_vertices() == tuple(v for v in names
+                                     if len(neighbours[v]) == 1)
+    root = min(names, key=lambda v: (len(neighbours[v]), v))
+    order, parent = _reference_rooting(names, neighbours, root)
+    assert g._order == tuple(index[v] for v in order)
+    assert g._parent == tuple(-1 if parent[v] is None else index[parent[v]]
+                              for v in names)
+    assert g._edge_pairs == tuple((index[v], index[parent[v]])
+                                  for v in order[1:])
+    assert {frozenset(names[i] for i in pair) for pair in g._edge_pairs} == {
+        frozenset(e) for e in spec["edges"]}
+
+
+@st.composite
+def shuffled_tree_specs(draw, max_vertices=30):
+    """Random trees whose edges come in random order and orientation, with
+    e_v = -(deg v + 1), so every one is negative definite."""
+    n = draw(st.integers(1, max_vertices))
+    labels = draw(st.permutations([f"v{i:02d}" for i in range(n)]))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    degree = [0] * n
+    edges = []
+    for i, p in enumerate(parents, start=1):
+        degree[i] += 1
+        degree[p] += 1
+        edges.append((labels[i], labels[p]) if draw(st.booleans())
+                     else (labels[p], labels[i]))
+    return {"vertices": [(v, -(d + 1)) for v, d in zip(labels, degree)],
+            "edges": draw(st.permutations(edges))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_tree_specs())
+def test_tables_agree_with_the_edge_list(spec):
+    _check_tables(spec)
+
+
+def _recursive_tree_spec(seed, n):
+    """A random recursive tree on n vertices, each vertex's parent drawn
+    uniformly from the earlier ones, with e_v = -(deg v + 1) - U{0,1}."""
+    rng = random.Random(seed)
+    parent = [rng.randrange(i) for i in range(1, n)]
+    degree = [0] * n
+    for child, p in enumerate(parent, start=1):
+        degree[child] += 1
+        degree[p] += 1
+    names = [f"t{i:03d}" for i in range(n)]
+    return {"vertices": [(names[i], -(degree[i] + 1) - rng.randint(0, 1))
+                         for i in range(n)],
+            "edges": [(names[c], names[p])
+                      for c, p in enumerate(parent, start=1)]}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tables_agree_on_random_recursive_trees(seed):
+    _check_tables(_recursive_tree_spec(seed, 200))
+
+
+def test_tables_agree_on_a_long_chain():
+    names = [f"c{i:04d}" for i in range(2000)]
+    _check_tables({"vertices": [(v, -2) for v in names],
+                   "edges": list(zip(names, names[1:]))})
 
 
 def test_long_chain_closed_forms():

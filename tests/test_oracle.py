@@ -886,12 +886,41 @@ def test_verify_builds_one_elliptic_sequence(monkeypatch, g_app):
     assert set(report.values()) == {"ok"}
 
 
+def test_verify_sets_up_each_brute_search_once(monkeypatch, g_app):
+    """The classification and minimally-elliptic checks share one chi-walk
+    set-up, and the minimally-elliptic walk stays below the Z_min of the
+    fundamental-cycle check: one LDL and one brute Z_min search (the
+    nonzero boxed minimum) per verify, next to the two boxed minima of
+    the lift checks."""
+    ldl, minima = [], []
+    own_ldl = oracle_module._own_ldl
+    certified_minimum = oracle_module._certified_minimum
+
+    def counted_ldl(matrix):
+        ldl.append(len(matrix))
+        return own_ldl(matrix)
+
+    def counted_minimum(base, cap, nonzero):
+        minima.append(nonzero)
+        return certified_minimum(base, cap, nonzero)
+
+    monkeypatch.setattr(oracle_module, "_own_ldl", counted_ldl)
+    monkeypatch.setattr(oracle_module, "_certified_minimum", counted_minimum)
+    report = verify(g_app)
+    assert "minimally-elliptic" in report
+    assert set(report.values()) == {"ok"}
+    assert ldl == [len(g_app.vertices)]
+    assert sorted(minima) == [False, False, True]
+
+
 def test_verify_reports_skipped_checks_under_a_small_cap(g_app):
     """A check whose brute search exceeds the cap reads "skipped: ..." and
     the others still run; verify raises nothing."""
     report = verify(g_app, cap=10)
     skipped = [k for k, v in report.items() if v.startswith("skipped: ")]
     assert len(skipped) == 6 and "classification" in skipped
+    # the minimally-elliptic search needs the brute Z_min that was refused
+    assert report["minimally-elliptic"] == report["fundamental-cycle"]
     assert {k for k, v in report.items() if v == "ok"} == {
         "gorenstein-subsupports", "elliptic-sequence"}
 
