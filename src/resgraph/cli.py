@@ -189,6 +189,9 @@ def _cmd_criteria(args) -> dict:
 def _cmd_strata(args) -> dict:
     graph = _load(args.graph).graph
     seq = elliptic_sequence(graph)
+    if args.trivializable is not None and args.mode != "custom":
+        raise UserError(
+            "trivializable cycles may only be supplied in custom mode")
     params = AnalyticParams(alpha=args.alpha, mode=args.mode,
                             trivializable=_parse_trivializable(
                                 args.trivializable, graph))

@@ -2,13 +2,16 @@
 cut by the antinef cone.
 
 The strata solver reads its candidates off the finite set
+{ x >= 0 integral : chi(x) + (x, l') <= bound, x - l' antinef }, which is
 { x >= 0 integral : (x - b)^T M (x - b) <= R, x - l' antinef } for M = -A,
-the negated intersection form of the graph. This module owns that walk: a
-Fincke-Pohst enumeration (Math. Comp. 44, 1985), its rooting and its
-antinef cut. Everything is exact: the center b is a `core.Cycle`, so it
-arrives as integer numerators over one denominator s, and after scaling R
-by s^2 once up front the whole recursion runs in integer arithmetic
-(integer square roots, never floats). No dense matrix is built.
+the negated intersection form of the graph, b = Z_K/2 + l' and
+R = 2*bound + b^T M b. This module owns that walk: the ellipsoid's set-up
+(`antinef_points`), a Fincke-Pohst enumeration (Math. Comp. 44, 1985), its
+rooting and its antinef cut. Everything is exact: the center b is a
+`core.Cycle`, so it arrives as integer numerators over one denominator s,
+and after scaling R by s^2 once up front the whole recursion runs in
+integer arithmetic (integer square roots, never floats). No dense matrix
+is built.
 
 The form is orthogonalized by the tree's own leaf elimination (`core`):
 with D_v the determinant of M on the subtree below v, P_v the product of
@@ -45,7 +48,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import Cycle, ResolutionGraph, _rooting, _times_a
+from .core import (Cycle, ResolutionGraph, _rooting, _times_a,
+                   canonical_cycle, intersection_form)
 
 __all__ = ["walk_rooting", "antinef_points", "enumerate_ellipsoid_points"]
 
@@ -69,16 +73,23 @@ def walk_rooting(graph: ResolutionGraph) -> tuple:
     return _rooting(graph._neighbours, graph._pivots, root)
 
 
-def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
-                   apex: Cycle, weights: Sequence[int]
+def antinef_points(graph: ResolutionGraph, lprime: Cycle, bound: int,
+                   weights: Sequence[int]
                    ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """The walker's (point, slack) items, from the widest leaf, for the
-    points x with x - apex antinef whose slack is at least
-    2 max{w_j : (x - apex, E_j) != 0} (0 when x = apex) for the
-    vertex-indexed `weights` w >= 0; zero weights leave the walk uncut.
+    """The strata walk from the widest leaf: every integral x >= 0 with
+    chi(x) + (x, l') <= bound and x - l' antinef whose slack
+    bound - chi(x) - (x, l') is at least max{w_j : (x - l', E_j) != 0}
+    (0 when x = l') for the vertex-indexed `weights` w >= 0, as
+    (x in vertex order, slack); zero weights leave the walk uncut.
 
-    The antinef inequalities of x - apex cut each coordinate's range to one
-    interval. With apex = num/den and X = den*x, (x - apex, E_j) <= 0 reads
+    Completing the square: with M = -A and b = Z_K/2 + l',
+    chi(x) + (x, l') = (x-b)^T M (x-b) / 2 - b^T M b / 2, so the points lie
+    in the ellipsoid of radius^2 R = 2*bound + b^T M b around b, cut by the
+    antinef cone at the apex l', and the slack is half the walk's
+    R - (x-b)^T M (x-b), so the level cut asks the walk's budget for 2 w_j.
+
+    The antinef inequalities of x - l' cut each coordinate's range to one
+    interval. With l' = num/den and X = den*x, (x - l', E_j) <= 0 reads
     e_j X_j + sum_{w ~ j} X_w <= cap_j. The walk puts every parent before
     its children, so when x_i's range is walked, its children are
     unassigned. An unassigned child c of an assigned vertex v counts at a
@@ -99,8 +110,10 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
     only at that end of x_i's interval, and only when the end is exact.
     Every other value must leave the walk a budget of 2 w_j, and the
     filter says which values these are."""
+    center = canonical_cycle(graph) * Fraction(1, 2) + lprime
+    radius2 = 2 * Fraction(bound) - intersection_form(center, center)
     order, parent, sub, kids, _ = rooting = walk_rooting(graph)
-    den, cap = apex.den, _times_a(graph, apex.num)
+    den, cap = lprime.den, _times_a(graph, lprime.num)
     children: list[list[int]] = [[] for _ in order]
     for c in order[1:]:
         children[parent[c]].append(c)
@@ -149,8 +162,8 @@ def antinef_points(graph: ResolutionGraph, center: Cycle, radius2: Fraction,
                            den * kids[p])
         return -floor, hi, cuts[i][r == 0][t == 0]
 
-    return enumerate_ellipsoid_points(rooting, center, radius2,
-                                      partial_filter)
+    return ((point, left / 2) for point, left in enumerate_ellipsoid_points(
+        rooting, center, radius2, partial_filter))
 
 
 def enumerate_ellipsoid_points(

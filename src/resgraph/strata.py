@@ -10,17 +10,19 @@ solver for the compatibility system
     (iii) exclusion of candidates whose subspace is already indexed at a
           higher level, decided through the declared trivializable set T.
 
-The analytic inputs are exactly alpha (the minimal Gorenstein index) and T.
+The solver is three steps: the W-strata report (`w_strata`) gives p_g and
+the levels to fill, the candidate walk (`quadform.antinef_points`) gives
+every l of (i) with its slack, and `strata_index_sets` levels them by (ii)
+and applies (iii). The analytic inputs are exactly alpha (the minimal
+Gorenstein index) and T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .core import (Cycle, ResolutionGraph, canonical_cycle, estar_coordinates,
-                   estar_support, intersection_form, is_antinef,
-                   is_numerically_gorenstein)
+from .core import (Cycle, estar_coordinates, estar_support, intersection_form,
+                   is_antinef, is_numerically_gorenstein)
 from .ellseq import EllipticSequence
 from .errors import InvariantViolation, UserError, quote
 from .quadform import antinef_points
@@ -77,26 +79,6 @@ def _weights(seq: EllipticSequence, alpha: int) -> dict[str, int]:
     return {v: max(0, d - alpha + 1) for v, d in seq.depths.items()}
 
 
-def _require_chern(lprime: Cycle) -> frozenset[str]:
-    """I(l') of a Chern class the strata are defined for, read off its E*
-    coordinates a_v = -(l', E_v): refuses a non-integral a_v (l' outside
-    L' = H^2(X~, Z)), then an a_v > 0 (-l' not antinef, l' outside -S')."""
-    coords = estar_coordinates(lprime)
-    if any(a.denominator != 1 for a in coords.values()):
-        raise UserError("lprime must lie in L' (its E* coordinates must be "
-                        "integers)")
-    if any(a > 0 for a in coords.values()):
-        raise UserError("lprime must lie in -S' (its negative must be antinef)")
-    return frozenset(coords)
-
-
-def _index(seq: EllipticSequence, support: frozenset[str]) -> int:
-    """The reduction index of a Chern class with E*-support I: the largest
-    0 <= i <= m+1 with I meeting B_{i-1} (B_{-1} = full set), 0 iff I is
-    empty."""
-    return max((seq.depths[v] + 1 for v in support), default=0)
-
-
 @dataclass(frozen=True)
 class WStratum:
     k: int
@@ -118,13 +100,22 @@ def w_strata(seq: EllipticSequence, lprime: Cycle,
     """p_g, the reduction index i = i(l'), the uniform h1 = p_g - dim V(I(l'))
     on the image closure, and the dimension table of the h1-level sets in
     the Picard group for Chern class l': one linear stratum per level, plus
-    the wandering-point caveat when alpha exceeds i. Checks alpha, then
-    l'."""
+    the wandering-point caveat when alpha exceeds i.
+
+    Checks alpha, then l': its E* coordinates a_v = -(l', E_v) must be
+    integers (l' in L' = H^2(X~, Z)), then a_v <= 0 (l' in -S'). The index
+    is the largest 0 <= i <= m+1 with I(l') meeting B_{i-1} (B_{-1} = full
+    set), 0 iff I(l') is empty."""
     total = seq.pg(alpha)
-    support = _require_chern(lprime)
-    i = _index(seq, support)
+    coords = estar_coordinates(lprime)
+    if any(a.denominator != 1 for a in coords.values()):
+        raise UserError("lprime must lie in L' (its E* coordinates must be "
+                        "integers)")
+    if any(a > 0 for a in coords.values()):
+        raise UserError("lprime must lie in -S' (its negative must be antinef)")
+    i = max((seq.depths[v] + 1 for v in coords), default=0)
     weights = _weights(seq, alpha)
-    h1 = total - max((weights[v] for v in support), default=0)
+    h1 = total - max((weights[v] for v in coords), default=0)
     table = [WStratum(k=seq.m + 1 - j, dim=j - alpha, kind="linear")
              for j in range(max(i, alpha), seq.m + 2)]
     if alpha > i:
@@ -165,37 +156,18 @@ class StrataEntry:
     chern: Cycle
     dim: int
     k: int
-    maximal: bool = False
-    excluded_by: tuple[int, Cycle] | None = None
+    maximal: bool
+    excluded_by: tuple[int, Cycle] | None
 
 
 @dataclass(frozen=True)
 class StrataReport:
-    lprime: Cycle
     pg: int
     levels: dict[int, tuple[StrataEntry, ...]]
     notes: tuple[str, ...] = ()
 
     def entries(self, k: int):
         return [e for e in self.levels.get(k, ()) if e.excluded_by is None]
-
-
-def _candidate_cycles(graph: ResolutionGraph, lprime: Cycle, bound: int,
-                      weights: list[int]) -> list[tuple[Cycle, Fraction]]:
-    """All integral l >= 0 with chi(l) + (l, l') <= bound and l - l'
-    antinef whose slack bound - chi(l) - (l, l') is at least the largest
-    of the vertex-indexed `weights` on the E*-support of l - l' (zero
-    weights keep every l), each with its slack.
-
-    Completing the square: with M = -A and b = Z_K/2 + l',
-    chi(l) + (l, l') = (l-b)^T M (l-b) / 2 - b^T M b / 2, so the candidate
-    set is the ellipsoid of radius^2 R = 2*bound + b^T M b around b, cut by
-    the antinef cone at l' (`quadform.antinef_points`), and the slack is
-    half the walk's R - (l-b)^T M (l-b)."""
-    b = canonical_cycle(graph) * Fraction(1, 2) + lprime
-    radius2 = 2 * Fraction(bound) - intersection_form(b, b)
-    return [(Cycle(graph, point), left / 2) for point, left
-            in antinef_points(graph, b, radius2, lprime, weights)]
 
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
@@ -227,7 +199,7 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     each candidate determines its level through (ii), k = slack - dim V,
     with the slack pg - chi(l) - (l, l') that the walk leaves. dim V is
     the largest weight max(0, depth(j) - alpha + 1) on the E*-support of
-    l - l', so the walk, given the weights, yields only the l with k >= 0
+    l' - l, so the walk, given the weights, yields only the l with k >= 0
     (`quadform.antinef_points`). Rule (iii)
     is applied from the top level down: a candidate is excluded when its
     subspace is already indexed at a higher level, where subspace
@@ -237,54 +209,50 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     flag). Excluded candidates are retained with a reference to their
     excluder; per-level entries of maximal dimension are flagged.
 
-    The levels must agree with the W-strata table: the levels holding an
-    accepted entry are exactly 0, ..., p_g(X_i) for the reduction index i
-    of l', and the largest accepted dim at level k is the table's linear
-    dim p_g - k there; otherwise InvariantViolation."""
-    support = _require_chern(lprime)
-    total = seq.pg(params.alpha)
-    i = _index(seq, support)
+    p_g and the levels come from the W-strata table (`w_strata`, which
+    checks alpha, then l'). The levels holding an accepted entry must be
+    exactly those of its linear strata, and the largest accepted dim at
+    each such level must be that stratum's dim; otherwise
+    InvariantViolation."""
+    table = w_strata(seq, lprime, params.alpha)
     wecc = params.mode == "wecc"
     pool = params.trivializable if params.mode == "custom" else ()
     weights = _weights(seq, params.alpha)
-    by_level: dict[int, list[tuple[Cycle, int]]] = {}
-    for l, slack in _candidate_cycles(seq.graph, lprime, total,
-                                      list(weights.values())):
+    by_level: dict[int, list[tuple[Cycle, Cycle, int]]] = {}
+    for point, slack in antinef_points(seq.graph, lprime, table.pg,
+                                       list(weights.values())):
+        l = Cycle(seq.graph, point)
         # l is integral and l' in L', so chi(l) and (l, l') are integers
         if slack.denominator != 1:
             raise InvariantViolation("a strata candidate has a non-integral "
                                      "slack", payload={"l": l, "slack": slack})
-        dim = max((weights[v] for v in estar_support(l - lprime)), default=0)
-        by_level.setdefault(int(slack) - dim, []).append((l, dim))
+        chern = lprime - l
+        dim = max((weights[v] for v in estar_support(chern)), default=0)
+        by_level.setdefault(int(slack) - dim, []).append((l, chern, dim))
     levels: dict[int, tuple[StrataEntry, ...]] = {}
     accepted_above: list[StrataEntry] = []
     # with T empty only a zero difference decomposes, and the walk's points
     # are distinct: outside wecc mode nothing is excluded then
     excluders = accepted_above if wecc or pool else ()
     tops: dict[int, int] = {}
-    for k in range(total, -1, -1):
+    for k in range(table.pg, -1, -1):
         entries = []
-        for l, dim in sorted(by_level.get(k, []),
-                             key=lambda c: (-c[1], c[0].num)):
-            excluder = None
-            for prior in excluders:
-                if (dim <= prior.dim if wecc else dim == prior.dim
-                        and _decomposes_over(l - prior.l, pool)):
-                    excluder = (prior.k, prior.l)
-                    break
-            entries.append(StrataEntry(l=l, chern=lprime - l, dim=dim, k=k,
-                                       excluded_by=excluder))
-        top = max((e.dim for e in entries if e.excluded_by is None),
-                  default=None)
-        if top is not None:
-            tops[k] = top
-        levels[k] = tuple(
-            replace(e, maximal=True)
-            if e.excluded_by is None and e.dim == top else e
-            for e in entries)
-        accepted_above.extend(e for e in levels[k] if e.excluded_by is None)
-    expected = {k: total - k
-                for k in range(seq.pg(params.alpha, i), -1, -1)}
+        # the ranking puts the largest dim first, so the first accepted
+        # entry holds the level's top dim
+        for l, chern, dim in sorted(by_level.get(k, []),
+                                    key=lambda c: (-c[2], c[0].num)):
+            excluder = next(((prior.k, prior.l) for prior in excluders
+                             if (dim <= prior.dim if wecc else dim == prior.dim
+                                 and _decomposes_over(l - prior.l, pool))),
+                            None)
+            if excluder is None:
+                tops.setdefault(k, dim)
+            entries.append(StrataEntry(
+                l=l, chern=chern, dim=dim, k=k, excluded_by=excluder,
+                maximal=excluder is None and dim == tops[k]))
+        levels[k] = tuple(entries)
+        accepted_above.extend(e for e in entries if e.excluded_by is None)
+    expected = {s.k: s.dim for s in table.strata if s.kind == "linear"}
     if tops != expected:
         raise InvariantViolation(
             "the strata levels disagree with the W-strata table",
@@ -294,5 +262,4 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     notes = [NOTE_F0]
     if params.mode == "generic":
         notes.append(NOTE_SUPERSET)
-    return StrataReport(lprime=lprime, pg=total, levels=levels,
-                        notes=tuple(notes))
+    return StrataReport(pg=table.pg, levels=levels, notes=tuple(notes))

@@ -30,18 +30,30 @@ g_left = _graph_fixture("g_left")
 g_right = _graph_fixture("g_right")
 
 
+def count_filter_calls(walker, args, kwargs, counts):
+    """The walker's arguments bound to its signature, with partial_filter
+    wrapped to add one to counts["calls"] per call."""
+    bound = inspect.signature(walker).bind(*args, **kwargs)
+    inner = bound.arguments["partial_filter"]
+
+    def counted(i, xs):
+        counts["calls"] += 1
+        return inner(i, xs)
+    bound.arguments["partial_filter"] = counted
+    return bound
+
+
 @pytest.fixture
 def walk_counts(monkeypatch):
     """The strata walker's filter calls and yielded points during the test,
-    counted by wrapping the walker and its partial_filter argument."""
+    counted by wrapping the walker and its partial_filter argument, bound
+    by name so that the walker's other arguments pass through."""
     counts = {"calls": 0, "points": 0}
     walker = quadform.enumerate_ellipsoid_points
 
-    def counting_walker(rooting, center, radius2, partial_filter):
-        def counted(i, xs):
-            counts["calls"] += 1
-            return partial_filter(i, xs)
-        for item in walker(rooting, center, radius2, partial_filter=counted):
+    def counting_walker(*args, **kwargs):
+        bound = count_filter_calls(walker, args, kwargs, counts)
+        for item in walker(*bound.args, **bound.kwargs):
             counts["points"] += 1
             yield item
 

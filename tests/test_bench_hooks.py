@@ -10,7 +10,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from resgraph import laufer, quadform, strata
+from resgraph import laufer, quadform
+
+from conftest import count_filter_calls
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -62,21 +64,18 @@ def test_tracer_counts_the_walker_work(monkeypatch, g_left):
     walker = quadform.enumerate_ellipsoid_points
     traced = tracer.wrap_generator(name, walker,
                                    **tracer._hooks(name, walker))
-    calls = 0
+    counts = {"calls": 0}
 
-    def counting_walker(rooting, center, radius2, partial_filter):
-        def counted(i, xs):
-            nonlocal calls
-            calls += 1
-            return partial_filter(i, xs)
-        return traced(rooting, center, radius2, partial_filter=counted)
+    def counting_walker(*args, **kwargs):
+        bound = count_filter_calls(walker, args, kwargs, counts)
+        return traced(*bound.args, **bound.kwargs)
 
     monkeypatch.setattr(quadform, "enumerate_ellipsoid_points",
                         counting_walker)
-    walked = strata._candidate_cycles(g_left, g_left.zero_cycle(), 4,
-                                      [0] * len(g_left.vertices))
-    assert (calls, len(walked)) == (3_957, 485)
-    assert tracer.counters["quadform.filter_calls"] == calls
+    walked = list(quadform.antinef_points(g_left, g_left.zero_cycle(), 4,
+                                          [0] * len(g_left.vertices)))
+    assert (counts["calls"], len(walked)) == (3_957, 485)
+    assert tracer.counters["quadform.filter_calls"] == counts["calls"]
     assert tracer.counters["quadform.points"] == len(walked)
 
 

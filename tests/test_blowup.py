@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgraph.core import build_graph, canonical_cycle, chi, dual_cycle
-from resgraph.fixtures import load_fixture
 from resgraph.laufer import classify
+
+from conftest import g_app_with_chain
 
 
 @st.composite
@@ -26,12 +27,7 @@ def definite_trees(draw):
     g_app with a -2 chain at a9 (elliptic), or a random tree with
     e_v <= -(deg v + 1), whose -A is strictly diagonally dominant."""
     if draw(st.booleans()):
-        g_app = load_fixture("g_app").graph
-        chain = [f"c{i:03d}" for i in range(draw(st.integers(10, 190)))]
-        return build_graph({
-            "vertices": list(g_app.euler.items()) + [(c, -2) for c in chain],
-            "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
-            + list(zip(chain, chain[1:]))})
+        return g_app_with_chain(draw(st.integers(10, 190)))
     n = draw(st.integers(20, 200))
     picks = draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n))
     extra = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))

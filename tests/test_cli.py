@@ -13,10 +13,9 @@ import pytest
 
 from resgraph import cli, strata
 from resgraph.cli import run
-from resgraph.core import build_graph
 from resgraph.errors import InvariantViolation
 
-from conftest import graph_data
+from conftest import g_app_with_chain, graph_data
 
 
 def invoke(capsys, *argv):
@@ -153,6 +152,31 @@ def test_wstrata_checks_alpha_before_lprime(capsys):
                             "--lprime", "estar:a1=1/2")
     assert (code, out) == (1, "")
     assert err == "error: alpha must lie in [0, 1], got 7\n"
+
+
+def test_strata_checks_alpha_before_lprime(capsys):
+    code, out, err = invoke(capsys, "strata", "g_app", "--alpha", "7",
+                            "--lprime", "estar:a1=1/2")
+    assert (code, out) == (1, "")
+    assert err == "error: alpha must lie in [0, 1], got 7\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "generic"],
+                                  ["--mode", "wecc"]],
+                         ids=["default", "generic", "wecc"])
+@pytest.mark.parametrize("content", ["[]", '[{"a1": "1"}]', "not json"],
+                         ids=["empty", "cycle", "not-json"])
+def test_strata_refuses_trivializable_outside_custom_mode(capsys, tmp_path,
+                                                         mode, content):
+    """The refusal comes before the file is read, so it does not depend on
+    what the file holds: an empty list, a cycle or no JSON at all."""
+    path = tmp_path / "triv.json"
+    path.write_text(content)
+    code, out, err = invoke(capsys, "strata", "g_app", *mode,
+                            "--trivializable", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: trivializable cycles may only be supplied in "
+                   "custom mode\n")
 
 
 def test_trivializable_file(capsys, tmp_path, g_app):
@@ -293,18 +317,13 @@ def test_cap_env_resource_exit(capsys, monkeypatch):
     assert not out
 
 
-def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path, g_app):
+def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path):
     """The strata walker and the oracle's boxed search recurse once per
     vertex. On g_app with a -2 chain at a9 just past the recursion limit
     (lowered here so that the chain, and the run, stay short) both commands
     exit 3 with one line naming the limit, not a traceback."""
-    chain = [f"c{i:03d}" for i in range(250)]
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps(graph_data(build_graph({
-        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
-        + [(c, -2) for c in chain],
-        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
-        + list(zip(chain, chain[1:]))}))))
+    path.write_text(json.dumps(graph_data(g_app_with_chain(250))))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 200)
     try:

@@ -32,7 +32,8 @@ from resgraph.oracle import (_certified_meet, _chi_sublevel,
                              brute_minimally_elliptic, brute_subsupports,
                              enumerate_trees, verify)
 
-from conftest import full_subgraph, random_tree, random_trees
+from conftest import (full_subgraph, g_app_with_chain, random_tree,
+                      random_trees)
 
 
 def test_oracle_module_is_independent():
@@ -81,9 +82,10 @@ def test_fast_modules_use_one_graph_per_query():
 
 
 def test_one_module_owns_the_strata_walk():
-    """quadform owns the walk's rooting and its antinef cut: strata imports
-    no private name of core and never names the walker, and the graph holds
-    no walk state."""
+    """quadform owns the walk's set-up, its rooting and its antinef cut:
+    strata imports no private name of core, never names the walker, and
+    names neither Z_K nor a Fraction, so it builds no centre or radius; the
+    graph holds no walk state."""
     from resgraph import strata
     tree = ast.parse(inspect.getsource(strata))
     private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
@@ -93,6 +95,7 @@ def test_one_module_owns_the_strata_walk():
     named = {getattr(node, attr, None) for node in ast.walk(tree)
              for attr in ("id", "attr", "name")}
     assert "enumerate_ellipsoid_points" not in named
+    assert not named & {"canonical_cycle", "Fraction"}
     graph = build_graph({"vertices": [("v", -2)], "edges": []})
     for name in ("_walk_rooting", "_walk"):
         assert not hasattr(graph, name), name
@@ -219,6 +222,14 @@ def test_no_unused_module_level_names():
                for name in _unused_module_names(leftover))
 
 
+def _package_modules():
+    """resgraph and each of its modules, imported."""
+    package = Path(oracle_module.__file__).parent
+    return [importlib.import_module("resgraph" + (
+        "" if path.stem == "__init__" else f".{path.stem}"))
+        for path in sorted(package.glob("*.py"))]
+
+
 def _stale_exports(module) -> list[str]:
     """The names in `module.__all__` that the module does not bind."""
     return [name for name in getattr(module, "__all__", ())
@@ -231,11 +242,10 @@ def test_every_export_resolves():
     that __init__.py imports, so removing a public function cannot leave a
     stale export behind."""
     package = Path(oracle_module.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        name = "resgraph" + ("" if path.stem == "__init__"
-                             else f".{path.stem}")
-        stale = _stale_exports(importlib.import_module(name))
-        assert not stale, f"{name}.__all__ names nothing bound: {stale}"
+    for module in _package_modules():
+        stale = _stale_exports(module)
+        assert not stale, (f"{module.__name__}.__all__ names nothing bound: "
+                           f"{stale}")
     init = ast.parse((package / "__init__.py").read_text())
     imported = [a.asname or a.name for node in init.body
                 if isinstance(node, ast.ImportFrom) and node.level
@@ -269,16 +279,25 @@ def _unread_exports(exports, sources: dict[str, str], bench: str
             and not re.search(rf"\b{re.escape(name)}\b", bench)]
 
 
+# the walker's test reference: the tests compare the strata walk with it,
+# and the package itself never reads it
+_TEST_REFERENCES = {"brute_antinef_sublevel"}
+
+
 def test_every_export_has_a_reader():
-    """A public-surface audit: every name in resgraph.__all__ is read in
-    the package outside its own definition, or named by the benchmark
-    scripts, so a helper that only the tests call cannot stay public."""
+    """A public-surface audit: every name in resgraph.__all__ and in each
+    module's __all__ is read in the package outside its own definition, or
+    named by the benchmark scripts, so a helper that only the tests call
+    cannot stay public."""
     package = Path(oracle_module.__file__).parent
     sources = {path.name: path.read_text()
                for path in sorted(package.glob("*.py"))}
     bench = "\n".join(path.read_text() for path in sorted(
         (package.parents[1] / "bench").glob("*.py")))
-    unread = _unread_exports(resgraph.__all__, sources, bench)
+    exports = {name for module in _package_modules()
+               for name in getattr(module, "__all__", ())}
+    unread = _unread_exports(sorted(exports - _TEST_REFERENCES), sources,
+                             bench)
     assert not unread, f"public names with no reader: {unread}"
     assert _unread_exports(["f", "g", "h", "k", "C"], {
         "m.py": '__all__ = ["f", "g", "h", "k", "C"]\nfrom n import k\n'
@@ -554,13 +573,7 @@ def test_resource_caps(g_app):
     star = build_graph({
         "vertices": [("h", -18)] + [(f"l{i:02d}", -2) for i in range(17)],
         "edges": [("h", f"l{i:02d}") for i in range(17)]})
-    chain = [f"c{i:04d}" for i in range(1200)]
-    long_tail = build_graph({
-        "vertices": [(v, g_app.euler[v]) for v in g_app.vertices]
-        + [(c, -2) for c in chain],
-        "edges": [tuple(e) for e in g_app.edges] + [("a9", chain[0])]
-        + list(zip(chain, chain[1:]))})
-    for g in (star, long_tail):
+    for g in (star, g_app_with_chain(1200)):
         with pytest.raises(ResourceCapExceeded, match="connected subsets"):
             brute_subsupports(g)
 

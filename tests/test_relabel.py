@@ -22,8 +22,8 @@ from resgraph.criteria import criteria_reports
 from resgraph.ellseq import elliptic_sequence, partial_sums, pg_table
 from resgraph.errors import GraphValidationError
 from resgraph.laufer import classify, fundamental_cycle
-from resgraph.strata import (AnalyticParams, _candidate_cycles,
-                             strata_index_sets)
+from resgraph.quadform import antinef_points
+from resgraph.strata import AnalyticParams, strata_index_sets
 
 from conftest import graph_data
 
@@ -146,10 +146,10 @@ def test_random_trees_candidates_and_strata_permute(case, bound):
     lprimes = (graph.zero_cycle(), -dual_cycle(graph, graph.vertices[0]))
     for lprime in lprimes:
         uncut = [0] * len(graph.vertices)
-        walked = _candidate_cycles(renamed, move(lprime), bound, uncut)
-        assert set(walked) == {(move(l), slack) for l, slack
-                               in _candidate_cycles(graph, lprime, bound,
-                                                    uncut)}
+        walked = {(renamed.from_vector(x), slack) for x, slack
+                  in antinef_points(renamed, move(lprime), bound, uncut)}
+        assert walked == {(move(graph.from_vector(x)), slack) for x, slack
+                          in antinef_points(graph, lprime, bound, uncut)}
     if classify(graph).kind != "elliptic":
         return
     event("elliptic")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -22,9 +23,8 @@ from resgraph.fixtures import load_fixture
 from resgraph.laufer import (classify, fundamental_cycle,
                              minimal_class_representative)
 from resgraph.oracle import brute_antinef_sublevel
-from resgraph.strata import (AnalyticParams, _candidate_cycles,
-                             fixed_component_candidates, strata_index_sets,
-                             w_strata)
+from resgraph.strata import (AnalyticParams, fixed_component_candidates,
+                             strata_index_sets, w_strata)
 
 from conftest import (flag_dim, g_app_with_chain, package_imports,
                       random_tree, random_trees)
@@ -102,8 +102,9 @@ def test_chern_classes_outside_the_lattice_are_refused(g_app, seq_app):
 def test_a_non_integral_slack_is_a_bug(monkeypatch, g_app, seq_app):
     """With l' in L' every slack is an integer, so the solver raises on one
     that is not instead of dropping it."""
-    monkeypatch.setattr(strata, "_candidate_cycles",
-                        lambda *args: [(g_app.zero_cycle(), Fraction(1, 2))])
+    zero = (0,) * len(g_app.vertices)
+    monkeypatch.setattr(strata, "antinef_points",
+                        lambda *args: [(zero, Fraction(1, 2))])
     with pytest.raises(InvariantViolation):
         strata_index_sets(seq_app, g_app.zero_cycle(), AnalyticParams())
 
@@ -262,6 +263,35 @@ def test_strata_levels_that_miss_the_table_are_a_bug(monkeypatch, g_app,
     assert payload["levels"] != payload["expected"]
 
 
+def test_strata_levels_are_checked_against_w_strata(monkeypatch, g_app,
+                                                   seq_app):
+    """The solver reads its expected levels off the W-strata report: a
+    table with one linear dim off by one fails the check, and the payload
+    shows that table."""
+    real = strata.w_strata
+
+    def altered(seq, lprime, alpha):
+        report = real(seq, lprime, alpha)
+        first, *rest = report.strata
+        return dataclasses.replace(report, strata=(
+            dataclasses.replace(first, dim=first.dim + 1), *rest))
+
+    monkeypatch.setattr(strata, "w_strata", altered)
+    with pytest.raises(InvariantViolation) as info:
+        strata_index_sets(seq_app, g_app.zero_cycle(), AnalyticParams())
+    payload = info.value.payload
+    assert payload["expected"] == {2: 1, 1: 1, 0: 2}
+    assert payload["levels"] == {2: 0, 1: 1, 0: 2}
+
+
+def test_strata_checks_alpha_before_lprime(g_app, seq_app):
+    """Like w_strata: with both alpha and l' bad, alpha is refused."""
+    lprime = -dual_cycle(g_app, "a1") * Fraction(1, 2)
+    with pytest.raises(UserError, match=r"^alpha must lie in \[0, 1\], "
+                       "got 7$"):
+        strata_index_sets(seq_app, lprime, AnalyticParams(alpha=7))
+
+
 @pytest.mark.parametrize("alpha", [0.5, True, "1"])
 def test_alpha_must_be_an_int(g_app, seq_app, alpha):
     """Every strata entry point refuses an alpha that is not an int, bool
@@ -358,8 +388,9 @@ def _check_walker(graph, lprime, bound):
     """The candidates are the oracle's antinef sublevel set
     {l >= 0 : l - l' antinef, chi(l) + (l, l') <= bound}, each found once
     and with its slack bound - chi(l) - (l, l')."""
-    candidates = _candidate_cycles(graph, lprime, bound,
-                                   [0] * len(graph.vertices))
+    candidates = [(graph.from_vector(x), slack) for x, slack
+                  in quadform.antinef_points(graph, lprime, bound,
+                                             [0] * len(graph.vertices))]
     for l, slack in candidates:
         assert slack == bound - chi(l) - intersection_form(l, lprime)
     walked = [l for l, _ in candidates]
@@ -444,8 +475,8 @@ _UNCUT = (0, 0, 0, 0)
     ("det1364_tree", 3_753, 8_500)])
 def test_walker_work_at_bound_4(walk_counts, request, name, points, cap):
     graph = request.getfixturevalue(name)
-    walked = _candidate_cycles(graph, graph.zero_cycle(), 4,
-                               [0] * len(graph.vertices))
+    walked = list(quadform.antinef_points(graph, graph.zero_cycle(), 4,
+                                          [0] * len(graph.vertices)))
     assert len(walked) == walk_counts["points"] == points
     assert walk_counts["calls"] <= cap
 
@@ -458,7 +489,8 @@ def test_walker_work_far_from_the_origin(walk_counts, g_app):
     needs both ends of each interval: without the floor the walk makes
     85 750 calls, without the ceiling 5 506 575."""
     lprime = -12 * dual_cycle(g_app, "a9")
-    walked = _candidate_cycles(g_app, lprime, 2, [0] * len(g_app.vertices))
+    walked = list(quadform.antinef_points(g_app, lprime, 2,
+                                          [0] * len(g_app.vertices)))
     assert len(walked) == walk_counts["points"] == 4
     assert walk_counts["calls"] <= 900
 

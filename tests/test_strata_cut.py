@@ -13,8 +13,8 @@ from resgraph.core import dual_cycle, estar_support
 from resgraph.ellseq import elliptic_sequence
 from resgraph.fixtures import load_fixture
 from resgraph.laufer import classify, fundamental_cycle
-from resgraph.strata import (AnalyticParams, _candidate_cycles,
-                             strata_index_sets)
+from resgraph.quadform import antinef_points
+from resgraph.strata import AnalyticParams, strata_index_sets
 
 from conftest import flag_dim, g_app_with_chain, random_tree
 
@@ -38,8 +38,9 @@ def _uncut_levels(seq, lprime, params):
     in the solver's order."""
     total = seq.pg(params.alpha)
     levels = {}
-    for l, slack in _candidate_cycles(seq.graph, lprime, total,
-                                      [0] * len(seq.graph.vertices)):
+    for x, slack in antinef_points(seq.graph, lprime, total,
+                                   [0] * len(seq.graph.vertices)):
+        l = seq.graph.from_vector(x)
         dim = flag_dim(seq, estar_support(l - lprime), params.alpha)
         k = slack - dim
         if k.denominator == 1 and k >= 0:
@@ -65,10 +66,11 @@ def _check_cut(seq, lprime, modes=MODES):
             assert got == reference, (alpha, mode)
         total = seq.pg(alpha)
         weights = [max(0, seq.depths[v] - alpha + 1) for v in graph.vertices]
-        kept = [(l, slack) for l, slack
-                in _candidate_cycles(graph, lprime, total, [0] * len(weights))
-                if slack >= flag_dim(seq, estar_support(l - lprime), alpha)]
-        assert _candidate_cycles(graph, lprime, total, weights) == kept
+        kept = [(x, slack) for x, slack
+                in antinef_points(graph, lprime, total, [0] * len(weights))
+                if slack >= flag_dim(seq, estar_support(
+                    graph.from_vector(x) - lprime), alpha)]
+        assert list(antinef_points(graph, lprime, total, weights)) == kept
 
 
 @pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_left",
