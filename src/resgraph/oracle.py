@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .core import (Cycle, ResolutionGraph, _antinef_cover, _rooting,
                    _subtree_solve, _times_a, build_graph, canonical_cycle,
-                   chi, intersection_form)
+                   chi, dual_cycle, intersection_form)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -142,8 +142,8 @@ def _certified_minimum(base: Cycle, cap: int, nonzero: bool) -> Cycle:
     if first is None:
         raise InvariantViolation(f"safe search box contained no {kind}",
                                  payload={"upper": upper})
-    return base + graph.from_vector(
-        _certified_meet(set(hits(first)), f"minimal {kind}"))
+    return base + Cycle(graph, _certified_meet(set(hits(first)),
+                                               f"minimal {kind}"))
 
 
 def brute_min_antinef(l: Cycle, cap: int = DEFAULT_CAP) -> Cycle:
@@ -191,19 +191,6 @@ def _own_ldl(matrix: Sequence[Sequence[int]]):
     return d, u
 
 
-def _ellipsoid(graph: ResolutionGraph, lprime: Cycle):
-    """(b, b^T M b, d, u) for the sets chi(l) + (l, l') <= t: with M = -A and
-    b = Z_K/2 + l', chi(l) + (l, l') = ((l-b)^T M (l-b) - b^T M b) / 2, so
-    each is the ellipsoid (l-b)^T M (l-b) <= R = 2t + b^T M b, empty when
-    R < 0; M = U^T D U from `_own_ldl`."""
-    m = _minus_a(graph)
-    b = [c / 2 + p for c, p in zip(canonical_cycle(graph).coeffs,
-                                    lprime.coeffs)]
-    btmb = sum(b[i] * x * b[j] for i, row in enumerate(m)
-               for j, x in enumerate(row) if x)
-    return (b, btmb, *_own_ldl(m))
-
-
 _Walk = Callable[..., Iterator[tuple[Cycle, int]]]  # `_chi_sublevel`'s walk
 
 
@@ -212,13 +199,16 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
     chi(l), lazily; walk(t, upper), with `upper` integers in vertex order,
     only those with l <= upper.
 
-    The sublevel set is the ellipsoid of `_ellipsoid` at l' = 0. It is walked
-    coordinate by coordinate from the last one down (Fincke-Pohst), each
-    coordinate's integer interval around its centre
-    c_i = b_i - sum_{j>i} u_ij (l_j - b_j) read off the remaining budget.
+    With M = -A and b = Z_K/2, both read off `core`, chi(l) =
+    ((l-b)^T M (l-b) - b^T M b) / 2 and b^T M b = -(b, b), so the sublevel
+    set is the ellipsoid (l-b)^T M (l-b) <= R = 2t - (b, b), empty when
+    R < 0. It is walked coordinate by coordinate from the last one down
+    (Fincke-Pohst) on M = U^T diag(d) U from `_own_ldl`, each coordinate's
+    integer interval around its centre c_i = b_i - sum_{j>i} u_ij (l_j - b_j)
+    read off the remaining budget.
 
     The walk runs on integers: with S the lcm of the denominators of the
-    u_ij and b_j, and L that of the d_i and of b^T M b, it carries S^2 c_i,
+    u_ij and of b, and L that of the d_i and of (b, b), it carries S^2 c_i,
     the weights L d_i and the budget scaled by L S^4, and takes each
     interval from one isqrt, cut to upper_i; each row of S u keeps only
     its nonzero entries, so a centre costs one product per nonzero u_ij.
@@ -227,13 +217,14 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
     included; the remaining budget at a leaf is
     (R - (l-b)^T M (l-b)) L S^4 = 2 L S^4 (t - chi(l))."""
     n = len(graph.vertices)
-    b, btmb, d, u = _ellipsoid(graph, graph.zero_cycle())
-    s = math.lcm(*(x.denominator for x in b),
-                 *(x.denominator for row in u for x in row))
+    b = canonical_cycle(graph) * Fraction(1, 2)
+    btmb = -intersection_form(b, b)
+    d, u = _own_ldl(_minus_a(graph))
+    s = math.lcm(b.den, *(x.denominator for row in u for x in row))
     s2 = s * s
     lcm_l = math.lcm(btmb.denominator, *(x.denominator for x in d))
     scale = lcm_l * s2 * s2
-    sb = [int(x * s) for x in b]
+    sb = [x * (s // b.den) for x in b.num]
     su = [[(j, int(x * s)) for j, x in enumerate(row) if x] for row in u]
     centre = [x * s for x in sb]  # S^2 b_i
     weight = [int(x * lcm_l) for x in d]  # L d_i
@@ -317,29 +308,28 @@ def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
                            bound) -> list[Cycle]:
     """All integral l >= 0 with l - l' antinef and chi(l) + (l, l') <= bound.
 
-    The set lies in the bounding box |l_i - b_i|^2 <= R (M^{-1})_ii of the
-    ellipsoid of `_ellipsoid`. That box, cut to l >= 0, is searched by
-    `_antinef_hits` with base -l', and the hits filtered by the value."""
-    n = len(graph.vertices)
-    b, btmb, d, u = _ellipsoid(graph, lprime)
-    radius2 = 2 * Fraction(bound) + btmb
+    With M = -A and b = Z_K/2 + l', chi(l) + (l, l') =
+    ((l-b)^T M (l-b) + (b, b)) / 2, so the set lies in the ellipsoid
+    (l-b)^T M (l-b) <= R = 2 bound - (b, b) and in its bounding box
+    |l_v - b_v|^2 <= R (M^{-1})_vv, where (M^{-1})_vv is the coefficient of
+    E*_v at v; b, R and E*_v are read off `core`. That box, cut to l >= 0,
+    is searched by `_antinef_hits` with base -l', and the hits filtered by
+    the value."""
+    b = canonical_cycle(graph) * Fraction(1, 2) + lprime
+    radius2 = 2 * Fraction(bound) - intersection_form(b, b)
     if radius2 < 0:
         return []
-    # (M^{-1})_ii = sum_k w_k^2 / d_k with M = U^T D U and U^T w = e_i
+    q = b.den
     lower, upper = [], []
-    for i in range(n):
-        w = [Fraction(0)] * n
-        for k in range(i, n):
-            w[k] = int(k == i) - sum(u[j][k] * w[j] for j in range(i, k))
-        r2 = radius2 * sum(wk * wk / dk for wk, dk in zip(w, d))
-        # integers x with (q x - p)^2 <= q^2 r2, for b_i = p / q
-        p, q = b[i].numerator, b[i].denominator
-        t = math.isqrt(math.floor(q * q * r2))
+    for v, p in zip(graph.vertices, b.num):
+        # integers x with (q x - p)^2 <= q^2 R (M^{-1})_vv, for b_v = p / q
+        t = math.isqrt(math.floor(
+            q * q * radius2 * dual_cycle(graph, v).coefficient(v)))
         lower.append(max(0, -((t - p) // q)))
         upper.append((p + t) // q)
         if lower[-1] > upper[-1]:
             return []
-    hits = (graph.from_vector(z) for z in
+    hits = (Cycle(graph, z) for z in
             _antinef_hits(graph, -lprime, lower, upper, DEFAULT_CAP))
     return [l for l in hits if chi(l) + intersection_form(l, lprime) <= bound]
 
@@ -352,7 +342,7 @@ def brute_lemci(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     zk = canonical_cycle(graph)
     frac = zk - zk.floor()
     upper = [int(c) for c in zk.floor().coeffs]
-    return sorted((frac + graph.from_vector(z) for z in
+    return sorted((frac + Cycle(graph, z) for z in
                    _antinef_hits(graph, frac, [0] * len(upper), upper, cap)),
                   key=lambda c: c.coeffs)
 

@@ -105,7 +105,9 @@ def w_strata(seq: EllipticSequence, lprime: Cycle,
     Checks alpha, then l': its E* coordinates a_v = -(l', E_v) must be
     integers (l' in L' = H^2(X~, Z)), then a_v <= 0 (l' in -S'). The index
     is the largest 0 <= i <= m+1 with I(l') meeting B_{i-1} (B_{-1} = full
-    set), 0 iff I(l') is empty."""
+    set), 0 iff I(l') is empty. The weight max(0, depth - alpha + 1) grows
+    with depth, so dim V(I(l')) = max(0, i - alpha) and h1 is p_g(X_i) =
+    m + 1 - max(i, alpha)."""
     total = seq.pg(alpha)
     coords = estar_coordinates(lprime)
     if any(a.denominator != 1 for a in coords.values()):
@@ -114,12 +116,11 @@ def w_strata(seq: EllipticSequence, lprime: Cycle,
     if any(a > 0 for a in coords.values()):
         raise UserError("lprime must lie in -S' (its negative must be antinef)")
     i = max((seq.depths[v] + 1 for v in coords), default=0)
-    weights = _weights(seq, alpha)
-    h1 = total - max((weights[v] for v in coords), default=0)
+    h1 = seq.pg(alpha, i)
     table = [WStratum(k=seq.m + 1 - j, dim=j - alpha, kind="linear")
              for j in range(max(i, alpha), seq.m + 2)]
     if alpha > i:
-        table.append(WStratum(k=seq.pg(alpha, i), dim=0, kind="wandering",
+        table.append(WStratum(k=h1, dim=0, kind="wandering",
                               count_max=alpha - i))
     return WStrataReport(pg=total, reduction_index=i, h1_on_image=h1,
                          strata=tuple(table))
@@ -216,7 +217,7 @@ def strata_index_sets(seq: EllipticSequence, lprime: Cycle,
     InvariantViolation."""
     table = w_strata(seq, lprime, params.alpha)
     wecc = params.mode == "wecc"
-    pool = params.trivializable if params.mode == "custom" else ()
+    pool = params.trivializable  # empty outside custom mode
     weights = _weights(seq, params.alpha)
     by_level: dict[int, list[tuple[Cycle, Cycle, int]]] = {}
     for point, slack in antinef_points(seq.graph, lprime, table.pg,

@@ -681,6 +681,27 @@ def test_searches_build_no_fraction_per_node():
         assert not attrs & {"ceil", "floor"}, (name, inner)
 
 
+def test_the_oracle_ldl_has_one_reader():
+    """Only the chi walk factors -A: `_own_ldl` and `_minus_a` are called
+    only inside `_chi_sublevel`, and no `_ellipsoid` is defined; the box
+    searches read their centres, radii and (M^{-1})_vv off core, and wrap
+    each integer hit in a Cycle, not `from_vector`."""
+    tree = ast.parse(inspect.getsource(oracle_module))
+    callers = {}
+    for outer in tree.body:
+        if isinstance(outer, ast.FunctionDef):
+            for node in ast.walk(outer):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(
+                        node.func, "attr", None)
+                    callers.setdefault(name, set()).add(outer.name)
+    assert callers["_own_ldl"] == callers["_minus_a"] == {"_chi_sublevel"}
+    assert not callers.get("from_vector", set()) & {
+        "_certified_minimum", "brute_lemci", "brute_antinef_sublevel"}
+    assert "_ellipsoid" not in {node.name for node in ast.walk(tree)
+                                if isinstance(node, ast.FunctionDef)}
+
+
 def test_min_chi_pole(g_pole):
     assert brute_min_chi(g_pole) == -1
 

@@ -374,6 +374,40 @@ def test_nothing_is_excluded_on_random_elliptic_trees():
             _check_nothing_excluded(elliptic_sequence(graph), lprime)
 
 
+# -- the strata levels against the oracle's antinef sublevel set -------------
+
+@pytest.mark.parametrize("graph", [
+    "g_app", "g_new", "g_noecc", 3, 6,
+    pytest.param("g_left", marks=pytest.mark.slow),
+    pytest.param("g_right", marks=pytest.mark.slow)])
+def test_strata_levels_match_the_oracle(graph):
+    """Each l of the oracle's set {l >= 0 : l - l' antinef,
+    chi(l) + (l, l') <= p_g} gets dim V of the E*-support of l' - l and
+    the level k = p_g - chi(l) - (l, l') - dim of (ii), computed apart
+    from the walk; those with k >= 0 are the report's entries over all
+    levels, excluded ones included. At l' = 0 and -E*_v for each end v,
+    at every alpha up to min(m, 2), in generic mode. g_left and g_right
+    take 5-20 s each, so they run only under `python -m pytest -m slow`."""
+    seq = _tied_sequence(graph)
+    g = seq.graph
+    for lprime in (g.zero_cycle(), *(-dual_cycle(g, v)
+                                     for v in g.end_vertices())):
+        for alpha in range(min(seq.m, 2) + 1):
+            pg = seq.pg(alpha)
+            expected = set()
+            for l in brute_antinef_sublevel(g, lprime, pg):
+                dim = flag_dim(seq, estar_support(l - lprime), alpha)
+                k = pg - chi(l) - intersection_form(l, lprime) - dim
+                if k >= 0:
+                    expected.add((l.num, k, dim))
+            report = strata_index_sets(seq, lprime,
+                                       AnalyticParams(alpha=alpha))
+            entries = [(e.l.num, e.k, e.dim)
+                       for level in report.levels.values() for e in level]
+            assert len(set(entries)) == len(entries)
+            assert set(entries) == expected, (graph, lprime, alpha)
+
+
 # -- the ellipsoid walker against the oracle's antinef sublevel set ----------
 
 def _lprimes(graph):
