@@ -14,11 +14,12 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .core import (Cycle, ResolutionGraph, _antinef_cover, _rooting,
                    _subtree_solve, _times_a, build_graph, canonical_cycle,
-                   chi, dual_cycle, intersection_form)
+                   chi, dual_cycle, intersection_form, is_antinef)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -159,38 +160,6 @@ def brute_fundamental_cycle(graph: ResolutionGraph,
     return _certified_minimum(graph.zero_cycle(), cap, nonzero=True)
 
 
-def _minus_a(graph: ResolutionGraph) -> list[list[int]]:
-    """M = -A in vertex order, from the euler numbers and the edge list."""
-    return [[-graph.euler[v] if v == w else -(frozenset((v, w)) in graph.edges)
-             for w in graph.vertices] for v in graph.vertices]
-
-
-def _own_ldl(matrix: Sequence[Sequence[int]]):
-    """(d, u) with matrix = U^T diag(d) U, U unit upper triangular and u its
-    strictly upper part, by symmetric Gaussian elimination in Fractions.
-    Pivot i updates only the entries (a, b) with both u_ia and u_ib nonzero,
-    the only ones it changes, so a sparse matrix costs little more than its
-    fill. Deliberately re-implemented here (not shared with the fast path)."""
-    n = len(matrix)
-    s = [[Fraction(x) for x in row] for row in matrix]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        pivot = s[i][i]
-        if pivot <= 0:
-            raise InvariantViolation("oracle LDL hit a non-positive pivot")
-        d.append(pivot)
-        row = u[i]
-        nonzero = [j for j in range(i + 1, n) if s[i][j]]
-        for j in nonzero:
-            row[j] = s[i][j] / pivot
-        for a in nonzero:
-            scaled, target = pivot * row[a], s[a]
-            for b in nonzero:
-                target[b] -= scaled * row[b]
-    return d, u
-
-
 _Walk = Callable[..., Iterator[tuple[Cycle, int]]]  # `_chi_sublevel`'s walk
 
 
@@ -202,62 +171,55 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
     With M = -A and b = Z_K/2, both read off `core`, chi(l) =
     ((l-b)^T M (l-b) - b^T M b) / 2 and b^T M b = -(b, b), so the sublevel
     set is the ellipsoid (l-b)^T M (l-b) <= R = 2t - (b, b), empty when
-    R < 0. It is walked coordinate by coordinate from the last one down
-    (Fincke-Pohst) on M = U^T diag(d) U from `_own_ldl`, each coordinate's
-    integer interval around its centre c_i = b_i - sum_{j>i} u_ij (l_j - b_j)
-    read off the remaining budget.
-
-    The walk runs on integers: with S the lcm of the denominators of the
-    u_ij and of b, and L that of the d_i and of (b, b), it carries S^2 c_i,
-    the weights L d_i and the budget scaled by L S^4, and takes each
-    interval from one isqrt, cut to upper_i; each row of S u keeps only
-    its nonzero entries, so a centre costs one product per nonzero u_ij.
-    All of this is set up once; each walk sets only its radius. Every rec
-    call counts one visited node of its walk against `cap`, leaves
-    included; the remaining budget at a leaf is
-    (R - (l-b)^T M (l-b)) L S^4 = 2 L S^4 (t - chi(l))."""
+    R < 0. It is walked (Fincke-Pohst) in the graph's block order, parents
+    first, on `core`'s leaf elimination: with D_v the determinant of M on
+    the subtree below v, P_v the product of the D_c over its children c,
+    y_p(v) = 0 at the root, y^T M y = sum_v (D_v y_v - P_v y_p(v))^2 /
+    (D_v P_v), so each interval depends on the budget and the parent alone.
+    With s the denominator of b and L = lcm(D_v P_v), the walk carries
+    s y_v and the budget scaled by s^2 L, in integers, and takes each
+    interval from one isqrt, cut to upper_v; a leaf's budget is
+    2 s^2 L (t - chi(l)). Every rec call counts one visited node of its
+    walk against `cap`, leaves included."""
     n = len(graph.vertices)
     b = canonical_cycle(graph) * Fraction(1, 2)
     btmb = -intersection_form(b, b)
-    d, u = _own_ldl(_minus_a(graph))
-    s = math.lcm(b.den, *(x.denominator for row in u for x in row))
-    s2 = s * s
-    lcm_l = math.lcm(btmb.denominator, *(x.denominator for x in d))
-    scale = lcm_l * s2 * s2
-    sb = [x * (s // b.den) for x in b.num]
-    su = [[(j, int(x * s)) for j, x in enumerate(row) if x] for row in u]
-    centre = [x * s for x in sb]  # S^2 b_i
-    weight = [int(x * lcm_l) for x in d]  # L d_i
-    chi_den = 2 * scale
+    s, sub, kids = b.den, graph._subdet, graph._childdet
+    scale = s * s * math.lcm(*map(mul, sub, kids))
+    # per vertex, in order: D_v s y_v - P_v s y_p = a x + off for l_v = x,
+    # with a = D_v s and off = -D_v s b_v - P_v s y_p (P_v = 0 at the root)
+    steps = [(v, graph._parent[v], sub[v] * s, sub[v] * b.num[v],
+              kids[v] if graph._parent[v] >= 0 else 0,
+              scale // (s * s * sub[v] * kids[v]), b.num[v])
+             for v in graph._order]
 
     def walk(t: int, upper: Sequence[int] | None = None
              ) -> Iterator[tuple[Cycle, int]]:
         cut = upper or [math.inf] * n
-        xs = [0] * n
-        sx = [0] * n  # S l_j - S b_j for the assigned j
+        xs, ws = [0] * n, [0] * n  # l_v and s y_v for the assigned v
         visited = 0
 
-        def rec(i: int, budget: int):
+        def rec(k: int, budget: int):
             nonlocal visited
             visited += 1
             if visited > cap:
                 raise ResourceCapExceeded(
                     f"chi sublevel enumeration exceeded its budget ({cap})")
-            if i < 0:
-                yield Cycle(graph, tuple(xs)), t - budget // chi_den
+            if k == n:
+                yield Cycle(graph, tuple(xs)), t - budget // (2 * scale)
                 return
-            c = centre[i] - sum(a * sx[j] for j, a in su[i])
-            w = weight[i]
-            r = math.isqrt(budget // w)  # |S^2 x - c| <= r
-            for value in range(max(-((r - c) // s2), 0),
-                               min((c + r) // s2, cut[i]) + 1):
-                xs[i] = value
-                sx[i] = s * value - sb[i]
-                e = s2 * value - c
-                yield from rec(i - 1, budget - w * e * e)
+            v, p, a, a_b, kid, c, bn = steps[k]
+            off = -a_b - kid * ws[p]
+            r = math.isqrt(budget // c)  # |a x + off| <= r
+            for value in range(max(-((r + off) // a), 0),
+                               min((r - off) // a, cut[v]) + 1):
+                xs[v] = value
+                ws[v] = s * value - bn
+                e = a * value + off
+                yield from rec(k + 1, budget - c * e * e)
 
         if 2 * t + btmb >= 0:  # R >= 0
-            yield from rec(n - 1, int((2 * t + btmb) * scale))
+            yield from rec(0, int((2 * t + btmb) * scale))
 
     return walk
 
@@ -308,27 +270,31 @@ def brute_antinef_sublevel(graph: ResolutionGraph, lprime: Cycle,
                            bound) -> list[Cycle]:
     """All integral l >= 0 with l - l' antinef and chi(l) + (l, l') <= bound.
 
-    With M = -A and b = Z_K/2 + l', chi(l) + (l, l') =
-    ((l-b)^T M (l-b) + (b, b)) / 2, so the set lies in the ellipsoid
-    (l-b)^T M (l-b) <= R = 2 bound - (b, b) and in its bounding box
-    |l_v - b_v|^2 <= R (M^{-1})_vv, where (M^{-1})_vv is the coefficient of
-    E*_v at v; b, R and E*_v are read off `core`. That box, cut to l >= 0,
-    is searched by `_antinef_hits` with base -l', and the hits filtered by
-    the value."""
-    b = canonical_cycle(graph) * Fraction(1, 2) + lprime
-    radius2 = 2 * Fraction(bound) - intersection_form(b, b)
-    if radius2 < 0:
-        return []
-    q = b.den
-    lower, upper = [], []
-    for v, p in zip(graph.vertices, b.num):
-        # integers x with (q x - p)^2 <= q^2 R (M^{-1})_vv, for b_v = p / q
-        t = math.isqrt(math.floor(
-            q * q * radius2 * dual_cycle(graph, v).coefficient(v)))
-        lower.append(max(0, -((t - p) // q)))
-        upper.append((p + t) // q)
-        if lower[-1] > upper[-1]:
+    With M = -A, b = Z_K/2 + l' and R = 2 bound - (b, b), chi(l) + (l, l')
+    = ((l-b)^T M (l-b) + (b, b)) / 2, so the set lies in the ellipsoid
+    (l-b)^T M (l-b) <= R and in its box |l_v - b_v|^2 <= R (M^{-1})_vv,
+    where (M^{-1})_vv is the coefficient of E*_v at v; all read off `core`.
+    When -l' is antinef, (l, l') = sum_v l_v (E_v, l') >= 0 for l >= 0,
+    so the set also lies in the box of {l >= 0 : chi(l) <= bound}, the same
+    with b = Z_K/2, much the smaller far from 0. `_antinef_hits` searches
+    the boxes' intersection, cut to l >= 0, with base -l', and the hits are
+    filtered by the value."""
+    half = canonical_cycle(graph) * Fraction(1, 2)
+    centres = [half + lprime, half] if is_antinef(-lprime) else [half + lprime]
+    lower, upper = [0] * len(half.num), [math.inf] * len(half.num)
+    for b in centres:
+        radius2 = 2 * Fraction(bound) - intersection_form(b, b)
+        if radius2 < 0:
             return []
+        q = b.den
+        for i, (v, p) in enumerate(zip(graph.vertices, b.num)):
+            # integers x with (q x - p)^2 <= q^2 R (M^{-1})_vv, b_v = p / q
+            t = math.isqrt(math.floor(
+                q * q * radius2 * dual_cycle(graph, v).coefficient(v)))
+            lower[i] = max(lower[i], -((t - p) // q))
+            upper[i] = min(upper[i], (p + t) // q)
+            if lower[i] > upper[i]:
+                return []
     hits = (Cycle(graph, z) for z in
             _antinef_hits(graph, -lprime, lower, upper, DEFAULT_CAP))
     return [l for l in hits if chi(l) + intersection_form(l, lprime) <= bound]

@@ -167,9 +167,6 @@ class StrataReport:
     levels: dict[int, tuple[StrataEntry, ...]]
     notes: tuple[str, ...] = ()
 
-    def entries(self, k: int):
-        return [e for e in self.levels.get(k, ()) if e.excluded_by is None]
-
 
 def _decomposes_over(difference: Cycle, pool: tuple[Cycle, ...]) -> bool:
     """Whether `difference` is a non-negative integral combination of pool.

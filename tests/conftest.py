@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import ast
 import inspect
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from resgraph import quadform
 from resgraph.core import build_graph
-from resgraph.errors import GraphValidationError
+from resgraph.errors import GraphValidationError, InvariantViolation
 from resgraph.fixtures import load_fixture
 from resgraph.graphio import FORMAT_VERSION, cycle_to_data
 
@@ -83,6 +84,33 @@ def det1364_tree():
     return build_graph({
         "vertices": [(f"v{i}", e) for i, e in enumerate(euler)],
         "edges": [(f"v{u}", f"v{v}") for u, v in edges]})
+
+
+def minus_a(graph):
+    """M = -A in vertex order, from the euler numbers and the edge set, for
+    the dense references; the package itself builds no n x n matrix."""
+    return [[-graph.euler[v] if v == w else -(frozenset((v, w)) in graph.edges)
+             for w in graph.vertices] for v in graph.vertices]
+
+
+def dense_ldl(matrix):
+    """(d, u) with matrix = U^T diag(d) U, U unit upper triangular and u its
+    strictly upper part: symmetric Gaussian elimination in Fractions, the
+    full triple loop over every entry."""
+    n = len(matrix)
+    s = [[Fraction(x) for x in row] for row in matrix]
+    d = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d.append(s[i][i])
+        if d[i] <= 0:
+            raise InvariantViolation("non-positive pivot")
+        for j in range(i + 1, n):
+            u[i][j] = s[i][j] / d[i]
+        for a in range(i + 1, n):
+            for b in range(i + 1, n):
+                s[a][b] -= d[i] * u[i][a] * u[i][b]
+    return d, u
 
 
 def g_app_with_chain(length):

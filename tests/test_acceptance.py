@@ -162,7 +162,8 @@ def test_criterion_8_strata_vs_partial_sums(name, request):
     params = AnalyticParams(alpha=0, mode="wecc")
     zero = graph.zero_cycle()
     trivial = strata_index_sets(seq, zero, params)
-    tops = [e for e in trivial.entries(trivial.pg) if e.maximal]
+    tops = [e for e in trivial.levels.get(trivial.pg, ())
+            if e.excluded_by is None and e.maximal]
     assert [(e.l, e.dim) for e in tops] == [(zero, 0)]
 
     lprime = -seq.pre_term

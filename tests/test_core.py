@@ -17,10 +17,9 @@ from resgraph.core import (Cycle, _antinef_cover, _rooting, _subtree_solve,
                            is_numerically_gorenstein)
 from resgraph.errors import GraphValidationError, UserError
 from resgraph.laufer import classify, fundamental_cycle
-from resgraph.oracle import _minus_a, _own_ldl
 from resgraph.quadform import walk_rooting
 
-from conftest import full_subgraph, random_trees
+from conftest import dense_ldl, full_subgraph, minus_a, random_trees
 
 
 # -- dense reference, kept here and never in the package --------------------
@@ -150,7 +149,7 @@ def test_affine_d4_star_is_rejected():
 
 def test_vertices_sorted_and_minors_positive(g_app):
     assert list(g_app.vertices) == sorted(g_app.vertices)
-    minors = bareiss_elimination(_minus_a(g_app))
+    minors = bareiss_elimination(minus_a(g_app))
     assert all(m > 0 for m in minors)
     assert g_app.det == minors[-1]
 
@@ -169,7 +168,7 @@ def test_bareiss_minors_match_naive_determinants(g_app, g_pole):
         return total
 
     for g in (g_app, g_pole):
-        neg = _minus_a(g)
+        neg = minus_a(g)
         minors = bareiss_elimination(neg)
         # cofactor expansion is factorial; sizes up to 7 are plenty
         for k in range(1, min(7, len(neg)) + 1):
@@ -304,16 +303,16 @@ def test_cycle_normal_form():
 def test_intersection_form_matches_matrix(g_app):
     for v in g_app.vertices:
         for w in g_app.vertices:
-            expected = -_minus_a(g_app)[g_app._index[v]][g_app._index[w]]
+            expected = -minus_a(g_app)[g_app._index[v]][g_app._index[w]]
             assert intersection_form(g_app.basis_cycle(v),
                                      g_app.basis_cycle(w)) == expected
 
 
 def _check_chi_and_pairings(g, coeffs):
-    """_times_a is -M z for the oracle's M = -A, which is built from the
+    """_times_a is -M z for the dense M = -A, which is built from the
     euler numbers and the edge set, not from the edge-pair table; and chi(l)
     is -(l, l - Z_K) / 2, for integral and for fractional l."""
-    m = _minus_a(g)
+    m = minus_a(g)
     n = len(g.vertices)
     z = [int(c) for c in coeffs[:n]]
     assert _times_a(g, z) == [-sum(a * b for a, b in zip(row, z))
@@ -520,10 +519,10 @@ def test_graph_helpers(g_app):
 # -- the tree kernel against an independent dense computation ---------------
 #
 # The oracle shares core with the fast path, so the kernel is pinned here
-# against data rebuilt from the edge list: Bareiss minors and the oracle's
-# dense LDL of -A, and the products A*x. The rooted order and the subtree
+# against data rebuilt from the edge list: Bareiss minors and a dense LDL
+# of -A, and the products A*x. The rooted order and the subtree
 # determinants are checked as the orthogonalization of -A that the
-# ellipsoid walker uses.
+# ellipsoid walker and the oracle's chi walk use.
 
 def _lattice(spec):
     """Sorted vertex ids, euler numbers and neighbour lists of a spec."""
@@ -608,7 +607,7 @@ def _check_kernel(spec, coeffs):
             (sub[i] * x[i] - (kids[i] * x[parent[i]] if parent[i] >= 0
                               else 0)) ** 2 / (sub[i] * kids[i])
             for i in range(len(x)))
-    assert g.det == minors[-1] == math.prod(_own_ldl(neg)[0])
+    assert g.det == minors[-1] == math.prod(dense_ldl(neg)[0])
     zk = canonical_cycle(g)
     assert _a_times_x(spec, zk) == {v: e + 2 for v, e in euler.items()}
     for v in names:

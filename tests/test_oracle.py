@@ -26,14 +26,13 @@ from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
 from resgraph.errors import (GraphValidationError, InvariantViolation,
                              ResourceCapExceeded, UserError)
 from resgraph.oracle import (_certified_meet, _chi_sublevel,
-                             _connected_subsets, _minus_a, _own_ldl,
-                             brute_fundamental_cycle, brute_lemci,
-                             brute_min_antinef, brute_min_chi,
+                             _connected_subsets, brute_fundamental_cycle,
+                             brute_lemci, brute_min_antinef, brute_min_chi,
                              brute_minimally_elliptic, brute_subsupports,
                              enumerate_trees, verify)
 
-from conftest import (full_subgraph, g_app_with_chain, random_tree,
-                      random_trees)
+from conftest import (dense_ldl, full_subgraph, g_app_with_chain, minus_a,
+                      random_tree, random_trees)
 
 
 def test_oracle_module_is_independent():
@@ -508,54 +507,6 @@ def test_enumerated_siblings_share_no_memo():
     assert canonical_cycle(first).num != canonical_cycle(sibling).num
 
 
-def _dense_ldl(matrix):
-    """Reference for `_own_ldl`: the full triple loop over every entry."""
-    n = len(matrix)
-    s = [[Fraction(x) for x in row] for row in matrix]
-    d = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d.append(s[i][i])
-        if d[i] <= 0:
-            raise InvariantViolation("non-positive pivot")
-        for j in range(i + 1, n):
-            u[i][j] = s[i][j] / d[i]
-        for a in range(i + 1, n):
-            for b in range(i + 1, n):
-                s[a][b] -= d[i] * u[i][a] * u[i][b]
-    return d, u
-
-
-@pytest.mark.parametrize("name", ["g_app", "g_new", "g_noecc", "g_pole",
-                                  "g_left", "g_right"])
-def test_own_ldl_matches_the_dense_elimination(name, request):
-    m = _minus_a(request.getfixturevalue(name))
-    assert _own_ldl(m) == _dense_ldl(m)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.lists(
-    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n,
-             max_size=n), min_size=n, max_size=n)))
-def test_own_ldl_matches_the_dense_elimination_off_trees(rows):
-    """B^T B + I is symmetric positive definite, with any pattern of
-    zeros: cycles and fill-in that no tree has."""
-    n = len(rows)
-    m = [[sum(rows[k][i] * rows[k][j] for k in range(n)) + (i == j)
-          for j in range(n)] for i in range(n)]
-    assert _own_ldl(m) == _dense_ldl(m)
-
-
-@pytest.mark.parametrize("matrix", [
-    [[0]], [[-2]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 2], [0, 2, 2]],
-    [[2, 0, 1], [0, 2, 0], [1, 0, 0]]])
-def test_own_ldl_refuses_an_indefinite_matrix(matrix):
-    with pytest.raises(InvariantViolation):
-        _dense_ldl(matrix)
-    with pytest.raises(InvariantViolation):
-        _own_ldl(matrix)
-
-
 def test_certified_meet():
     """The meet of the hits is returned when it is a hit, and refused
     otherwise, whichever caller asks."""
@@ -579,17 +530,22 @@ def test_resource_caps(g_app):
 
 
 def _fraction_chi_sublevel(graph, bound, cap):
-    """Reference: the chi <= bound walk in Fraction arithmetic, each
-    interval found by scanning outward from the floor of its centre."""
-    n = len(graph.vertices)
-    m = _minus_a(graph)
-    b = [c / 2 for c in canonical_cycle(graph).coeffs]
+    """Reference: the chi <= bound walk in Fraction arithmetic on the dense
+    LDL of -A permuted to the reverse of the graph's block order, walked
+    from its last coordinate, the root, down; each interval found by
+    scanning outward from the floor of its centre."""
+    perm = list(reversed(graph._order))
+    n = len(perm)
+    full = minus_a(graph)
+    m = [[full[i][j] for j in perm] for i in perm]
+    zk = canonical_cycle(graph).coeffs
+    b = [zk[i] / 2 for i in perm]
     btmb = sum(b[i] * sum(m[i][j] * b[j] for j in range(n)) for i in range(n))
     radius2 = 2 * Fraction(bound) + btmb
     if radius2 < 0:
         return []
-    d, u = _own_ldl(m)
-    xs = [0] * n
+    d, u = dense_ldl(m)
+    xs = [0] * n  # in vertex order
     out = []
     visited = 0
 
@@ -601,7 +557,7 @@ def _fraction_chi_sublevel(graph, bound, cap):
         if i < 0:
             out.append(graph.from_vector(xs))
             return
-        c = b[i] - sum(u[i][j] * (xs[j] - b[j]) for j in range(i + 1, n))
+        c = b[i] - sum(u[i][j] * (xs[perm[j]] - b[j]) for j in range(i + 1, n))
         q = budget / d[i]
         lo = math.floor(c)
         while (lo - c) ** 2 <= q:
@@ -610,7 +566,7 @@ def _fraction_chi_sublevel(graph, bound, cap):
         while (hi + 1 - c) ** 2 <= q:
             hi += 1
         for value in range(max(lo + 1, 0), hi + 1):
-            xs[i] = value
+            xs[perm[i]] = value
             term = d[i] * (value - c) ** 2
             if term <= budget:
                 rec(i - 1, budget - term)
@@ -652,9 +608,9 @@ def test_searches_visit_the_same_nodes(g_app):
     """The least caps that let the two searches through on g_app, as
     measured on the Fraction versions: a search that visits more or fewer
     nodes moves them."""
-    assert len(list(_chi_sublevel(g_app, 2661)(1))) == 849
+    assert len(list(_chi_sublevel(g_app, 2914)(1))) == 849
     with pytest.raises(ResourceCapExceeded):
-        list(_chi_sublevel(g_app, 2660)(1))
+        list(_chi_sublevel(g_app, 2913)(1))
     assert brute_fundamental_cycle(g_app, cap=21) == \
         brute_fundamental_cycle(g_app)
     with pytest.raises(ResourceCapExceeded):
@@ -682,12 +638,13 @@ def test_searches_build_no_fraction_per_node():
 
 
 def test_the_oracle_ldl_has_one_reader():
-    """Only the chi walk factors -A: `_own_ldl` and `_minus_a` are called
-    only inside `_chi_sublevel`, and no `_ellipsoid` is defined; the box
-    searches read their centres, radii and (M^{-1})_vv off core, and wrap
-    each integer hit in a Cycle, not `from_vector`."""
+    """The oracle's LDL is core's leaf elimination, and only the chi walk
+    reads it: `_subdet` and `_childdet` are read only inside
+    `_chi_sublevel`, and no `_own_ldl`, `_minus_a` or `_ellipsoid` is
+    defined. The box searches read their centres, radii and (M^{-1})_vv
+    off core, and wrap each integer hit in a Cycle, not `from_vector`."""
     tree = ast.parse(inspect.getsource(oracle_module))
-    callers = {}
+    callers, readers = {}, {}
     for outer in tree.body:
         if isinstance(outer, ast.FunctionDef):
             for node in ast.walk(outer):
@@ -695,11 +652,14 @@ def test_the_oracle_ldl_has_one_reader():
                     name = getattr(node.func, "id", None) or getattr(
                         node.func, "attr", None)
                     callers.setdefault(name, set()).add(outer.name)
-    assert callers["_own_ldl"] == callers["_minus_a"] == {"_chi_sublevel"}
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(outer.name)
+    assert readers["_subdet"] == readers["_childdet"] == {"_chi_sublevel"}
     assert not callers.get("from_vector", set()) & {
         "_certified_minimum", "brute_lemci", "brute_antinef_sublevel"}
-    assert "_ellipsoid" not in {node.name for node in ast.walk(tree)
-                                if isinstance(node, ast.FunctionDef)}
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_own_ldl", "_minus_a", "_ellipsoid"}
 
 
 def test_min_chi_pole(g_pole):
@@ -923,27 +883,27 @@ def test_verify_builds_one_elliptic_sequence(monkeypatch, g_app):
 def test_verify_sets_up_each_brute_search_once(monkeypatch, g_app):
     """The classification and minimally-elliptic checks share one chi-walk
     set-up, and the minimally-elliptic walk stays below the Z_min of the
-    fundamental-cycle check: one LDL and one brute Z_min search (the
-    nonzero boxed minimum) per verify, next to the two boxed minima of
-    the lift checks."""
-    ldl, minima = [], []
-    own_ldl = oracle_module._own_ldl
+    fundamental-cycle check: one `_chi_sublevel` set-up and one brute Z_min
+    search (the nonzero boxed minimum) per verify, next to the two boxed
+    minima of the lift checks."""
+    walks, minima = [], []
+    chi_sublevel = oracle_module._chi_sublevel
     certified_minimum = oracle_module._certified_minimum
 
-    def counted_ldl(matrix):
-        ldl.append(len(matrix))
-        return own_ldl(matrix)
+    def counted_walk(graph, cap):
+        walks.append(graph)
+        return chi_sublevel(graph, cap)
 
     def counted_minimum(base, cap, nonzero):
         minima.append(nonzero)
         return certified_minimum(base, cap, nonzero)
 
-    monkeypatch.setattr(oracle_module, "_own_ldl", counted_ldl)
+    monkeypatch.setattr(oracle_module, "_chi_sublevel", counted_walk)
     monkeypatch.setattr(oracle_module, "_certified_minimum", counted_minimum)
     report = verify(g_app)
     assert "minimally-elliptic" in report
     assert set(report.values()) == {"ok"}
-    assert ldl == [len(g_app.vertices)]
+    assert walks == [g_app]
     assert sorted(minima) == [False, False, True]
 
 

@@ -240,8 +240,9 @@ def test_strata_levels_are_the_w_strata_table(query):
     seq, lprime, alpha, mode = query
     report = strata_index_sets(seq, lprime,
                                AnalyticParams(alpha=alpha, mode=mode))
-    tops = {k: max(e.dim for e in report.entries(k))
-            for k in report.levels if report.entries(k)}
+    accepted = {k: [e.dim for e in level if e.excluded_by is None]
+                for k, level in report.levels.items()}
+    tops = {k: max(dims) for k, dims in accepted.items() if dims}
     table = w_strata(seq, lprime, alpha)
     assert tops == {s.k: s.dim for s in table.strata if s.kind == "linear"}
     assert max(tops) == table.h1_on_image
@@ -386,12 +387,17 @@ def test_strata_levels_match_the_oracle(graph):
     the level k = p_g - chi(l) - (l, l') - dim of (ii), computed apart
     from the walk; those with k >= 0 are the report's entries over all
     levels, excluded ones included. At l' = 0 and -E*_v for each end v,
-    at every alpha up to min(m, 2), in generic mode. g_left and g_right
-    take 5-20 s each, so they run only under `python -m pytest -m slow`."""
+    and on g_app, g_new and g_noecc also at the far class -25 E*_v for
+    their first end v, at every alpha up to min(m, 2), in generic mode.
+    g_left and g_right take 5-20 s each, so they run only under
+    `python -m pytest -m slow`."""
     seq = _tied_sequence(graph)
     g = seq.graph
-    for lprime in (g.zero_cycle(), *(-dual_cycle(g, v)
-                                     for v in g.end_vertices())):
+    ends = g.end_vertices()
+    far = [-25 * dual_cycle(g, ends[0])] if graph in (
+        "g_app", "g_new", "g_noecc") else []
+    for lprime in (g.zero_cycle(), *(-dual_cycle(g, v) for v in ends),
+                   *far):
         for alpha in range(min(seq.m, 2) + 1):
             pg = seq.pg(alpha)
             expected = set()
