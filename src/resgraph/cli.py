@@ -354,6 +354,9 @@ def run(argv) -> int:
         print(f"resource cap: the graph is too deep for the recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(dump_json(report))
     else:

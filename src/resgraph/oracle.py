@@ -451,14 +451,77 @@ def _tree_shapes(n: int, count=lambda: None) -> list[dict[int, list[int]]]:
     return shapes
 
 
+def _shape_generators(adj: dict[int, list[int]]) -> list[tuple[int, ...]]:
+    """Generators of a tree's automorphism group, as vertex permutations:
+    swaps of isomorphic sibling subtrees (Jordan, 1869). With the tree
+    rooted at its centre (`_centre_plan`) and children sorted by subtree
+    form, each two adjacent children of equal form give the swap of their
+    subtrees along that order, and two centres of equal form the swap of
+    the halves."""
+    steps, centres = _centre_plan(adj)
+    forms: list = [None] * len(adj)
+    kids = {}
+    for v, children in steps:
+        kids[v] = sorted(children, key=forms.__getitem__)
+        forms[v] = tuple(forms[w] for w in kids[v])
+
+    def swap(a: int, b: int) -> tuple[int, ...]:
+        perm, pairs = list(range(len(adj))), [(a, b)]
+        while pairs:
+            a, b = pairs.pop()
+            perm[a], perm[b] = b, a
+            pairs += zip(kids[a], kids[b])
+        return tuple(perm)
+
+    gens = [swap(a, b) for ws in kids.values() for a, b in zip(ws, ws[1:])
+            if forms[a] == forms[b]]
+    if len(centres) == 2 and forms[centres[0]] == forms[centres[1]]:
+        gens.append(swap(*centres))
+    return gens
+
+
+def _orbit_minima(generators: list[tuple[int, ...]], values: Sequence[int],
+                  n: int) -> Iterator[list[int]]:
+    """The first labelling of each orbit, in product order over values**n,
+    of the group the position permutations generate: each generator has a
+    table of image indices, and each index a mark, set as the orbit of each
+    first one is walked."""
+    k = len(values)
+    weights = [k ** (n - 1 - v) for v in range(n)]
+    tables = []
+    for perm in generators:
+        table = [0]
+        for v in range(n):
+            w = weights[perm[v]]
+            table = [t + d for t in table for d in range(0, k * w, w)]
+        tables.append(table)
+    marks = bytearray(k ** n)
+    i = marks.find(0)
+    while i >= 0:
+        marks[i] = 1
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for table in tables:
+                m = table[j]
+                if not marks[m]:
+                    marks[m] = 1
+                    stack.append(m)
+        yield [values[i // w % k] for w in weights]
+        i = marks.find(0, i + 1)
+
+
 def enumerate_trees(max_vertices: int, euler_range,
                     cap: int = DEFAULT_CAP) -> Iterator[ResolutionGraph]:
     """All non-isomorphic negative-definite weighted trees with at most
-    max_vertices vertices and euler numbers from euler_range. Each Pruefer
-    sequence scanned and each euler assignment walked counts one against
-    `cap`. Each value is checked as it is read; a range of more values than
-    `cap` is refused then, and none is held when no tree has a vertex, nor
-    read past its ends when it is a `range`."""
+    max_vertices vertices and euler numbers from euler_range: on each shape,
+    the first euler assignment in product order of each orbit under the
+    shape's automorphisms (`_orbit_minima`), with no form per assignment.
+    Each Pruefer sequence scanned counts one against `cap`, and each shape
+    its k**n assignments (k values) when it is reached, before any table
+    is built. Each value is checked as it is read; a range of more values
+    than `cap` is refused then, and none is held when no tree has a vertex,
+    nor read past its ends when it is a `range`."""
     over = (f"tree enumeration exceeded cap {cap} (Pruefer sequences and "
             f"euler assignments scanned)")
     invalid = "euler_range must be a nonempty set of integers <= -1"
@@ -479,29 +542,24 @@ def enumerate_trees(max_vertices: int, euler_range,
     euler_values = sorted(values)
     scanned = 0
 
-    def count() -> None:
+    def count(work: int = 1) -> None:
         nonlocal scanned
-        scanned += 1
+        scanned += work
         if scanned > cap:
             raise ResourceCapExceeded(over)
 
     for n in range(1, max_vertices + 1):
         names = [f"v{i + 1}" for i in range(n)]
         for adj in _tree_shapes(n, count):
-            plan = _centre_plan(adj)
+            count(len(euler_values) ** n)
             # the shape is validated once, with euler -n on every vertex
             # (diagonally dominant, so definite); each assignment shares it
             shape = build_graph({
                 "vertices": [(name, -n) for name in names],
                 "edges": [(names[u], names[v]) for u in adj for v in adj[u]
                           if u < v]})
-            seen = set()
-            for assignment in itertools.product(euler_values, repeat=n):
-                count()
-                key = _tree_form(plan, assignment)
-                if key in seen:
-                    continue
-                seen.add(key)
+            generators = _shape_generators(adj)
+            for assignment in _orbit_minima(generators, euler_values, n):
                 try:
                     yield shape._with_euler(zip(names, assignment))
                 except GraphValidationError as exc:

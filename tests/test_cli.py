@@ -337,6 +337,17 @@ def test_recursion_limit_is_a_resource_refusal(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_memory_error_is_a_resource_refusal(capsys, monkeypatch):
+    """A run that exhausts memory (a large enough `strata` answer does)
+    exits 3 with one line, not a traceback."""
+    def exhausted(graph):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "classify", exhausted)
+    code, out, err = invoke(capsys, "classify", "g_app")
+    assert (code, out, err) == (3, "", "resource cap: out of memory\n")
+
+
 def _python_m(*argv):
     """(exit code, stdout) of `python -m resgraph.cli argv` in a new
     process, with this package first on its path."""

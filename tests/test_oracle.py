@@ -778,6 +778,88 @@ def test_enumerate_trees_sequence_is_pinned():
         "7c179385ceed19b1cd61b2c6e98eb95f9f97628974e3c1fe3ede51d67af6d499")
 
 
+def test_sweep_corpus_sequence_is_pinned():
+    """The criteria-sweep corpus, `enumerate_trees(7, range(-4, -1))`, in
+    its yield order: the benchmark's reference results are recorded in
+    this order."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_trees(7, range(-4, -1)):
+        digest.update(repr((g.vertices, tuple(g.euler[v] for v in g.vertices),
+                            tuple(sorted(tuple(sorted(e)) for e in g.edges)))
+                           ).encode())
+        count += 1
+    assert count == 11972
+    assert digest.hexdigest() == (
+        "e2755276e806ebfa4cfd11fc7909a87c7d8723fcd7a4e6881fad932aebc1ab5c")
+
+
+def _edge_set(adj, perm):
+    return {frozenset((perm[u], perm[v])) for u in adj for v in adj[u]}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shape_generators_generate_the_automorphism_group(n):
+    """On every shape, each generator preserves the edges, and the group
+    they generate is every edge-preserving permutation (found by trying
+    all n! of them)."""
+    for adj in oracle_module._tree_shapes(n):
+        edges = _edge_set(adj, range(n))
+        automorphisms = {p for p in itertools.permutations(range(n))
+                         if _edge_set(adj, p) == edges}
+        generators = oracle_module._shape_generators(adj)
+        assert all(_edge_set(adj, g) == edges for g in generators)
+        group, frontier = {tuple(range(n))}, [tuple(range(n))]
+        while frontier:
+            p = frontier.pop()
+            for g in generators:
+                q = tuple(g[p[v]] for v in range(n))
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert group == automorphisms
+
+
+@pytest.mark.parametrize("n, ks", [(n, (1, 2, 3)) for n in range(1, 8)] + [
+    (8, (1, 2)), pytest.param(8, (3,), marks=pytest.mark.slow)],
+    ids=lambda x: "k" + "".join(map(str, x)) if isinstance(x, tuple)
+    else str(x))
+def test_orbit_minima_are_the_first_of_each_class(n, ks):
+    """On every shape, at k = 1, 2 and 3 labels, the orbit minima are the
+    first labellings in product order of the all-roots-form classes. At
+    n = 8 this includes the two-centre shapes whose halves swap (the path,
+    and two 3-stars joined at their centres); the reference form takes
+    about 10 s there at k = 3, so that case is slow."""
+    for adj in oracle_module._tree_shapes(n):
+        generators = oracle_module._shape_generators(adj)
+        for k in ks:
+            first, seen = [], set()
+            for labels in itertools.product(range(k), repeat=n):
+                key = _all_roots_form(adj, labels)
+                if key not in seen:
+                    seen.add(key)
+                    first.append(list(labels))
+            assert list(oracle_module._orbit_minima(
+                generators, range(k), n)) == first
+
+
+def test_enumerate_trees_refuses_a_shape_before_building_its_tables():
+    """A shape's k**n assignments count against the cap when it is
+    reached: at n = 2, 1 999 values make 1 999**2 of them, refused with the
+    usual message before any table of that size is held."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded, match=(
+                r"^tree enumeration exceeded cap 100000 \(Pruefer sequences "
+                r"and euler assignments scanned\)$")):
+            for _ in enumerate_trees(3, range(-2000, -1), cap=10 ** 5):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
 def test_free_tree_count_is_otters():
     # OEIS A000055
     assert [oracle_module._free_tree_count(n) for n in range(1, 12)] == [
