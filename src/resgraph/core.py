@@ -76,13 +76,14 @@ class ResolutionGraph:
     def _set_euler(self, euler: dict[str, int]) -> None:
         """The tables that depend on the euler numbers (`euler`, which the
         graph keeps): the pivots, the elimination over the rooting and
-        empty memos."""
+        empty memos (E*_v, Z_K and the classification)."""
         self.euler = euler
         self._pivots = [-euler[v] for v in self.vertices]  # the diagonal of -A
         self._subdet, self._childdet, self.det = _eliminate(
             self._order, self._parent, self._pivots)
         self._dual_cache: dict[str, Cycle] = {}
         self._canonical: Cycle | None = None
+        self._classification = None  # `laufer.classify` fills it
 
     def _with_euler(self, euler: Iterable[tuple[str, int]]
                     ) -> "ResolutionGraph":

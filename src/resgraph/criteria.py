@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import (Cycle, ResolutionGraph, _rooting, _subtree_solve,
-                   _times_a, dual_cycle)
+                   _times_a)
 from .ellseq import elliptic_sequence
 from .errors import InvariantViolation
 
@@ -65,9 +65,11 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
                               members: list[int]) -> Cycle | None:
     """Search for an effective integral C on a branch at the node v with
     (E*_v + C, E_u) = 0 for every u in branch ∪ {v} that is not an
-    end-vertex of the whole graph inside the branch. The branch is the
-    subtree `members` below the contact members[0], a child of v in
-    `rooting`, the tree rooted at v; no graph of it is built.
+    end-vertex of the whole graph inside the branch; as (E*_v, E_u) =
+    -delta_vu, that is (C, E_v) = 1 and (C, E_u) = 0 at those u in the
+    branch. The branch is the subtree `members` below the contact
+    members[0], a child of v in `rooting`, the tree rooted at v; no graph
+    of it is built.
 
     Any integral solution decomposes as C = sum_w a_w E*_w(branch) over the
     end-vertices w of the graph inside the branch, with a_w = -(C, E_w) a
@@ -75,51 +77,55 @@ def _monomial_branch_solution(graph: ResolutionGraph, v: str, rooting: tuple,
     sum_w a_w m_w = 1 for m_w = coefficient of E*_w(branch) at the contact.
     That bounds each a_w, so the search is finite. Such a C is integral
     once its coefficients at the ends w are: every (C, E_u) is an integer,
-    so each coefficient is an integer combination of those below it."""
+    so each coefficient is an integer combination of those below it.
+
+    A branch with one end w is the chain from the contact to w, whose
+    corner minor is 1: det m_w = 1 for det the branch's determinant, so
+    a_w = det and C = det E*_w(branch), one subtree solve."""
     _, parent, sub, kids, _ = rooting
     n = len(graph.vertices)
     node, contact = graph._index[v], members[0]
     required = [i for i in members if len(graph._neighbours[i]) > 1]
     ends = [i for i in members if len(graph._neighbours[i]) == 1]
-    estar_v = dual_cycle(graph, v)
-
-    # det E*_w(branch), det the branch's determinant, is one subtree solve,
-    # so the search runs on integers: with iw_w = det m_w, the simplex
-    # sum a_w m_w = 1 becomes sum a_w iw_w = det, and det C is tracked at
-    # the ends only
     det = sub[contact]
+
+    def checked(total: list[int], multipliers: dict) -> Cycle:
+        # the defining linear conditions hold at every integral point of
+        # the simplex, so a failure here is a bug, never a dead end: one
+        # cached as a failed state could hide a later witness
+        lifted = Cycle(graph, tuple(total))
+        pairs = _times_a(graph, lifted.num)
+        if pairs[node] != 1 or any(pairs[i] for i in required):
+            raise InvariantViolation(
+                "a monomial branch cycle fails its defining conditions",
+                payload={"node": v, "branch": sorted(
+                    graph.vertices[i] for i in members),
+                    "multipliers": multipliers})
+        return lifted
+
+    def solve(w: int) -> list[int]:  # det E*_w(branch)
+        return _subtree_solve(members, parent, sub, kids,
+                              [int(i == w) for i in range(n)])
+
+    if len(ends) == 1:
+        return checked(solve(ends[0]), {graph.vertices[ends[0]]: det})
+
+    # det E*_w(branch) is one subtree solve, so the search runs on
+    # integers: with iw_w = det m_w, the simplex sum a_w m_w = 1 becomes
+    # sum a_w iw_w = det, and det C is tracked at the ends only
     rows = []
     for w in ends:
-        full = _subtree_solve(members, parent, sub, kids,
-                              [int(i == w) for i in range(n)])
+        full = solve(w)
         rows.append((full[contact], graph.vertices[w], full,
                      [full[i] for i in ends]))
     iw, names, fulls, vecs = zip(*sorted(rows, reverse=True))
     chosen = [0] * len(iw)
 
     def witness() -> Cycle:
-        # the defining linear conditions hold at every integral point of
-        # the simplex, so a failure here is a bug, never a dead end: one
-        # cached as a failed state could hide a later witness
         total = [0] * n
         for a, full in zip(chosen, fulls):
             total = [t + a * f for t, f in zip(total, full)]
-        lifted = Cycle(graph, tuple(t // det for t in total))
-        pairs = _times_a(graph, (estar_v + lifted).num)
-        if pairs[node] or any(pairs[i] for i in required):
-            raise InvariantViolation(
-                "a monomial branch cycle fails its defining conditions",
-                payload={"node": v, "branch": sorted(
-                    graph.vertices[i] for i in members),
-                    "multipliers": dict(zip(names, chosen))})
-        return lifted
-
-    if len(iw) == 1:
-        a, rest = divmod(det, iw[0])
-        if rest or a * vecs[0][0] % det:
-            return None
-        chosen[0] = a
-        return witness()
+        return checked([t // det for t in total], dict(zip(names, chosen)))
 
     # the last two multipliers in closed form: a iw_p + b iw_q = remaining
     # holds for a = a0 + s j, b = b0 - r j (j >= 0), and each j adds `step`

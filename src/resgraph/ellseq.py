@@ -116,8 +116,9 @@ class EllipticSequence:
 
 def elliptic_sequence(graph: ResolutionGraph) -> EllipticSequence:
     """Build and validate the elliptic sequence (elliptic, minimal graphs).
-    Z_{B_j} is the lift of sum_{v in B_j} E_v with support B_j."""
-    require_elliptic_minimal(graph)
+    Z_{B_j} is the lift of sum_{v in B_j} E_v with support B_j; on
+    B_0 = V that lift is Z_min, read off the graph's classification."""
+    zmin = require_elliptic_minimal(graph).zmin
     zk = canonical_cycle(graph)
     pre = minimal_class_representative(zk)
     supports: list[frozenset[str]] = []
@@ -130,8 +131,11 @@ def elliptic_sequence(graph: ResolutionGraph) -> EllipticSequence:
         b = residual.support()
         if supports and not (b < supports[-1]):
             raise InvariantViolation("elliptic sequence supports do not shrink")
-        ones = Cycle(graph, tuple(int(v in b) for v in graph.vertices))
-        zb = antinef_lift(ones, support=b)[0]
+        if len(b) == len(graph.vertices):
+            zb = zmin
+        else:
+            ones = Cycle(graph, tuple(int(v in b) for v in graph.vertices))
+            zb = antinef_lift(ones, support=b)[0]
         supports.append(b)
         cycles.append(zb)
         running = running + zb

@@ -133,7 +133,10 @@ def _step_bound(l: Cycle) -> int:
 
 def fundamental_cycle(graph: ResolutionGraph) -> Cycle:
     """Z_min = min(S - {0}), computed as s(sum_v E_v); valid because every
-    nonzero antinef cycle on a connected graph has full support."""
+    nonzero antinef cycle on a connected graph has full support. Read off
+    the graph's classification once `classify` has run."""
+    if graph._classification is not None:
+        return graph._classification.zmin
     return antinef_lift(Cycle(graph, (1,) * len(graph.vertices)))[0]
 
 
@@ -149,16 +152,18 @@ def minimal_class_representative(l: Cycle) -> Cycle:
 
 def classify(graph: ResolutionGraph) -> Classification:
     """rational iff chi(Z_min) = 1, elliptic iff chi(Z_min) = 0, otherwise
-    "other" carrying the value."""
-    zmin = fundamental_cycle(graph)
-    value = chi(zmin)
-    if value == 1:
-        kind = "rational"
-    elif value == 0:
-        kind = "elliptic"
-    else:
-        kind = "other"
-    return Classification(kind=kind, chi_zmin=value, zmin=zmin)
+    "other" carrying the value. Memoized on the graph."""
+    if graph._classification is None:
+        zmin = fundamental_cycle(graph)
+        value = chi(zmin)
+        if value == 1:
+            kind = "rational"
+        elif value == 0:
+            kind = "elliptic"
+        else:
+            kind = "other"
+        graph._classification = Classification(kind, value, zmin)
+    return graph._classification
 
 
 def require_elliptic_minimal(graph: ResolutionGraph) -> Classification:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -19,8 +20,9 @@ from resgraph.criteria import (criteria_reports, extension_criterion,
 from resgraph.ellseq import elliptic_sequence
 from resgraph.errors import GraphValidationError, InvariantViolation, UserError
 from resgraph.laufer import classify, fundamental_cycle
+from resgraph.oracle import enumerate_trees
 
-from conftest import random_tree, random_trees
+from conftest import full_subgraph, random_tree, random_trees
 
 
 def test_extension_criterion_app(g_app):
@@ -221,6 +223,81 @@ def test_a_failed_revalidation_is_a_bug_not_a_dead_end(g_app):
                for a in payload["multipliers"].values())
 
 
+@pytest.mark.parametrize("name, branch", [
+    ("g_app", ("a1", "a2")),
+    ("g_right", ("A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2", "P3", "P4",
+                 "P5", "P6", "P7", "P8", "Q3", "Q5", "R1", "R2", "S1", "S2",
+                 "T1", "T2", "U1"))])
+def test_a_failed_revalidation_names_its_branch(name, branch, request):
+    """A re-validation forced to fail lands on the first branch searched:
+    on g_app a one-end branch, solved in closed form, whose payload names
+    its end with multiplier det_B; on g_right a six-end branch, reached by
+    the search, whose multipliers satisfy sum_w a_w m_w = 1 on the branch
+    B built on its own."""
+    graph = request.getfixturevalue(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria_module, "_times_a",
+                      lambda graph, num: [0] * len(num))
+        with pytest.raises(InvariantViolation) as info:
+            monomial_condition(graph)
+    payload = info.value.payload
+    assert payload["node"] == graph.nodes()[0]
+    assert payload["branch"] == list(branch)
+    b = full_subgraph(graph, branch)
+    ends = set(graph.end_vertices()) & set(branch)
+    (contact,) = set(graph.adjacency[payload["node"]]) & set(branch)
+    multipliers = payload["multipliers"]
+    assert set(multipliers) == ends
+    if len(ends) == 1:
+        assert multipliers == {ends.pop(): b.det}
+    else:
+        assert sum(a * dual_cycle(b, w).coefficient(contact)
+                   for w, a in multipliers.items()) == 1
+
+
+def _check_one_end_witnesses(graph):
+    """Every branch of the monomial condition with one end w of the graph
+    has a witness, det_B E*_w(B) for the branch B built on its own, and
+    det_B m_w = 1 for m_w the coefficient of E*_w(B) at the contact; the
+    number of such branches."""
+    report = monomial_condition(graph)
+    ends = set(graph.end_vertices())
+    for record in report.violations:
+        assert len(ends & set(record["branch"])) > 1
+    checked = 0
+    for record in report.witnesses:
+        branch_ends = ends & set(record["branch"])
+        if len(branch_ends) != 1:
+            continue
+        (w,) = branch_ends
+        b = full_subgraph(graph, record["branch"])
+        (contact,) = (set(graph.adjacency[record["node"]])
+                      & set(record["branch"]))
+        estar = dual_cycle(b, w)
+        assert b.det * estar.coefficient(contact) == 1
+        assert record["cycle"] == graph.cycle(
+            (u, b.det * c) for u, c in estar.items())
+        checked += 1
+    return checked
+
+
+def test_one_end_branches_on_the_fixtures(request):
+    """The one-end branches of the six fixtures, each checked against its
+    branch built on its own."""
+    counts = {name: _check_one_end_witnesses(request.getfixturevalue(name))
+              for name in ("g_app", "g_new", "g_noecc", "g_left", "g_right",
+                           "g_pole")}
+    assert counts == {"g_app": 3, "g_new": 3, "g_noecc": 4, "g_left": 8,
+                      "g_right": 8, "g_pole": 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(min_vertices=4, max_vertices=10, min_euler=-6))
+def test_one_end_branches_on_random_trees(graph):
+    assume(graph is not None and graph.nodes())
+    _check_one_end_witnesses(graph)
+
+
 def test_supports_wecc_equals_ecc(g_app, g_noecc):
     """The extension criterion decides a weak-end-curve structure and the
     monomial condition an end-curve structure; they agree."""
@@ -305,3 +382,43 @@ def test_refusals_quote_a_long_vertex_id(g_app):
             refuse()
         message = str(info.value)
         assert len(message) < 200 and "characters)" in message
+
+
+def _plain(value):
+    """A report value with each cycle as its (num, den)."""
+    if isinstance(value, Cycle):
+        return value.num, value.den
+    if isinstance(value, dict):
+        return tuple((k, _plain(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_plain, value))
+    return value
+
+
+def _reports_digest(max_vertices, eulers):
+    """The number of elliptic trees of enumerate_trees(max_vertices, eulers)
+    and the SHA-256 of their criteria reports in yield order: verdicts,
+    violations, and witness cycles as (num, den)."""
+    digest, count = hashlib.sha256(), 0
+    for g in enumerate_trees(max_vertices, eulers):
+        if classify(g).kind != "elliptic":
+            continue
+        count += 1
+        for r in criteria_reports(g):
+            digest.update(repr((r.name, r.verdict, _plain(r.violations),
+                                _plain(r.witnesses))).encode())
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("max_vertices, eulers, expected", [
+    (7, range(-4, -1), (1138, "1655d030efc72347307241e0a95a8424"
+                              "b521a1ce747a486f6eeb890faa6b2747")),
+    pytest.param(8, range(-3, -1), (638, "0c81e3d585b0510ff86ea4aa2e3f4714"
+                                         "9178b723b50045604b03860fef275e2c"),
+                 marks=pytest.mark.slow)])
+def test_criteria_reports_are_pinned(max_vertices, eulers, expected):
+    """Every criteria report of the criteria-sweep corpus (7 vertices,
+    Euler numbers -4..-2) and of the 8-vertex trees with -3..-2, witnesses
+    included, against the digest recorded before the branch search solved
+    one-end branches in closed form."""
+    assert _reports_digest(max_vertices, eulers) == expected

@@ -6,6 +6,8 @@ import dataclasses
 
 import pytest
 
+import resgraph.ellseq as ellseq_module
+import resgraph.laufer as laufer_module
 from resgraph.core import (build_graph, canonical_cycle, chi,
                            intersection_form, is_antinef)
 from resgraph.ellseq import (antinef_in_class_below_ZK, elliptic_sequence,
@@ -143,6 +145,36 @@ def test_depths_match_supports(request):
             assert d == max((j for j, b in enumerate(seq.supports) if v in b),
                             default=-1)
     assert elliptic_sequence(graphs[0]).depths["a9"] == 0
+
+
+@pytest.mark.parametrize("name, lifts", [
+    ("g_app", 2), ("g_new", 3), ("g_noecc", 2)])
+def test_sequence_reads_the_classification(name, lifts, monkeypatch,
+                                           request):
+    """After classify, elliptic_sequence lifts no Z_min again and takes
+    Z_{B_0} = Z_min when B_0 is the whole vertex set (on g_app and
+    g_noecc, not on g_new): `lifts` antinef_lift calls, one for the
+    pre-term and one per other support, where each of the three made 4
+    when it classified the graph again and lifted every support."""
+    graph = request.getfixturevalue(name)
+    fresh = full_subgraph(graph, graph.vertices)
+    calls = []
+    lift = laufer_module.antinef_lift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lift(*args, **kwargs)
+
+    for module in (laufer_module, ellseq_module):
+        monkeypatch.setattr(module, "antinef_lift", counted)
+    zmin = classify(fresh).zmin
+    assert len(calls) == 1
+    seq = elliptic_sequence(fresh)
+    assert len(calls) == 1 + lifts
+    assert (seq.fundamental_cycles[0] is zmin) == (
+        seq.supports[0] == frozenset(fresh.vertices))
+    assert ([z.num for z in seq.fundamental_cycles]
+            == [z.num for z in elliptic_sequence(graph).fundamental_cycles])
 
 
 def test_sequence_requires_elliptic(g_pole, single_vertex):

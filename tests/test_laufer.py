@@ -98,6 +98,24 @@ def test_classification_kinds(g_app, g_pole, single_vertex, a2_chain):
     assert cls.kind == "other" and cls.chi_zmin < 0
 
 
+def test_classification_is_memoized(g_app):
+    """classify fills the graph's memo, which fundamental_cycle and
+    require_elliptic_minimal read; a sibling of other euler numbers starts
+    with none, and its own classification is its build_graph twin's."""
+    graph = full_subgraph(g_app, g_app.vertices)
+    assert graph._classification is None
+    cls = classify(graph)
+    assert classify(graph) is cls and require_elliptic_minimal(graph) is cls
+    assert fundamental_cycle(graph) is cls.zmin
+    assert cls.zmin.num == fundamental_cycle(g_app).num
+    sibling = graph._with_euler(dict(graph.euler, a9=-3).items())
+    assert sibling._classification is None
+    twin = build_graph({"vertices": list(sibling.euler.items()),
+                        "edges": [tuple(e) for e in sibling.edges]})
+    assert classify(sibling).kind == classify(twin).kind
+    assert classify(sibling).zmin.num == classify(twin).zmin.num
+
+
 def test_cube_and_class_representative(g_new):
     zk = canonical_cycle(g_new)
     r = cube_representative(zk)

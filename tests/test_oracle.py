@@ -499,7 +499,8 @@ def test_enumerated_siblings_share_no_memo():
     assert first.euler != sibling.euler
     canonical_cycle(first)
     dual_cycle(first, "v2")
-    assert sibling._canonical is None and sibling._dual_cache == {}
+    assert (sibling._canonical is None and sibling._dual_cache == {}
+            and sibling._classification is None)
     twin = build_graph({"vertices": list(sibling.euler.items()),
                         "edges": [tuple(e) for e in sibling.edges]})
     assert canonical_cycle(sibling).num == canonical_cycle(twin).num
