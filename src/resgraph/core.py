@@ -1,4 +1,4 @@
-"""Lattice core: resolution graphs, cycles, the intersection form and chi.
+"""Lattice core: graphs, cycles, the intersection form, chi, ellipsoid walks.
 
 A resolution graph is a connected weighted tree with negative-definite
 intersection matrix A (A_vv = e_v, A_uv = 1 on edges). Cycles are exact
@@ -20,7 +20,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GraphValidationError, UserError, quote
 
@@ -228,6 +228,91 @@ def _subtree_solve(members: Sequence[int], parent: Sequence[int],
     for i in members[1:]:  # back substitution, parents first
         acc[i] = (acc[i] * det + kids[i] * acc[parent[i]]) // sub[i]
     return acc
+
+
+def _ellipsoid_walk(rooting: tuple, center: "Cycle", radius2: Fraction,
+                    partial_filter: Callable[[int, list[int]], tuple]
+                    ) -> tuple:
+    """Fincke-Pohst (Math. Comp. 44, 1985) on the leaf elimination: the
+    integer x >= 0 with (x - center)^T M (x - center) <= radius2, M = -A,
+    that `partial_filter` admits, as (unit, points); `points` yields each x
+    lazily, in vertex order, with its slack radius2 - (x - center)^T M
+    (x - center) as an integer over `unit`: the walk's remaining budget.
+
+    With D_v the determinant of M on the subtree below v, P_v the product
+    of the D_c over its children c, and y_parent = 0 at the root,
+
+        y^T M y = sum_v (D_v y_v - P_v y_parent(v))^2 / (D_v P_v)
+
+    in any rooting (as `_rooting` returns it) that puts parents before
+    children, so each coordinate's range hangs on the budget and its
+    parent's value alone. With s the center's denominator, radius2 scaled
+    once by s^2 lcm(D_v P_v) makes every budget an integer and each range
+    one interval from one isqrt, walked upwards. In the block order the
+    children of a vertex come one after another, so a filter on the
+    parent's inequality sees every earlier sibling.
+
+    `partial_filter(i, xs)` narrows vertex i's range before it is walked,
+    as `quadform.enumerate_ellipsoid_points` sets out. It is called once at
+    every inner node of the walk and every leaf yields one point, so the
+    filter calls and the points count the walk's nodes."""
+    order, parent, sub, kids, _ = rooting
+    # integer center coordinates: w_v = s*x_v - cn_v = s*y_v
+    cn, s = center.num, center.den
+    # global scale: sum_v coeff_v T_v^2 <= bound.numerator * scale, integers
+    bound = Fraction(radius2) * s * s
+    scale = math.lcm(*map(mul, sub, kids))
+    coeff = [bound.denominator * scale // (d * p) for d, p in zip(sub, kids)]
+    unit = bound.denominator * scale * s * s
+    # per step of the walk: T_v = D_v w_v - P_v w_p = a*x_v + off with
+    # a = D_v s and off = -D_v cn_v - P_v w_p; the root has no parent, so
+    # its P_v is taken as 0
+    steps = [(v, parent[v], sub[v] * s, sub[v] * cn[v],
+              kids[v] if parent[v] >= 0 else 0, coeff[v], cn[v])
+             for v in order]
+    depth = len(order)
+    ws, xs = [0] * depth, [0] * depth
+
+    def rec(k: int, budget: int, need: int) -> Iterator[tuple]:
+        # every point below must leave `need` of the budget
+        if k == depth:
+            yield tuple(xs), budget
+            return
+        v, p, a, a_cn, kid, c, cn_v = steps[k]
+        off = -a_cn - kid * ws[p]
+        # exact: c*T_v^2 <= budget - need iff |T_v| <= t_max
+        t_max = math.isqrt((budget - need) // c)
+        lo, hi, cut = partial_filter(v, xs)
+        high = (t_max - off) // a
+        if hi is not None and hi < high:
+            high = hi
+        start = -((t_max + off) // a)
+        if start < lo:
+            start = lo
+        if start < 0:
+            start = 0
+        if start > high:
+            return
+        # the need of a value at lo, at hi, and strictly between them
+        at_lo = at_hi = between = need
+        if cut[3] * unit > need:
+            every, above_lo, below_hi, top = cut
+            every = max(need, every * unit)
+            between = max(need, top * unit)
+            at_lo = max(every, below_hi * unit if hi != lo else 0)
+            at_hi = max(every, above_lo * unit if hi != lo else 0)
+        for value in range(start, high + 1):
+            t = a * value + off
+            left = budget - c * t * t
+            floor = (at_lo if value == lo else at_hi if value == hi
+                     else between)
+            if left < floor:
+                continue
+            xs[v] = value
+            ws[v] = s * value - cn_v
+            yield from rec(k + 1, left, floor)
+
+    return unit, rec(0, bound.numerator * scale, 0) if bound >= 0 else iter(())
 
 
 _BUILD_TOKEN = object()

@@ -1,8 +1,8 @@
 """Brute-force oracles for every minimality and enumeration claim.
 
 Every function here recomputes a result by direct, bounded search using only
-the lattice core (graphs, cycles, the intersection form and chi). None of
-the fast algorithms are consulted: the point is that an agreement between an
+the lattice core (graphs, cycles, the form, chi and the ellipsoid walk). No
+fast algorithm is consulted: the point is that an agreement between an
 oracle and its fast counterpart is evidence, not circularity. The single
 exception is :func:`verify`, which exists to compare the two sides and
 therefore imports the fast modules locally.
@@ -14,12 +14,12 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .core import (Cycle, ResolutionGraph, _antinef_cover, _rooting,
-                   _subtree_solve, _times_a, build_graph, canonical_cycle,
-                   chi, dual_cycle, intersection_form, is_antinef)
+from .core import (Cycle, ResolutionGraph, _antinef_cover, _ellipsoid_walk,
+                   _rooting, _subtree_solve, _times_a, build_graph,
+                   canonical_cycle, chi, dual_cycle, intersection_form,
+                   is_antinef)
 from .errors import (GraphValidationError, InvariantViolation,
                      ResourceCapExceeded, UserError)
 
@@ -168,58 +168,34 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
     chi(l), lazily; walk(t, upper), with `upper` integers in vertex order,
     only those with l <= upper.
 
-    With M = -A and b = Z_K/2, both read off `core`, chi(l) =
-    ((l-b)^T M (l-b) - b^T M b) / 2 and b^T M b = -(b, b), so the sublevel
-    set is the ellipsoid (l-b)^T M (l-b) <= R = 2t - (b, b), empty when
-    R < 0. It is walked (Fincke-Pohst) in the graph's block order, parents
-    first, on `core`'s leaf elimination: with D_v the determinant of M on
-    the subtree below v, P_v the product of the D_c over its children c,
-    y_p(v) = 0 at the root, y^T M y = sum_v (D_v y_v - P_v y_p(v))^2 /
-    (D_v P_v), so each interval depends on the budget and the parent alone.
-    With s the denominator of b and L = lcm(D_v P_v), the walk carries
-    s y_v and the budget scaled by s^2 L, in integers, and takes each
-    interval from one isqrt, cut to upper_v; a leaf's budget is
-    2 s^2 L (t - chi(l)). Every rec call counts one visited node of its
-    walk against `cap`, leaves included."""
-    n = len(graph.vertices)
+    With M = -A and b = Z_K/2, chi(l) = ((l-b)^T M (l-b) + (b, b)) / 2, so
+    the sublevel set is the ellipsoid of radius^2 R = 2t - (b, b) that
+    `core`'s walker walks on the graph's own rooting, cut to `upper`; a
+    point's slack is 2 (t - chi(l)). Each filter call and each point is
+    one node of the walk, counted against `cap`."""
     b = canonical_cycle(graph) * Fraction(1, 2)
-    btmb = -intersection_form(b, b)
-    s, sub, kids = b.den, graph._subdet, graph._childdet
-    scale = s * s * math.lcm(*map(mul, sub, kids))
-    # per vertex, in order: D_v s y_v - P_v s y_p = a x + off for l_v = x,
-    # with a = D_v s and off = -D_v s b_v - P_v s y_p (P_v = 0 at the root)
-    steps = [(v, graph._parent[v], sub[v] * s, sub[v] * b.num[v],
-              kids[v] if graph._parent[v] >= 0 else 0,
-              scale // (s * s * sub[v] * kids[v]), b.num[v])
-             for v in graph._order]
+    bb = intersection_form(b, b)
+    rooting = (graph._order, graph._parent, graph._subdet, graph._childdet,
+               graph.det)
+    refusal = f"chi sublevel enumeration exceeded its budget ({cap})"
 
     def walk(t: int, upper: Sequence[int] | None = None
              ) -> Iterator[tuple[Cycle, int]]:
-        cut = upper or [math.inf] * n
-        xs, ws = [0] * n, [0] * n  # l_v and s y_v for the assigned v
-        visited = 0
+        cut, nodes = upper or [None] * len(graph.vertices), 0
 
-        def rec(k: int, budget: int):
-            nonlocal visited
-            visited += 1
-            if visited > cap:
-                raise ResourceCapExceeded(
-                    f"chi sublevel enumeration exceeded its budget ({cap})")
-            if k == n:
-                yield Cycle(graph, tuple(xs)), t - budget // (2 * scale)
-                return
-            v, p, a, a_b, kid, c, bn = steps[k]
-            off = -a_b - kid * ws[p]
-            r = math.isqrt(budget // c)  # |a x + off| <= r
-            for value in range(max(-((r + off) // a), 0),
-                               min((r - off) // a, cut[v]) + 1):
-                xs[v] = value
-                ws[v] = s * value - bn
-                e = a * value + off
-                yield from rec(k + 1, budget - c * e * e)
+        def narrow(v: int, xs: list[int]) -> tuple:  # once per inner node
+            nonlocal nodes
+            nodes += 1
+            if nodes > cap:
+                raise ResourceCapExceeded(refusal)
+            return 0, cut[v], (0, 0, 0, 0)
 
-        if 2 * t + btmb >= 0:  # R >= 0
-            yield from rec(0, int((2 * t + btmb) * scale))
+        unit, points = _ellipsoid_walk(rooting, b, 2 * t - bb, narrow)
+        for x, left in points:  # once per leaf
+            nodes += 1
+            if nodes > cap:
+                raise ResourceCapExceeded(refusal)
+            yield Cycle(graph, x), t - left // (2 * unit)
 
     return walk
 
@@ -598,13 +574,13 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
         raise InvariantViolation("computation sequence trace does not replay")
     check("antinef-lift", lambda: fast_lift,
           lambda: brute_min_antinef(ones, cap))
+    cls = classify(graph)  # fills the memo that `fundamental_cycle` reads
     zmin = check("fundamental-cycle", lambda: fundamental_cycle(graph),
                  lambda: brute_fundamental_cycle(graph, cap))
     zk = canonical_cycle(graph)
     check("class-representative",
           lambda: minimal_class_representative(zk),
           lambda: brute_min_antinef(cube_representative(zk), cap))
-    cls = classify(graph)
     walk = _chi_sublevel(graph, cap)  # set up once for both chi searches
     check("classification", lambda: cls.kind,
           lambda: ("rational" if (v := _min_chi(walk)) == 1

@@ -5,30 +5,11 @@ The strata solver reads its candidates off the finite set
 { x >= 0 integral : chi(x) + (x, l') <= bound, x - l' antinef }, which is
 { x >= 0 integral : (x - b)^T M (x - b) <= R, x - l' antinef } for M = -A,
 the negated intersection form of the graph, b = Z_K/2 + l' and
-R = 2*bound + b^T M b. This module owns that walk: the ellipsoid's set-up
-(`antinef_points`), a Fincke-Pohst enumeration (Math. Comp. 44, 1985), its
-rooting and its antinef cut. Everything is exact: the center b is a
-`core.Cycle`, so it arrives as integer numerators over one denominator s,
-and after scaling R by s^2 once up front the whole recursion runs in
-integer arithmetic (integer square roots, never floats). No dense matrix
-is built.
-
-The form is orthogonalized by the tree's own leaf elimination (`core`):
-with D_v the determinant of M on the subtree below v, P_v the product of
-the D_c over the children c of v, and y_parent = 0 at the root,
-
-    y^T M y = sum_v (D_v y_v - P_v y_parent(v))^2 / (D_v P_v),
-
-for any rooting whose order puts every parent before its children. After
-multiplying through by lcm(D_v P_v) every partial budget stays an integer.
-
-The walk uses `core`'s block order, in which the children of each vertex
-are assigned together, one after another, so a filter on the parent's
-inequality sees every earlier sibling. It is rooted at the widest leaf
+R = 2*bound + b^T M b. This module owns that walk's set-up
+(`antinef_points`), its rooting and its antinef cut, and walks it with
+`core`'s Fincke-Pohst walker. The rooting is the widest leaf
 (`walk_rooting`), a rule chosen by counting filter calls from every root
-of the fixtures. Each coordinate's range is one integer interval, walked
-in increasing order; a `partial_filter` narrows the range to an interval
-of its own, once per range, before any value of it is tried.
+of the fixtures.
 
 The strata solver also cuts by level. A candidate l enters a stratum only
 if its slack pg - chi(l) - (l, l') is at least dim V(I(l - l')), the
@@ -44,12 +25,11 @@ walk keeps exactly the points of level k >= 0, in the uncut walk's order.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import (Cycle, ResolutionGraph, _rooting, _times_a,
-                   canonical_cycle, intersection_form)
+from .core import (Cycle, ResolutionGraph, _ellipsoid_walk, _rooting,
+                   _times_a, canonical_cycle, intersection_form)
 
 __all__ = ["walk_rooting", "antinef_points", "enumerate_ellipsoid_points"]
 
@@ -189,64 +169,6 @@ def enumerate_ellipsoid_points(
     value, since the slack only falls along a path; the walker carries
     that need down.
     """
-    if radius2 < 0:
-        return
-    order, parent, sub, kids, _ = rooting
-    # integer center coordinates: w_v = s*x_v - cn_v = s*y_v
-    cn, s = center.num, center.den
-    # global scale: sum_v coeff_v T_v^2 <= bound.numerator * scale, integers
-    bound = Fraction(radius2) * s * s
-    scale = math.lcm(*(d * p for d, p in zip(sub, kids)))
-    coeff = [bound.denominator * scale // (d * p) for d, p in zip(sub, kids)]
-    # a leaf's budget over `unit` is radius2 - (x - center)^T M (x - center)
-    unit = bound.denominator * scale * s * s
-    # per step of the walk: T_v = D_v w_v - P_v w_p = a*x_v + off with
-    # a = D_v s and off = -D_v cn_v - P_v w_p; the root has no parent, so
-    # its P_v is taken as 0
-    steps = [(v, parent[v], sub[v] * s, sub[v] * cn[v],
-              kids[v] if parent[v] >= 0 else 0, coeff[v], cn[v])
-             for v in order]
-    depth = len(order)
-    ws = [0] * depth
-    xs = [0] * depth
-
-    def rec(k: int, budget: int, need: int) -> Iterator[tuple]:
-        # every point below must leave `need` of the budget
-        if k == depth:
-            yield tuple(xs), Fraction(budget, unit)
-            return
-        v, p, a, a_cn, kid, c, cn_v = steps[k]
-        off = -a_cn - kid * ws[p]
-        # exact: c*T_v^2 <= budget - need iff |T_v| <= t_max
-        t_max = math.isqrt((budget - need) // c)
-        lo, hi, cut = partial_filter(v, xs)
-        high = (t_max - off) // a
-        if hi is not None and hi < high:
-            high = hi
-        start = -((t_max + off) // a)
-        if start < lo:
-            start = lo
-        if start < 0:
-            start = 0
-        if start > high:
-            return
-        # the need of a value at lo, at hi, and strictly between them
-        at_lo = at_hi = between = need
-        if cut[3] * unit > need:
-            every, above_lo, below_hi, top = cut
-            every = max(need, every * unit)
-            between = max(need, top * unit)
-            at_lo = max(every, below_hi * unit if hi != lo else 0)
-            at_hi = max(every, above_lo * unit if hi != lo else 0)
-        for value in range(start, high + 1):
-            t = a * value + off
-            left = budget - c * t * t
-            floor = (at_lo if value == lo else at_hi if value == hi
-                     else between)
-            if left < floor:
-                continue
-            xs[v] = value
-            ws[v] = s * value - cn_v
-            yield from rec(k + 1, left, floor)
-
-    yield from rec(0, bound.numerator * scale, 0)
+    unit, points = _ellipsoid_walk(rooting, center, radius2, partial_filter)
+    for point, left in points:
+        yield point, Fraction(left, unit)

@@ -8,9 +8,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
-from resgraph import laufer, quadform
+import resgraph
+from resgraph import core, laufer, oracle, quadform
 
 from conftest import count_filter_calls
 
@@ -77,6 +79,34 @@ def test_tracer_counts_the_walker_work(monkeypatch, g_left):
     assert (counts["calls"], len(walked)) == (3_957, 485)
     assert tracer.counters["quadform.filter_calls"] == counts["calls"]
     assert tracer.counters["quadform.points"] == len(walked)
+
+
+def test_tracer_counts_no_oracle_walk_as_a_strata_walk(monkeypatch, g_app):
+    """The tracer swaps `quadform.enumerate_ellipsoid_points` by identity in
+    every resgraph module. No module but quadform binds that object, and
+    core's walker, on which the oracle's chi walk runs, is another, so one
+    `oracle.verify(g_app)` under the tracer's walker hooks counts no
+    filter call and no point; the strata walk on g_app still counts."""
+    walker = quadform.enumerate_ellipsoid_points
+    modules = [importlib.import_module(f"resgraph.{info.name}")
+               for info in pkgutil.iter_modules(resgraph.__path__)]
+    binders = [(m, attr) for m in [resgraph, *modules]
+               for attr, value in vars(m).items() if value is walker]
+    assert [m.__name__ for m, _ in binders] == ["resgraph.quadform"]
+    assert core._ellipsoid_walk is not walker
+    tracer = _tracer()
+    name = "quadform.enumerate_ellipsoid_points"
+    traced = tracer.wrap_generator(name, walker,
+                                   **tracer._hooks(name, walker))
+    for module, attr in binders:
+        monkeypatch.setattr(module, attr, traced)
+    assert set(oracle.verify(g_app).values()) == {"ok"}
+    assert tracer.counters["quadform.filter_calls"] == 0
+    assert tracer.counters["quadform.points"] == 0
+    points = list(quadform.antinef_points(g_app, g_app.zero_cycle(), 1,
+                                          [0] * len(g_app.vertices)))
+    assert tracer.counters["quadform.points"] == len(points) > 0
+    assert tracer.counters["quadform.filter_calls"] > 0
 
 
 def test_tracer_counts_the_laufer_steps(g_app):

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resgraph.core import (Cycle, _antinef_cover, _rooting, _subtree_solve,
-                           _times_a, build_graph, canonical_cycle, chi,
-                           dual_cycle, estar_coordinates, estar_support,
+from resgraph.core import (Cycle, _antinef_cover, _ellipsoid_walk, _rooting,
+                           _subtree_solve, _times_a, build_graph,
+                           canonical_cycle, chi, dual_cycle,
+                           estar_coordinates, estar_support,
                            intersection_form, is_antinef,
                            is_numerically_gorenstein)
 from resgraph.errors import GraphValidationError, UserError
@@ -507,6 +508,29 @@ def test_with_euler_reuses_the_rooting(g, data):
         other._order[0] = other._order[-1]
     with pytest.raises(TypeError):
         other._parent[0] = -1
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("g_app", 1), ("g_new", 1), ("g_noecc", 1), ("g_pole", 1),
+    ("g_left", 0), ("g_right", 0)])
+def test_ellipsoid_walk_does_not_depend_on_the_rooting(name, bound, request):
+    """Uncut, the walker yields one set of (point, slack) from the graph's
+    own rooting, from the strata walk's widest leaf and, where those two
+    share their root, from the own order's last vertex: the points of
+    {chi <= bound}, each slack read in its rooting's own scale."""
+    g = request.getfixturevalue(name)
+    center = canonical_cycle(g) * Fraction(1, 2)
+    radius2 = 2 * bound - intersection_form(center, center)
+    own = (g._order, g._parent, g._subdet, g._childdet, g.det)
+    rootings = [own, walk_rooting(g)]
+    if rootings[1][0][0] == g._order[0]:
+        rootings[1] = _rooting(g._neighbours, g._pivots, g._order[-1])
+    walks = []
+    for rooting in rootings:
+        unit, points = _ellipsoid_walk(rooting, center, radius2,
+                                       lambda i, xs: (0, None, (0, 0, 0, 0)))
+        walks.append({(x, Fraction(left, unit)) for x, left in points})
+    assert walks[0] and walks[0] == walks[1]
 
 
 def test_graph_helpers(g_app):

@@ -20,7 +20,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resgraph
+import resgraph.core as core_module
 import resgraph.oracle as oracle_module
+from resgraph import laufer
 from resgraph.core import (build_graph, canonical_cycle, chi, dual_cycle,
                            is_antinef)
 from resgraph.errors import (GraphValidationError, InvariantViolation,
@@ -619,12 +621,13 @@ def test_searches_visit_the_same_nodes(g_app):
 
 
 def test_searches_build_no_fraction_per_node():
-    """The recursions of the chi walk and the boxed antinef search run on
-    integers: no Fraction and no math.ceil/floor inside them."""
-    tree = ast.parse(inspect.getsource(oracle_module))
-    outer = {node.name: node for node in tree.body
+    """The recursions of the ellipsoid walker (core's, which the chi walk
+    runs on) and of the boxed antinef search run on integers: no Fraction
+    and no math.ceil/floor inside them."""
+    outer = {node.name: node for module in (core_module, oracle_module)
+             for node in ast.parse(inspect.getsource(module)).body
              if isinstance(node, ast.FunctionDef)}
-    for name, inner in (("_chi_sublevel", "rec"),
+    for name, inner in (("_ellipsoid_walk", "rec"),
                         ("_antinef_hits", "propagate"),
                         ("_antinef_hits", "rec")):
         body = next(node for node in ast.walk(outer[name])
@@ -642,8 +645,10 @@ def test_the_oracle_ldl_has_one_reader():
     """The oracle's LDL is core's leaf elimination, and only the chi walk
     reads it: `_subdet` and `_childdet` are read only inside
     `_chi_sublevel`, and no `_own_ldl`, `_minus_a` or `_ellipsoid` is
-    defined. The box searches read their centres, radii and (M^{-1})_vv
-    off core, and wrap each integer hit in a Cycle, not `from_vector`."""
+    defined. The chi walk is core's walker: no function here both calls
+    itself and takes an isqrt, as a Fincke-Pohst recursion does. The box
+    searches read their centres, radii and (M^{-1})_vv off core, and wrap
+    each integer hit in a Cycle, not `from_vector`."""
     tree = ast.parse(inspect.getsource(oracle_module))
     callers, readers = {}, {}
     for outer in tree.body:
@@ -661,6 +666,12 @@ def test_the_oracle_ldl_has_one_reader():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_own_ldl", "_minus_a", "_ellipsoid"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            called = {getattr(call.func, "id", None)
+                      or getattr(call.func, "attr", None)
+                      for call in ast.walk(node) if isinstance(call, ast.Call)}
+            assert not {node.name, "isqrt"} <= called, node.name
 
 
 def test_min_chi_pole(g_pole):
@@ -1000,6 +1011,34 @@ def test_verify_reports_skipped_checks_under_a_small_cap(g_app):
     assert report["minimally-elliptic"] == report["fundamental-cycle"]
     assert {k for k, v in report.items() if v == "ok"} == {
         "gorenstein-subsupports", "elliptic-sequence"}
+
+
+def test_chi_walk_refuses_past_its_cap_in_its_own_words(g_app):
+    """Past its cap, the chi walk refuses with the text that
+    `oracle-verify` prints under a small RESGRAPH_ENUM_CAP."""
+    text = "chi sublevel enumeration exceeded its budget (10)"
+    with pytest.raises(ResourceCapExceeded) as refused:
+        list(_chi_sublevel(g_app, 10)(1))
+    assert str(refused.value) == text
+    assert verify(g_app, cap=10)["classification"] == f"skipped: {text}"
+
+
+def test_verify_lifts_the_sum_of_the_basis_twice(monkeypatch, g_app):
+    """verify classifies before its fundamental-cycle check, so the fast
+    Z_min is read off the classification: on a graph with empty memos,
+    sum_v E_v is lifted once for the replay check and once by `classify`,
+    and the class representative once more."""
+    lift, lifted = laufer.antinef_lift, []
+
+    def counted_lift(l, *args, **kwargs):
+        lifted.append(l.num == (1,) * len(l.num) and l.den == 1)
+        return lift(l, *args, **kwargs)
+
+    monkeypatch.setattr(laufer, "antinef_lift", counted_lift)
+    fresh = g_app._with_euler(g_app.euler.items())
+    report = verify(fresh)
+    assert (len(lifted), sum(lifted)) == (4, 2)
+    assert report == verify(g_app)
 
 
 def _enumerate_outcome(max_vertices, values, cap):
