@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a, chi,
+from .core import (Cycle, ResolutionGraph, _antinef_cover, _times_a,
                    intersection_form)
 from .errors import InvariantViolation, UserError, quote
 
@@ -75,12 +75,8 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
     """s(l): unique minimal element of (l + L_{>=0}) cap S'.
 
     With a `support` B only the vertices of B are eligible: for l
-    supported on B, that is the lift on the full subgraph on B. Sweeps
-    visit them in vertex order until one adds nothing; at v with
-    (z, E_v) = p > 0 a visit adds ceil(p/|e_v|) legal unit steps E_v at
-    once. They stay below s(l): s(l) - z = c E_v + y with y >= 0 off v,
-    so 0 >= (s(l), E_v) >= p + c e_v. The steps run on the integer
-    numerators of l over its denominator."""
+    supported on B, that is the lift on the full subgraph on B. The steps
+    are `_lift`'s, recorded as a replayable trace."""
     g = l.graph
     if support is None:
         members = range(len(g.vertices))
@@ -88,7 +84,23 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
         raise UserError(f"unknown vertex in support: {quote(min(unknown))}")
     else:
         members = sorted(g._index[v] for v in support)
-    z, scale = list(l.num), l.den
+    z, runs, _ = _lift(g, l.num, l.den, members)
+    result = Cycle(g, tuple(z), l.den)
+    return result, ComputationTrace(start=l, runs=tuple(runs), result=result)
+
+
+def _lift(g: ResolutionGraph, num: tuple[int, ...], scale: int,
+          members: Sequence[int]) -> tuple[list[int], list, list[int]]:
+    """The lift of l = num / scale over the vertex indices `members`: the
+    numerators of s(l) over `scale`, the runs, and the pairings
+    scale * (s(l), E_v).
+
+    Sweeps visit the members in vertex order until one adds nothing; at v
+    with (z, E_v) = p > 0 a visit adds ceil(p/|e_v|) legal unit steps E_v
+    at once. They stay below s(l): s(l) - z = c E_v + y with y >= 0 off
+    v, so 0 >= (s(l), E_v) >= p + c e_v. The steps run on the integer
+    numerators of l over its denominator."""
+    z = list(num)
     pair = _times_a(g, z)
     euler = [g.euler[v] * scale for v in g.vertices]
     runs: list[tuple[str, int]] = []
@@ -104,7 +116,7 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
                 continue
             k = -(pair[i] // euler[i])
             if count + k > guard and not bounded:
-                guard, bounded = _step_bound(l), True
+                guard, bounded = _step_bound(Cycle(g, num, scale)), True
             if count + k > guard:
                 raise InvariantViolation(
                     "computation sequence exceeded its termination guard; "
@@ -116,8 +128,7 @@ def antinef_lift(l: Cycle, support: Iterable[str] | None = None
             for j in g._neighbours[i]:
                 pair[j] += k * scale
             swept = False
-    result = Cycle(g, tuple(z), scale)
-    return result, ComputationTrace(start=l, runs=tuple(runs), result=result)
+    return z, runs, pair
 
 
 def _step_bound(l: Cycle) -> int:
@@ -133,11 +144,9 @@ def _step_bound(l: Cycle) -> int:
 
 def fundamental_cycle(graph: ResolutionGraph) -> Cycle:
     """Z_min = min(S - {0}), computed as s(sum_v E_v); valid because every
-    nonzero antinef cycle on a connected graph has full support. Read off
-    the graph's classification once `classify` has run."""
-    if graph._classification is not None:
-        return graph._classification.zmin
-    return antinef_lift(Cycle(graph, (1,) * len(graph.vertices)))[0]
+    nonzero antinef cycle on a connected graph has full support. It is
+    `classify(graph).zmin`: the classification lifts sum_v E_v."""
+    return classify(graph).zmin
 
 
 def cube_representative(l: Cycle) -> Cycle:
@@ -146,22 +155,25 @@ def cube_representative(l: Cycle) -> Cycle:
 
 
 def minimal_class_representative(l: Cycle) -> Cycle:
-    """s_h: unique minimal antinef cycle in the class h = [l]."""
-    return antinef_lift(cube_representative(l))[0]
+    """s_h: unique minimal antinef cycle in the class h = [l]; s_0 = 0,
+    as 0 is antinef."""
+    r = cube_representative(l)
+    return r if r.is_zero() else antinef_lift(r)[0]
 
 
 def classify(graph: ResolutionGraph) -> Classification:
     """rational iff chi(Z_min) = 1, elliptic iff chi(Z_min) = 0, otherwise
-    "other" carrying the value. Memoized on the graph."""
+    "other" carrying the value. Memoized on the graph. Z_min = s(sum_v E_v)
+    and chi(Z_min) comes off the lift's pairings p_v = (Z_min, E_v) by
+    adjunction, 2 chi(z) = sum_v z_v (e_v + 2 - p_v); the pivots are -e_v."""
     if graph._classification is None:
-        zmin = fundamental_cycle(graph)
-        value = chi(zmin)
-        if value == 1:
-            kind = "rational"
-        elif value == 0:
-            kind = "elliptic"
-        else:
-            kind = "other"
+        n = len(graph.vertices)
+        z, _, pair = _lift(graph, (1,) * n, 1, range(n))
+        zmin = Cycle(graph, tuple(z))
+        value = Fraction(sum(c * (2 - q - p) for c, q, p
+                             in zip(z, graph._pivots, pair)), 2)
+        kind = ("rational" if value == 1 else "elliptic" if value == 0
+                else "other")
         graph._classification = Classification(kind, value, zmin)
     return graph._classification
 

@@ -574,7 +574,7 @@ def verify(graph: ResolutionGraph, cap: int = DEFAULT_CAP) -> dict[str, str]:
         raise InvariantViolation("computation sequence trace does not replay")
     check("antinef-lift", lambda: fast_lift,
           lambda: brute_min_antinef(ones, cap))
-    cls = classify(graph)  # fills the memo that `fundamental_cycle` reads
+    cls = classify(graph)  # `fundamental_cycle` is `classify(graph).zmin`
     zmin = check("fundamental-cycle", lambda: fundamental_cycle(graph),
                  lambda: brute_fundamental_cycle(graph, cap))
     zk = canonical_cycle(graph)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import resgraph.laufer as laufer_module
 from resgraph.core import build_graph, canonical_cycle, chi, is_antinef
 from resgraph.errors import (GraphValidationError, InvariantViolation,
                              UserError)
@@ -17,6 +21,7 @@ from resgraph.laufer import (ComputationTrace, _step_bound, antinef_lift,
                              classify, cube_representative, fundamental_cycle,
                              minimal_class_representative,
                              require_elliptic_minimal)
+from resgraph.oracle import enumerate_trees
 
 from conftest import full_subgraph, random_trees
 
@@ -127,6 +132,80 @@ def test_cube_and_class_representative(g_new):
     assert minimal_class_representative(g_new.zero_cycle()).is_zero()
 
 
+def test_the_integral_class_needs_no_lift(monkeypatch, g_app):
+    """s_0 = 0, as 0 is antinef: an integral cycle's class representative
+    is the zero cycle, with no lift (the pre-term of a numerically
+    Gorenstein graph)."""
+    def no_lift(*args):
+        raise AssertionError("the zero cycle was lifted")
+
+    monkeypatch.setattr("resgraph.laufer._lift", no_lift)
+    zk = canonical_cycle(g_app)
+    assert zk.is_integral() and minimal_class_representative(zk).is_zero()
+    assert minimal_class_representative(g_app.cycle({"a1": -3})).is_zero()
+
+
+def _check_classification(graph):
+    """classify's chi(Z_min), read off the lift's pairings, is core's chi
+    of its Z_min, and that Z_min is the public lift of sum_v E_v; on a
+    sibling with empty memos."""
+    fresh = graph._with_euler(graph.euler.items())
+    cls = classify(fresh)
+    assert type(cls.chi_zmin) is Fraction and cls.chi_zmin == chi(cls.zmin)
+    ones = fresh.from_vector([1] * len(fresh.vertices))
+    assert cls.zmin == antinef_lift(ones)[0]
+    return cls.kind
+
+
+def test_classify_agrees_with_chi_and_the_lift(request):
+    """On the six fixtures and the 2 204 trees of
+    enumerate_trees(6, range(-4, -1)), of every kind."""
+    graphs = [request.getfixturevalue(name) for name in
+              ("g_app", "g_new", "g_noecc", "g_pole", "g_left", "g_right")]
+    kinds = [_check_classification(g) for g in
+             [*graphs, *enumerate_trees(6, range(-4, -1))]]
+    assert len(kinds) == 6 + 2204
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        "rational": 2049, "elliptic": 141 + 5, "other": 14 + 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees(max_vertices=10, min_euler=-6, max_euler=-1))
+def test_classify_agrees_with_chi_and_the_lift_on_random_trees(graph):
+    """Also on non-minimal trees and on trees of chi(Z_min) < 0."""
+    assume(graph is not None)
+    _check_classification(graph)
+
+
+def test_one_sweep_loop():
+    """`_lift` holds the one sweep loop of the package: it alone calls
+    `_step_bound` or updates a pairing vector `pair`, and laufer has no
+    other while loop. classify reads chi(Z_min) off that loop's pairings:
+    it calls neither chi nor _times_a, and builds no trace."""
+    package = Path(laufer_module.__file__).parent
+    holders = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                calls = (isinstance(node, ast.Call)
+                         and getattr(node.func, "id", None) == "_step_bound")
+                updates = (isinstance(node, ast.AugAssign)
+                           and isinstance(node.target, ast.Subscript)
+                           and getattr(node.target.value, "id", None)
+                           == "pair")
+                loops = path.stem == "laufer" and isinstance(node, ast.While)
+                if calls or updates or loops:
+                    holders.add((path.stem, getattr(top, "name", None)))
+    assert holders == {("laufer", "_lift")}
+    classify_def = next(
+        top for top in ast.parse(inspect.getsource(laufer_module)).body
+        if getattr(top, "name", None) == "classify")
+    named = {getattr(node, attr, None) for node in ast.walk(classify_def)
+             for attr in ("id", "attr")}
+    assert not named & {"chi", "_times_a", "antinef_lift", "ComputationTrace",
+                        "fundamental_cycle"}
+
+
 def test_chi_zmin_values(g_app, single_vertex):
     assert chi(fundamental_cycle(g_app)) == 0
     assert chi(fundamental_cycle(single_vertex)) == 1
@@ -166,13 +245,16 @@ def test_lift_past_the_cheap_guard():
 def test_the_guard_counts_unit_steps(monkeypatch):
     """A batch that would take the unit steps past the true bound raises,
     though the bound falls inside that batch; a bound of exactly 713
-    lets the lift finish."""
+    lets the lift finish. classify runs the same guarded lift."""
     start = _det_one_tree().from_vector([1] * 10)
     monkeypatch.setattr("resgraph.laufer._step_bound", lambda l: 712)
     with pytest.raises(InvariantViolation, match="termination guard"):
         antinef_lift(start)
+    with pytest.raises(InvariantViolation, match="termination guard"):
+        classify(_det_one_tree())
     monkeypatch.setattr("resgraph.laufer._step_bound", lambda l: 713)
     assert len(antinef_lift(start)[1].steps) == 713
+    assert classify(_det_one_tree()).zmin.num == antinef_lift(start)[0].num
 
 
 @settings(max_examples=60, deadline=None)

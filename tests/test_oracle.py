@@ -1025,19 +1025,21 @@ def test_chi_walk_refuses_past_its_cap_in_its_own_words(g_app):
 
 def test_verify_lifts_the_sum_of_the_basis_twice(monkeypatch, g_app):
     """verify classifies before its fundamental-cycle check, so the fast
-    Z_min is read off the classification: on a graph with empty memos,
-    sum_v E_v is lifted once for the replay check and once by `classify`,
-    and the class representative once more."""
-    lift, lifted = laufer.antinef_lift, []
+    Z_min is read off the classification: on a graph with empty memos, the
+    lift kernel runs on sum_v E_v once for the replay check and once in
+    `classify`, and once more on the sequence's support B_1; Z_K is
+    integral, so the class representative and the pre-term are 0 with no
+    lift."""
+    lift, lifted = laufer._lift, []
 
-    def counted_lift(l, *args, **kwargs):
-        lifted.append(l.num == (1,) * len(l.num) and l.den == 1)
-        return lift(l, *args, **kwargs)
+    def counted_lift(g, num, scale, members):
+        lifted.append(num == (1,) * len(num) and scale == 1)
+        return lift(g, num, scale, members)
 
-    monkeypatch.setattr(laufer, "antinef_lift", counted_lift)
+    monkeypatch.setattr(laufer, "_lift", counted_lift)
     fresh = g_app._with_euler(g_app.euler.items())
     report = verify(fresh)
-    assert (len(lifted), sum(lifted)) == (4, 2)
+    assert (len(lifted), sum(lifted)) == (3, 2)
     assert report == verify(g_app)
 
 
