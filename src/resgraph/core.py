@@ -230,26 +230,31 @@ def _subtree_solve(members: Sequence[int], parent: Sequence[int],
     return acc
 
 
-def _ellipsoid_walk(rooting: tuple, center: "Cycle", radius2: Fraction,
+def _ellipsoid_walk(rooting: tuple, lprime: "Cycle", bound: int,
                     partial_filter: Callable[[int, list[int]], tuple]
                     ) -> tuple:
     """Fincke-Pohst (Math. Comp. 44, 1985) on the leaf elimination: the
-    integer x >= 0 with (x - center)^T M (x - center) <= radius2, M = -A,
-    that `partial_filter` admits, as (unit, points); `points` yields each x
-    lazily, in vertex order, with its slack radius2 - (x - center)^T M
-    (x - center) as an integer over `unit`: the walk's remaining budget.
+    integer x >= 0 with chi(x) + (x, lprime) <= bound that `partial_filter`
+    admits, as (unit, points); `points` yields each x lazily, in vertex
+    order, with its slack bound - chi(x) - (x, lprime) as an integer over
+    `unit`: the walk's remaining budget.
 
-    With D_v the determinant of M on the subtree below v, P_v the product
-    of the D_c over its children c, and y_parent = 0 at the root,
+    With M = -A and b = Z_K/2, 2 chi(x) = (x - b)^T M (x - b) - b^T M b, so
+    the walk runs in the one ellipsoid {chi <= bound} around b and charges
+    (E_v, lprime) per unit of x_v. A class with a negative charge (-lprime
+    not antinef) is refused, so the budget only falls along a path and the
+    cost does not grow as lprime moves out. With D_v the determinant of M
+    on the subtree below v, P_v the product of the D_c over its children
+    c, and y_parent = 0 at the root,
 
         y^T M y = sum_v (D_v y_v - P_v y_parent(v))^2 / (D_v P_v)
 
     in any rooting (as `_rooting` returns it) that puts parents before
     children, so each coordinate's range hangs on the budget and its
-    parent's value alone. With s the center's denominator, radius2 scaled
-    once by s^2 lcm(D_v P_v) makes every budget an integer and each range
-    one interval from one isqrt, walked upwards. In the block order the
-    children of a vertex come one after another, so a filter on the
+    parent's value alone. With b = cn/s (s = 2 den Z_K), one unit of slack
+    is 2 s^2 den(lprime) lcm(D_v P_v): every budget is an integer and each
+    range one interval from one isqrt, walked upwards. In the block order
+    the children of a vertex come one after another, so a filter on the
     parent's inequality sees every earlier sibling.
 
     `partial_filter(i, xs)` narrows vertex i's range before it is walked,
@@ -257,18 +262,22 @@ def _ellipsoid_walk(rooting: tuple, center: "Cycle", radius2: Fraction,
     every inner node of the walk and every leaf yields one point, so the
     filter calls and the points count the walk's nodes."""
     order, parent, sub, kids, _ = rooting
-    # integer center coordinates: w_v = s*x_v - cn_v = s*y_v
-    cn, s = center.num, center.den
-    # global scale: sum_v coeff_v T_v^2 <= bound.numerator * scale, integers
-    bound = Fraction(radius2) * s * s
-    scale = math.lcm(*map(mul, sub, kids))
-    coeff = [bound.denominator * scale // (d * p) for d, p in zip(sub, kids)]
-    unit = bound.denominator * scale * s * s
+    graph, den = lprime.graph, lprime.den
+    pull = _times_a(graph, lprime.num)  # den (E_v, lprime)
+    if min(pull) < 0:
+        raise UserError("lprime must lie in -S' (its negative must be antinef)")
+    # integer centre coordinates: w_v = s*x_v - cn_v = s*y_v
+    zk = canonical_cycle(graph)
+    cn, s = zk.num, 2 * zk.den
+    lcm = math.lcm(*map(mul, sub, kids))
+    unit = 2 * s * s * den * lcm
+    radius = unit * bound - den * lcm * sum(map(mul, _times_a(graph, cn), cn))
     # per step of the walk: T_v = D_v w_v - P_v w_p = a*x_v + off with
-    # a = D_v s and off = -D_v cn_v - P_v w_p; the root has no parent, so
-    # its P_v is taken as 0
+    # a = D_v s and off = -D_v cn_v - P_v w_p, costing c*T_v^2 and q*x_v;
+    # the root has no parent, so its P_v is taken as 0
     steps = [(v, parent[v], sub[v] * s, sub[v] * cn[v],
-              kids[v] if parent[v] >= 0 else 0, coeff[v], cn[v])
+              kids[v] if parent[v] >= 0 else 0,
+              den * lcm // (sub[v] * kids[v]), unit // den * pull[v], cn[v])
              for v in order]
     depth = len(order)
     ws, xs = [0] * depth, [0] * depth
@@ -278,7 +287,7 @@ def _ellipsoid_walk(rooting: tuple, center: "Cycle", radius2: Fraction,
         if k == depth:
             yield tuple(xs), budget
             return
-        v, p, a, a_cn, kid, c, cn_v = steps[k]
+        v, p, a, a_cn, kid, c, q, cn_v = steps[k]
         off = -a_cn - kid * ws[p]
         # exact: c*T_v^2 <= budget - need iff |T_v| <= t_max
         t_max = math.isqrt((budget - need) // c)
@@ -303,7 +312,7 @@ def _ellipsoid_walk(rooting: tuple, center: "Cycle", radius2: Fraction,
             at_hi = max(every, above_lo * unit if hi != lo else 0)
         for value in range(start, high + 1):
             t = a * value + off
-            left = budget - c * t * t
+            left = budget - c * t * t - q * value
             floor = (at_lo if value == lo else at_hi if value == hi
                      else between)
             if left < floor:
@@ -312,7 +321,7 @@ def _ellipsoid_walk(rooting: tuple, center: "Cycle", radius2: Fraction,
             ws[v] = s * value - cn_v
             yield from rec(k + 1, left, floor)
 
-    return unit, rec(0, bound.numerator * scale, 0) if bound >= 0 else iter(())
+    return unit, rec(0, radius, 0) if radius >= 0 else iter(())
 
 
 _BUILD_TOKEN = object()

@@ -168,13 +168,10 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
     chi(l), lazily; walk(t, upper), with `upper` integers in vertex order,
     only those with l <= upper.
 
-    With M = -A and b = Z_K/2, chi(l) = ((l-b)^T M (l-b) + (b, b)) / 2, so
-    the sublevel set is the ellipsoid of radius^2 R = 2t - (b, b) that
-    `core`'s walker walks on the graph's own rooting, cut to `upper`; a
-    point's slack is 2 (t - chi(l)). Each filter call and each point is
-    one node of the walk, counted against `cap`."""
-    b = canonical_cycle(graph) * Fraction(1, 2)
-    bb = intersection_form(b, b)
+    The sublevel set is the ellipsoid {chi <= t} that `core`'s walker walks
+    at l' = 0, on the graph's own rooting, cut to `upper`; a point's slack
+    is t - chi(l). Each filter call and each point is one node of the walk,
+    counted against `cap`."""
     rooting = (graph._order, graph._parent, graph._subdet, graph._childdet,
                graph.det)
     refusal = f"chi sublevel enumeration exceeded its budget ({cap})"
@@ -190,12 +187,12 @@ def _chi_sublevel(graph: ResolutionGraph, cap: int) -> _Walk:
                 raise ResourceCapExceeded(refusal)
             return 0, cut[v], (0, 0, 0, 0)
 
-        unit, points = _ellipsoid_walk(rooting, b, 2 * t - bb, narrow)
+        unit, points = _ellipsoid_walk(rooting, graph.zero_cycle(), t, narrow)
         for x, left in points:  # once per leaf
             nodes += 1
             if nodes > cap:
                 raise ResourceCapExceeded(refusal)
-            yield Cycle(graph, x), t - left // (2 * unit)
+            yield Cycle(graph, x), t - left // unit
 
     return walk
 

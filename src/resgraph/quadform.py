@@ -1,15 +1,14 @@
-"""Exact integer-point enumeration in the ellipsoids of a resolution graph,
-cut by the antinef cone.
+"""Exact integer-point enumeration in the chi-ellipsoid of a resolution
+graph, cut by the antinef cone.
 
 The strata solver reads its candidates off the finite set
-{ x >= 0 integral : chi(x) + (x, l') <= bound, x - l' antinef }, which is
-{ x >= 0 integral : (x - b)^T M (x - b) <= R, x - l' antinef } for M = -A,
-the negated intersection form of the graph, b = Z_K/2 + l' and
-R = 2*bound + b^T M b. This module owns that walk's set-up
-(`antinef_points`), its rooting and its antinef cut, and walks it with
-`core`'s Fincke-Pohst walker. The rooting is the widest leaf
-(`walk_rooting`), a rule chosen by counting filter calls from every root
-of the fixtures.
+{ x >= 0 integral : chi(x) + (x, l') <= bound, x - l' antinef }. With -l'
+antinef (Lipman's cone, where the solver takes l') each (E_v, l') >= 0,
+so `core`'s Fincke-Pohst walker walks the one ellipsoid {chi <= bound}
+around Z_K/2 and charges (x, l') to its budget; only `core` completes the
+square. This module owns the walk's rooting and its antinef and level
+cuts (`antinef_points`). The rooting is the widest leaf (`walk_rooting`),
+a rule chosen by counting filter calls from every root of the fixtures.
 
 The strata solver also cuts by level. A candidate l enters a stratum only
 if its slack pg - chi(l) - (l, l') is at least dim V(I(l - l')), the
@@ -17,10 +16,10 @@ largest w_j = max(0, depth(j) - alpha + 1) over the j with
 (l - l', E_j) != 0. That pairing is final once j and all its neighbours
 are assigned: in the block order at j's last child, or at j itself when j
 has no children. From then on every completion has dim >= w_j if it is
-nonzero, and the walk's remaining budget (twice the slack at a leaf) only
-falls along a path. So a value that leaves less budget than 2 w_j, over
-the nonzero final pairings, leads to no candidate and is dropped; the
-walk keeps exactly the points of level k >= 0, in the uncut walk's order.
+nonzero, and the walk's remaining budget (the slack at a leaf) only falls
+along a path. So a value that leaves less budget than w_j, over the
+nonzero final pairings, leads to no candidate and is dropped; the walk
+keeps exactly the points of level k >= 0, in the uncut walk's order.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .core import (Cycle, ResolutionGraph, _ellipsoid_walk, _rooting,
-                   _times_a, canonical_cycle, intersection_form)
+                   _times_a)
 
 __all__ = ["walk_rooting", "antinef_points", "enumerate_ellipsoid_points"]
 
@@ -62,11 +61,9 @@ def antinef_points(graph: ResolutionGraph, lprime: Cycle, bound: int,
     (0 when x = l') for the vertex-indexed `weights` w >= 0, as
     (x in vertex order, slack); zero weights leave the walk uncut.
 
-    Completing the square: with M = -A and b = Z_K/2 + l',
-    chi(x) + (x, l') = (x-b)^T M (x-b) / 2 - b^T M b / 2, so the points lie
-    in the ellipsoid of radius^2 R = 2*bound + b^T M b around b, cut by the
-    antinef cone at the apex l', and the slack is half the walk's
-    R - (x-b)^T M (x-b), so the level cut asks the walk's budget for 2 w_j.
+    The walk runs in {chi <= bound} and charges (x, l') to its budget
+    (`core._ellipsoid_walk`, which refuses l' outside -S'); the slack is
+    the budget left, so the level cut asks the walk for w_j.
 
     The antinef inequalities of x - l' cut each coordinate's range to one
     interval. With l' = num/den and X = den*x, (x - l', E_j) <= 0 reads
@@ -88,10 +85,8 @@ def antinef_points(graph: ResolutionGraph, lprime: Cycle, bound: int,
     inequality of its floor, and its parent's when it is the last child,
     which is then exactly the inequality of its ceiling. So each vanishes
     only at that end of x_i's interval, and only when the end is exact.
-    Every other value must leave the walk a budget of 2 w_j, and the
-    filter says which values these are."""
-    center = canonical_cycle(graph) * Fraction(1, 2) + lprime
-    radius2 = 2 * Fraction(bound) - intersection_form(center, center)
+    Every other value must leave the walk a budget of w_j, and the filter
+    says which values these are."""
     order, parent, sub, kids, _ = rooting = walk_rooting(graph)
     den, cap = lprime.den, _times_a(graph, lprime.num)
     children: list[list[int]] = [[] for _ in order]
@@ -115,15 +110,15 @@ def antinef_points(graph: ResolutionGraph, lprime: Cycle, bound: int,
                                        for c in later))
 
     # x_i's cut, fixed per vertex up to whether its floor and its ceiling
-    # are exact: (2 w of every value, of the values above lo, of those
+    # are exact: (w of every value, of the values above lo, of those
     # below hi, the largest of the three), all zero where no weight binds.
-    # A pairing whose end is not exact vanishes at no value, so its 2 w
+    # A pairing whose end is not exact vanishes at no value, so its w
     # binds every value.
     cuts: list[list] = []
     for i in range(len(order)):
         p = parent[i]
-        own = 0 if children[i] else 2 * weights[i]
-        up = 2 * weights[p] if p >= 0 and children[p][-1] == i else 0
+        own = 0 if children[i] else weights[i]
+        up = weights[p] if p >= 0 and children[p][-1] == i else 0
         top = max(own, up)
         # indexed [floor exact][ceiling exact]
         cuts.append([[(top, 0, 0, top), (own, 0, up, top)],
@@ -142,18 +137,17 @@ def antinef_points(graph: ResolutionGraph, lprime: Cycle, bound: int,
                            den * kids[p])
         return -floor, hi, cuts[i][r == 0][t == 0]
 
-    return ((point, left / 2) for point, left in enumerate_ellipsoid_points(
-        rooting, center, radius2, partial_filter))
+    return enumerate_ellipsoid_points(rooting, lprime, bound, partial_filter)
 
 
 def enumerate_ellipsoid_points(
-    rooting: tuple, center: Cycle, radius2: Fraction,
+    rooting: tuple, lprime: Cycle, bound: int,
     partial_filter: Callable[[int, list[int]], tuple],
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield every integer x >= 0 with (x - center)^T (-A) (x - center)
-    <= radius2 that `partial_filter` admits, as a tuple in vertex order,
-    with its slack radius2 - (x - center)^T (-A) (x - center), which is the
-    walk's remaining budget at x.
+    """Yield every integer x >= 0 with chi(x) + (x, l') <= bound that
+    `partial_filter` admits, as a tuple in vertex order, with its slack
+    bound - chi(x) - (x, l'), which is the walk's remaining budget at x.
+    -l' must be antinef (`core._ellipsoid_walk`).
 
     Coordinates are assigned in the block order of `rooting` (as
     `walk_rooting` returns it), each over its range of values in
@@ -169,6 +163,6 @@ def enumerate_ellipsoid_points(
     value, since the slack only falls along a path; the walker carries
     that need down.
     """
-    unit, points = _ellipsoid_walk(rooting, center, radius2, partial_filter)
+    unit, points = _ellipsoid_walk(rooting, lprime, bound, partial_filter)
     for point, left in points:
         yield point, Fraction(left, unit)

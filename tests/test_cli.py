@@ -254,6 +254,16 @@ def test_lprime_outside_the_lattice_is_refused(capsys, command):
     assert err.startswith("error: lprime must lie in L' ")
 
 
+def test_lprime_outside_the_cone_is_refused(capsys):
+    """l' = 3 E*_a1 is in L' but its negative is not antinef: strata
+    refuses it with w_strata's message before any walk."""
+    code, out, err = invoke(capsys, "strata", "g_app",
+                            "--lprime", "estar:a1=-3")
+    assert (code, out) == (1, "")
+    assert err == ("error: lprime must lie in -S' (its negative must be "
+                   "antinef)\n")
+
+
 NON_MINIMAL = ("warning: graph has euler numbers above -2; it is not a "
                "minimal resolution, and minimal-resolution-only operations "
                "will refuse it\n")

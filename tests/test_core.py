@@ -519,15 +519,13 @@ def test_ellipsoid_walk_does_not_depend_on_the_rooting(name, bound, request):
     share their root, from the own order's last vertex: the points of
     {chi <= bound}, each slack read in its rooting's own scale."""
     g = request.getfixturevalue(name)
-    center = canonical_cycle(g) * Fraction(1, 2)
-    radius2 = 2 * bound - intersection_form(center, center)
     own = (g._order, g._parent, g._subdet, g._childdet, g.det)
     rootings = [own, walk_rooting(g)]
     if rootings[1][0][0] == g._order[0]:
         rootings[1] = _rooting(g._neighbours, g._pivots, g._order[-1])
     walks = []
     for rooting in rootings:
-        unit, points = _ellipsoid_walk(rooting, center, radius2,
+        unit, points = _ellipsoid_walk(rooting, g.zero_cycle(), bound,
                                        lambda i, xs: (0, None, (0, 0, 0, 0)))
         walks.append({(x, Fraction(left, unit)) for x, left in points})
     assert walks[0] and walks[0] == walks[1]

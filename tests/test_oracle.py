@@ -83,11 +83,16 @@ def test_fast_modules_use_one_graph_per_query():
 
 
 def test_one_module_owns_the_strata_walk():
-    """quadform owns the walk's set-up, its rooting and its antinef cut:
-    strata imports no private name of core, never names the walker, and
-    names neither Z_K nor a Fraction, so it builds no centre or radius; the
-    graph holds no walk state."""
-    from resgraph import strata
+    """quadform owns the walk's rooting and its antinef cut, and core's
+    walker completes the square: strata imports no private name of core,
+    never names the walker, and names neither Z_K nor a Fraction, and
+    quadform names neither Z_K nor the form, so neither builds a centre
+    or a radius; the graph holds no walk state."""
+    from resgraph import quadform, strata
+    named = {getattr(node, attr, None)
+             for node in ast.walk(ast.parse(inspect.getsource(quadform)))
+             for attr in ("id", "attr", "name")}
+    assert not named & {"canonical_cycle", "intersection_form"}
     tree = ast.parse(inspect.getsource(strata))
     private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "core"
@@ -648,7 +653,8 @@ def test_the_oracle_ldl_has_one_reader():
     defined. The chi walk is core's walker: no function here both calls
     itself and takes an isqrt, as a Fincke-Pohst recursion does. The box
     searches read their centres, radii and (M^{-1})_vv off core, and wrap
-    each integer hit in a Cycle, not `from_vector`."""
+    each integer hit in a Cycle, not `from_vector`. The chi walk names
+    neither Z_K nor the form: core's walker completes the square."""
     tree = ast.parse(inspect.getsource(oracle_module))
     callers, readers = {}, {}
     for outer in tree.body:
@@ -672,6 +678,9 @@ def test_the_oracle_ldl_has_one_reader():
                       or getattr(call.func, "attr", None)
                       for call in ast.walk(node) if isinstance(call, ast.Call)}
             assert not {node.name, "isqrt"} <= called, node.name
+        if getattr(node, "name", None) == "_chi_sublevel":
+            named = {getattr(name, "id", None) for name in ast.walk(node)}
+            assert not named & {"canonical_cycle", "intersection_form"}
 
 
 def test_min_chi_pole(g_pole):

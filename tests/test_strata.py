@@ -478,11 +478,21 @@ _DET10 = build_graph({
 
 @settings(max_examples=80, deadline=None)
 @given(random_trees(), st.sampled_from([0, 1, 2]),
-       st.sampled_from(["zero", "estar", "pre"]))
-@example(_DET10, 1, "zero")
-def test_walker_matches_oracle_on_random_trees(graph, bound, kind):
+       st.sampled_from(["zero", "estar", "pre", "far"]),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(1, 30)),
+                min_size=1, max_size=3))
+@example(_DET10, 1, "zero", [(0, 1)])
+def test_walker_matches_oracle_on_random_trees(graph, bound, kind, far):
+    """The far kind is -sum c_v E*_v, c_v <= 30 on 1-3 vertices, deep in the
+    cone; the oracle's chi box keeps it as cheap as a near class."""
     assume(graph is not None)
-    _check_walker(graph, _lprimes(graph)[kind], bound)
+    if kind == "far":
+        coeffs = {graph.vertices[i % len(graph.vertices)]: c for i, c in far}
+        lprime = -sum((c * dual_cycle(graph, v) for v, c in coeffs.items()),
+                      graph.zero_cycle())
+    else:
+        lprime = _lprimes(graph)[kind]
+    _check_walker(graph, lprime, bound)
 
 
 @settings(max_examples=80, deadline=None)
@@ -522,17 +532,27 @@ def test_walker_work_at_bound_4(walk_counts, request, name, points, cap):
 
 
 def test_walker_work_far_from_the_origin(walk_counts, g_app):
-    """l' = -12 E*_a9 puts the center far out along one leaf: 700 filter
-    calls for these 4 points, one per range (3 142 with a verdict per
-    value). The walk from the least-degree root with the
-    complete-neighbourhood filter made 1 316 980 per value. The cap also
-    needs both ends of each interval: without the floor the walk makes
-    85 750 calls, without the ceiling 5 506 575."""
+    """l' = -12 E*_a9 is far out along one leaf: charged to the budget of
+    {chi <= 2}, the walk makes 181 filter calls for these 4 points. Centred
+    at Z_K/2 + l' it made 700, one per range (3 142 with a verdict per
+    value), and the walk from the least-degree root with the
+    complete-neighbourhood filter made 1 316 980 per value; that walk also
+    needed both ends of each interval: without the floor it made 85 750
+    calls, without the ceiling 5 506 575."""
     lprime = -12 * dual_cycle(g_app, "a9")
     walked = list(quadform.antinef_points(g_app, lprime, 2,
                                           [0] * len(g_app.vertices)))
     assert len(walked) == walk_counts["points"] == 4
     assert walk_counts["calls"] <= 900
+
+
+def test_walker_refuses_a_class_outside_the_cone(g_app):
+    """(E*_a1, E_a1) = -1: at l' = E*_a1 the charge of x_a1 would be
+    negative, so the walk is refused as `w_strata` refuses the class."""
+    with pytest.raises(UserError, match=re.escape(
+            "lprime must lie in -S' (its negative must be antinef)")):
+        list(quadform.antinef_points(g_app, dual_cycle(g_app, "a1"), 2,
+                                     [0] * len(g_app.vertices)))
 
 
 def test_walker_cuts_each_range_to_the_filter_interval(g_app):
@@ -542,11 +562,10 @@ def test_walker_cuts_each_range_to_the_filter_interval(g_app):
     from one below the least value to one above the largest. The filter
     is asked once per range, never twice for the same v and assigned
     prefix. The ellipsoid is {l >= 0 : chi(l) <= 1}, 849 points."""
-    center = canonical_cycle(g_app) * Fraction(1, 2)
-    radius2 = 2 - intersection_form(center, center)
+    zero = g_app.zero_cycle()
     rooting = quadform.walk_rooting(g_app)
     every = [x for x, _ in quadform.enumerate_ellipsoid_points(
-        rooting, center, radius2, lambda i, xs: (0, None, _UNCUT))]
+        rooting, zero, 1, lambda i, xs: (0, None, _UNCUT))]
     assert len(every) == 849 and len(set(every)) == len(every)
     order = rooting[0]
     for v in order:
@@ -563,7 +582,7 @@ def test_walker_cuts_each_range_to_the_filter_interval(g_app):
                     asked.add(key)
                     return cut if i == v else (0, None, _UNCUT)
                 kept = [x for x, _ in quadform.enumerate_ellipsoid_points(
-                    rooting, center, radius2, partial_filter=narrow)]
+                    rooting, zero, 1, partial_filter=narrow)]
                 assert kept == [x for x in every if keep(x)]
                 assert any(i == v for i, _ in asked)
 
@@ -572,19 +591,19 @@ def test_walker_keeps_its_traced_shape(g_app):
     """Tools that time the walker per next(), count the items it yields and
     count the calls to its partial_filter argument rely on this shape, and
     on quadform reading nothing of the package but core. Each item is a
-    point with its slack radius2 - (x - c)^T (-A) (x - c)."""
+    point with its slack bound - chi(x) - (x, l'), here at l' = -E*_a1, so
+    that the walk charges (x, l') to its budget."""
     walker = quadform.enumerate_ellipsoid_points
     assert inspect.isgeneratorfunction(walker)
     parameter = inspect.signature(walker).parameters["partial_filter"]
     assert parameter.default is inspect.Parameter.empty  # required
     assert package_imports(quadform) == {"resgraph.core"}
-    center = canonical_cycle(g_app) * Fraction(1, 2)
-    radius2 = Fraction(5, 2)
-    items = list(walker(quadform.walk_rooting(g_app), center, radius2,
+    lprime, bound = -dual_cycle(g_app, "a1"), 2
+    items = list(walker(quadform.walk_rooting(g_app), lprime, bound,
                         lambda i, xs: (0, None, _UNCUT)))
     assert items
     for point, left in items:
         assert isinstance(point, tuple) and isinstance(left, Fraction)
         assert len(point) == len(g_app.vertices)
-        offset = g_app.from_vector(point) - center
-        assert left == radius2 + intersection_form(offset, offset) >= 0
+        l = g_app.from_vector(point)
+        assert left == bound - chi(l) - intersection_form(l, lprime) >= 0

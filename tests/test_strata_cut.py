@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgraph import quadform
 from resgraph.core import dual_cycle, estar_support
 from resgraph.ellseq import elliptic_sequence
 from resgraph.fixtures import load_fixture
@@ -16,7 +17,8 @@ from resgraph.laufer import classify, fundamental_cycle
 from resgraph.quadform import antinef_points
 from resgraph.strata import AnalyticParams, strata_index_sets
 
-from conftest import flag_dim, g_app_with_chain, random_tree
+from conftest import (count_filter_calls, flag_dim, g_app_with_chain,
+                      random_tree)
 
 MODES = ("generic", "wecc", "custom")
 
@@ -123,12 +125,45 @@ def test_cut_adds_no_work_on_a_long_sequence(walk_counts):
 
 
 def test_cut_adds_no_work_far_from_the_origin(walk_counts, g_app):
-    """l' = -100 E*_a1: the uncut walk makes 418 515 filter calls for this
-    one entry; the ellipsoid and the antinef cut, not the level, end
-    nearly every branch, so the level cut saves little there. It must not
-    add calls."""
+    """l' = -100 E*_a1: charged to the budget of {chi <= p_g}, the uncut
+    walk makes 143 filter calls for 4 points and the cut walk 73 for this
+    one entry. Centred at Z_K/2 + l', the uncut walk made 418 515, nearly
+    all ended by the ellipsoid and the antinef cut, not the level."""
     seq = elliptic_sequence(g_app)
     report = strata_index_sets(seq, -100 * dual_cycle(g_app, "a1"),
                                AnalyticParams())
     assert sum(len(level) for level in report.levels.values()) == 1
-    assert walk_counts["calls"] <= 418_515 * 1.01
+    assert walk_counts["calls"] <= 73
+
+
+def test_far_classes_cost_what_near_ones_do(monkeypatch, g_app):
+    """The walk runs in the one ellipsoid {chi <= p_g} around Z_K/2 and
+    charges (x, l') to its budget, so at l' = -c E*_a1 it makes the same
+    73 filter calls for the same one point at every c. Around Z_K/2 + l'
+    it made 2 773 / 418 060 / 6 094 779 calls at c = 25 / 100 / 200; the
+    filter here raises past 1 000 calls, so such a walk fails fast."""
+    seq = elliptic_sequence(g_app)
+    weights = [max(0, seq.depths[v] + 1) for v in g_app.vertices]
+    walker = quadform.enumerate_ellipsoid_points
+    counts = {"calls": 0}
+
+    def capped_walker(*args, **kwargs):
+        bound = count_filter_calls(walker, args, kwargs, counts)
+        counted = bound.arguments["partial_filter"]
+
+        def capped(i, xs):
+            assert counts["calls"] < 1_000, "the walk grows with l'"
+            return counted(i, xs)
+        bound.arguments["partial_filter"] = capped
+        return walker(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(quadform, "enumerate_ellipsoid_points", capped_walker)
+    walks = set()
+    for c in (25, 100, 400):
+        counts["calls"] = 0
+        points = list(antinef_points(g_app, -c * dual_cycle(g_app, "a1"),
+                                     seq.pg(0), weights))
+        walks.add((counts["calls"], tuple(points)))
+    [(calls, points)] = walks
+    assert calls <= 100
+    assert [x for x, _ in points] == [(0,) * len(g_app.vertices)]
